@@ -12,19 +12,11 @@ import argparse
 
 from gwone.correlators import (
     classify,
+    degree_vectors,
     fano_ge2_correlator,
     fano_index1_correlator,
     one_point_invariant,
 )
-
-
-def degree_vectors(n: int):
-    def rec(prefix, remaining, minimum):
-        yield tuple(prefix)
-        for l in range(minimum, remaining + 1):
-            yield from rec(prefix + [l], remaining - l, l)
-
-    yield from rec([], n, 1)
 
 
 def main() -> None:

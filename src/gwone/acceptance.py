@@ -22,6 +22,7 @@ from .calabi_yau import (
 )
 from .correlators import (
     classify,
+    degree_vectors,
     fano_ge2_correlator,
     fano_index1_correlator,
     phi,
@@ -147,22 +148,10 @@ def lambda_cross_check() -> str:
     return "cancellation equals integral read-off, d <= 4"
 
 
-def _degree_vectors(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, minimum: int) -> None:
-        out.append(tuple(prefix))
-        for l in range(minimum, remaining + 1):
-            rec(prefix + [l], remaining - l, l)
-
-    rec([], n, 1)
-    return out
-
-
 def fano_properties() -> str:
     checked = 0
     for n in range(1, 7):
-        for degrees in _degree_vectors(n):
+        for degrees in degree_vectors(n):
             model = classify(n, degrees)
             total = sum(degrees)
             for d in range(1, 4):
@@ -257,23 +246,8 @@ def _spec_pool() -> list[RingSpec]:
     ]
 
 
-def _monomials(spec: RingSpec) -> list[tuple[int, ...]]:
-    monos = [()]
-    for index, (_, degree) in enumerate(spec.base):
-        extended = []
-        for mono in monos:
-            e = 1
-            while spec.mono_degree(mono) + e * degree <= spec.base_cutoff:
-                padded = list(mono) + [0] * (index + 1 - len(mono))
-                padded[index] = e
-                extended.append(tuple(padded))
-                e += 1
-        monos.extend(extended)
-    return monos
-
-
 def _random_coh(rng: random.Random, spec: RingSpec, max_terms: int = 3) -> CohClass:
-    monos = _monomials(spec)
+    monos = spec.monomials()
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         key = (rng.randint(0, spec.n), rng.choice(monos))

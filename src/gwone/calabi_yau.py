@@ -88,13 +88,7 @@ class LambdaForm:
 
     def shifted(self, spec: RingSpec, position: int) -> LaurentPoly:
         """The form evaluated at (h + position*t, t)."""
-        return LaurentPoly(
-            spec,
-            {
-                0: CohClass.h_power(spec, 1) * self.alpha,
-                1: CohClass.scalar(spec, self.alpha * position + self.beta),
-            },
-        )
+        return LaurentPoly.linear(spec, self.alpha, self.alpha * position + self.beta)
 
     def to_laurent(self, spec: RingSpec) -> LaurentPoly:
         return self.shifted(spec, 0)
@@ -123,6 +117,12 @@ def _require_calabi_yau(model: CIModel) -> None:
         raise ClassificationError(f"general type: l_1+...+l_m > n+1 for {model}")
     if model.classification is not Classification.CALABI_YAU:
         raise ClassificationError(f"not Calabi-Yau: l_1+...+l_m != n+1 for {model}")
+    if model.m + 1 > model.n:
+        # h^{m+1} = 0 then, so the t^-1 cancellation equation cannot fix alpha_d
+        raise ClassificationError(
+            f"unsupported Calabi-Yau model {model}: dimension n - m = "
+            f"{model.n - model.m} < 1, and the lambda recursion needs m + 1 <= n"
+        )
 
 
 def _partial_comb_sum(
@@ -211,10 +211,6 @@ def solve_lambda(
     for e in range(1, d):
         if e not in lambdas:
             raise ValueError(f"missing lambda for degree {e}")
-    if model.m + 1 > model.n:
-        raise LambdaShapeError(
-            "cannot separate the cancellation equations when m + 1 > n"
-        )
     partial = _partial_comb_sum(model, d, lambdas)
     product = Fraction(model.degree_product)
     assert product != 0
@@ -248,9 +244,7 @@ def cy_correlator(
         return phi(model, 0)
     if lambdas is None:
         lambdas = solve_lambdas_up_to(model, d)
-    out = LaurentPoly.zero(model.spec)
-    for comb in enumerate_combs(d):
-        out = out + cy_term(model, comb, lambdas)
+    out = _partial_comb_sum(model, d, lambdas) + cy_term(model, Comb((0, d)), lambdas)
     if not out.is_zero() and out.t_max() >= -1:
         raise LambdaShapeError(f"degree-{d} comb sum retains t^{out.t_max()} terms")
     return out

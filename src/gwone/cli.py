@@ -383,8 +383,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-run = main
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -98,15 +98,30 @@ def classify(n: int, degrees: tuple[int, ...] | list[int] = ()) -> CIModel:
     return CIModel(n=n, degrees=degs)
 
 
-def linear_term(spec: RingSpec, h_coeff: Fraction | int, t_coeff: Fraction | int) -> LaurentPoly:
-    """The Laurent polynomial a*h + b*t."""
-    return LaurentPoly(
-        spec,
-        {
-            0: CohClass.h_power(spec, 1) * Fraction(h_coeff),
-            1: CohClass.scalar(spec, t_coeff),
-        },
-    )
+def degree_vectors(n: int) -> list[tuple[int, ...]]:
+    """All nondecreasing degree vectors (l_1, ..., l_m) with l_1 + ... + l_m <= n.
+
+    These are the Fano (and P^n, m = 0) models in P^n, in depth-first order
+    starting from the empty vector.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], remaining: int, minimum: int) -> None:
+        out.append(prefix)
+        for l in range(minimum, remaining + 1):
+            rec(prefix + (l,), remaining - l, l)
+
+    rec((), n, 1)
+    return out
+
+
+def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
+    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t), the numerator of phi_d."""
+    out = LaurentPoly.one(spec)
+    for l in degrees:
+        for k in range(d * l + 1):
+            out = out * LaurentPoly.linear(spec, l, k)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -119,15 +134,12 @@ def phi(model: CIModel, d: int) -> LaurentPoly:
     if d < 0:
         raise ValueError("degree must be >= 0")
     spec = model.spec
-    numerator = LaurentPoly.one(spec)
-    for l in model.degrees:
-        for k in range(d * l + 1):
-            numerator = numerator * linear_term(spec, l, k)
+    numerator = phi_numerator(spec, model.degrees, d)
     if d == 0:
         return numerator
     denominator = LaurentPoly.one(spec)
     for k in range(1, d + 1):
-        denominator = denominator * linear_term(spec, 1, k) ** (model.n + 1)
+        denominator = denominator * LaurentPoly.linear(spec, 1, k) ** (model.n + 1)
     return numerator * denominator.inverse()
 
 
@@ -141,7 +153,7 @@ def pn_one_point(n: int, d: int) -> LaurentPoly:
     spec = RingSpec.absolute(n)
     out = LaurentPoly.one(spec)
     for k in range(1, d + 1):
-        out = out * linear_term(spec, 1, k).inverse() ** (n + 1)
+        out = out * LaurentPoly.linear(spec, 1, k).inverse() ** (n + 1)
     return out
 
 

@@ -48,6 +48,17 @@ class LaurentPoly:
             coeff = CohClass.scalar(spec, coeff)
         return cls(spec, {t_exp: coeff})
 
+    @classmethod
+    def linear(cls, spec: RingSpec, h_coeff: Scalar, t_coeff: Scalar) -> LaurentPoly:
+        """The linear form h_coeff*h + t_coeff*t."""
+        return cls(
+            spec,
+            {
+                0: CohClass.from_terms(spec, {(1, ()): h_coeff}),
+                1: CohClass.scalar(spec, t_coeff),
+            },
+        )
+
     # -- inspection -------------------------------------------------------
 
     def coefficient(self, t_exp: int) -> CohClass:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, pairwise
+from itertools import pairwise
 from math import factorial
-from typing import Mapping, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 from .calabi_yau import LambdaForm, cy_correlator, enumerate_combs, solve_lambdas_up_to
 from .correlators import CIModel, phi
@@ -29,11 +29,24 @@ from .series import QSeries
 V = TypeVar("V")
 
 
-def _interior_chains(d: int):
-    """All chains 0 < d_1 < ... < d_r = d, as tuples."""
-    inner = chain.from_iterable(combinations(range(1, d), k) for k in range(d))
-    for s in inner:
-        yield s + (d,)
+def _chain_sum(d: int, weight: Callable[[int, int], V]) -> V:
+    """Sum over chains 0 < d_1 < ... < d_r = d of
+    prod_{i=1}^r weight(d_i - d_{i-1}, d_{i-1}) / r!, with d_0 = 0.
+
+    A chain is the comb (0, d_1, ..., d_r).  The start-0 tooth's weight
+    leads each product, so only it needs to support multiplication by the
+    later weights and by Fraction.
+    """
+    total = None
+    for comb in enumerate_combs(d):
+        if comb.endpoints[0] != 0:
+            continue
+        term = weight(comb.endpoints[1], 0)
+        for start, nxt in pairwise(comb.endpoints[1:]):
+            term = term * weight(nxt - start, start)
+        term = term * Fraction(1, factorial(comb.tooth_count))
+        total = term if total is None else total + term
+    return total
 
 
 def corollary_transform(
@@ -45,17 +58,11 @@ def corollary_transform(
     The y-values may live in any commutative coefficient space that supports
     addition and multiplication by Fraction.
     """
-    out: dict[int, V] = {}
-    for d in range(1, max_degree + 1):
-        total = None
-        for endpoints in _interior_chains(d):
-            weight = Fraction(1, factorial(len(endpoints)))
-            for prev, nxt in pairwise(endpoints):
-                weight *= Fraction(x[nxt - prev]) * prev
-            term = y[endpoints[0]] * weight
-            total = term if total is None else total + term
-        out[d] = total
-    return out
+
+    def weight(delta: int, start: int):
+        return y[delta] if start == 0 else Fraction(x[delta]) * start
+
+    return {d: _chain_sum(d, weight) for d in range(1, max_degree + 1)}
 
 
 def double_comb_series(
@@ -73,18 +80,12 @@ def double_comb_series(
     """
     if spec is None:
         spec = RingSpec.absolute(0)
-    values: dict[int, Fraction] = {0: Fraction(1)}
-    for d in range(1, order + 1):
-        total = Fraction(0)
-        for endpoints in _interior_chains(d):
-            term = Fraction(1, factorial(len(endpoints)))
-            prev = 0
-            for nxt in endpoints:
-                term *= Fraction(y[nxt - prev]) + Fraction(x[nxt - prev]) * prev
-                prev = nxt
-            total += term
-        values[d] = total
-    return QSeries.from_scalars(spec, order, values)
+
+    def weight(delta: int, start: int) -> Fraction:
+        return Fraction(y[delta]) + Fraction(x[delta]) * start
+
+    values = {d: _chain_sum(d, weight) for d in range(1, order + 1)}
+    return QSeries.from_scalars(spec, order, {0: 1, **values})
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,8 @@ def mirror_comb_correlator(model: CIModel, d: int, mirror: MirrorData) -> Lauren
         d1 = comb.endpoints[0]
         term = phi(model, d1)
         for delta in comb.deltas:
-            factor = LaurentPoly(
-                spec,
-                {
-                    0: CohClass.scalar(spec, mirror.a[delta] * d1 + mirror.b[delta]),
-                    -1: CohClass.h_power(spec, 1) * mirror.a[delta],
-                },
-            )
-            term = term * factor
+            a, b = mirror.a[delta], mirror.b[delta]
+            term = term * LaurentPoly.linear(spec, a, a * d1 + b).shift_t(-1)
         out = out + term * Fraction(1, factorial(comb.tooth_count))
     return out
 

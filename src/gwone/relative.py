@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+from .correlators import phi_numerator
 from .laurent import LaurentPoly
 from .rings import BasePoly, CohClass, RingSpec
 from .series import QSeries
@@ -111,12 +112,6 @@ def linear_cy_model(n: int, base_cutoff: int) -> RelativeModel:
     return RelativeModel(n=n, base_cutoff=base_cutoff, degrees=(1,) * (n + 1))
 
 
-def _h_plus_kt(spec: RingSpec, k: int) -> LaurentPoly:
-    return LaurentPoly(
-        spec, {0: CohClass.h_power(spec, 1), 1: CohClass.scalar(spec, k)}
-    )
-
-
 @lru_cache(maxsize=None)
 def relative_euler(model: RelativeModel, d: int) -> LaurentPoly:
     """prod_{k=1}^d prod_j (h + alpha_j + k*t), via Chern-class expansion.
@@ -129,7 +124,7 @@ def relative_euler(model: RelativeModel, d: int) -> LaurentPoly:
     spec = model.spec
     out = LaurentPoly.one(spec)
     for k in range(1, d + 1):
-        base = _h_plus_kt(spec, k)
+        base = LaurentPoly.linear(spec, 1, k)
         powers = [LaurentPoly.one(spec)]
         for _ in range(model.n + 1):
             powers.append(powers[-1] * base)
@@ -146,14 +141,7 @@ def relative_euler(model: RelativeModel, d: int) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def relative_phi(model: RelativeModel, d: int) -> LaurentPoly:
     """phi_d with the relative Euler class in the denominator."""
-    spec = model.spec
-    numerator = LaurentPoly.one(spec)
-    for l in model.degrees:
-        for k in range(d * l + 1):
-            numerator = numerator * LaurentPoly(
-                spec,
-                {0: CohClass.h_power(spec, 1) * l, 1: CohClass.scalar(spec, k)},
-            )
+    numerator = phi_numerator(model.spec, model.degrees, d)
     if d == 0:
         return numerator
     return numerator * relative_euler(model, d).inverse()
@@ -181,7 +169,7 @@ class SchubertInput:
     def evaluate(self, spec: RingSpec) -> LaurentPoly:
         """sigma(h, h + t) as a Laurent polynomial."""
         out = LaurentPoly.zero(spec)
-        h_plus_t = _h_plus_kt(spec, 1)
+        h_plus_t = LaurentPoly.linear(spec, 1, 1)
         for (i, j), c in self.coefficients:
             term = LaurentPoly.from_class(CohClass.h_power(spec, i) * c)
             out = out + term * h_plus_t**j
@@ -249,7 +237,7 @@ def _unit_factors(model: RelativeModel, order: int) -> QSeries:
     for e in range(order + 1):
         absolute_part = LaurentPoly.one(spec)
         for k in range(1, e + 1):
-            absolute_part = absolute_part * _h_plus_kt(spec, k) ** (model.n + 1)
+            absolute_part = absolute_part * LaurentPoly.linear(spec, 1, k) ** (model.n + 1)
         values[e] = absolute_part * relative_euler(model, e).inverse()
     return QSeries.from_coefficients(spec, order, values)
 

@@ -106,6 +106,22 @@ class RingSpec:
     def generator_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.base)
 
+    def monomials(self) -> list[Mono]:
+        """Every base monomial of degree <= base_cutoff, () first.
+
+        The order is fixed: seeded random draws (acceptance criterion 12)
+        index into this list.
+        """
+        monos: list[Mono] = [()]
+        for index, (_, degree) in enumerate(self.base):
+            extended = []
+            for mono in monos:
+                budget = self.base_cutoff - self.mono_degree(mono)
+                for e in range(1, budget // degree + 1):
+                    extended.append(mono + (0,) * (index - len(mono)) + (e,))
+            monos.extend(extended)
+        return monos
+
 
 def _reduce(spec: RingSpec, raw: list[BasePoly]) -> tuple[BasePoly, ...]:
     """Rewrite powers of h above n and drop monomials above the cutoff."""

@@ -121,8 +121,6 @@ class QSeries:
         return self.scale(other)
 
     def scale(self, factor: LaurentPoly | CohClass | Scalar) -> QSeries:
-        if isinstance(factor, LaurentPoly):
-            return QSeries(self.spec, self.order, [c * factor for c in self._coeffs])
         return QSeries(self.spec, self.order, [c * factor for c in self._coeffs])
 
     def shift(self, k: int) -> QSeries:

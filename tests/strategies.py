@@ -21,22 +21,8 @@ nonzero_fractions = fractions.filter(lambda x: x != 0)
 specs = st.sampled_from(SPECS)
 
 
-def monomials_for(spec: RingSpec) -> list[tuple[int, ...]]:
-    monos: list[tuple[int, ...]] = [()]
-    for index, (_, degree) in enumerate(spec.base):
-        extra = []
-        for mono in monos:
-            budget = spec.base_cutoff - spec.mono_degree(mono)
-            for e in range(1, budget // degree + 1):
-                padded = list(mono) + [0] * (index + 1 - len(mono))
-                padded[index] = e
-                extra.append(tuple(padded))
-        monos.extend(extra)
-    return monos
-
-
 def coh_classes(spec: RingSpec, max_terms: int = 4):
-    keys = st.tuples(st.integers(0, spec.n), st.sampled_from(monomials_for(spec)))
+    keys = st.tuples(st.integers(0, spec.n), st.sampled_from(spec.monomials()))
     return st.dictionaries(keys, fractions, max_size=max_terms).map(
         lambda terms: CohClass.from_terms(spec, terms)
     )

@@ -57,6 +57,19 @@ def test_comb_count_is_two_to_the_d():
     assert len(enumerate_combs(5)) == 32
 
 
+@pytest.mark.parametrize(
+    "n, degrees", [(4, (5,)), (5, (3, 3)), (5, (2, 4))], ids=["quintic", "3,3", "2,4"]
+)
+def test_cy_correlator_is_the_plain_comb_sum(n, degrees):
+    model = classify(n, degrees)
+    lambdas = solve_lambdas_up_to(model, 5)
+    for d in range(1, 6):
+        brute = LaurentPoly.zero(model.spec)
+        for comb in enumerate_combs(d):
+            brute = brute + cy_term(model, comb, lambdas)
+        assert cy_correlator(model, d, lambdas) == brute, (degrees, d)
+
+
 def test_comb_validation():
     with pytest.raises(ValueError):
         Comb((2, 1))

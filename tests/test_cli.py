@@ -45,6 +45,24 @@ def test_general_type_rejected_with_message(capsys):
     assert "general type: l_1+...+l_m > n+1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("cy", "--n", "1", "--l", "2", "--max-d", "1"), "(2) in P^1"),
+        (
+            ("invariant", "--n", "2", "--l", "1", "--l", "1", "--l", "1", "--d", "1", "--a", "0", "--b", "0"),
+            "(1,1,1) in P^2",
+        ),
+    ],
+    ids=["cy", "invariant"],
+)
+def test_calabi_yau_with_m_plus_one_above_n_is_unsupported(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unsupported Calabi-Yau model {name}" in err
+
+
 def test_cy_command_rejects_fano(capsys):
     code, _, err = run_cli(capsys, "cy", "--n", "4", "--l", "1", "--max-d", "1")
     assert code == 1

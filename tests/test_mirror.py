@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations, pairwise
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,46 @@ def test_log_of_double_comb_series_is_linear_in_y(x, y1, y2, c1, c2):
         x, y2, order, SCALARS
     ).log() * c2
     assert lhs == rhs
+
+
+def _chains(d):
+    """Every chain 0 < d_1 < ... < d_r = d as (d_1, ..., d_r), by subset enumeration."""
+    for k in range(d):
+        for inner in combinations(range(1, d), k):
+            yield inner + (d,)
+
+
+def _brute_force_transform(x, y, d):
+    total = Fraction(0)
+    for chain in _chains(d):
+        term = y[chain[0]] / factorial(len(chain))
+        for prev, nxt in pairwise(chain):
+            term *= x[nxt - prev] * prev
+        total += term
+    return total
+
+
+def _brute_force_double_comb(x, y, d):
+    total = Fraction(0)
+    for chain in _chains(d):
+        term = Fraction(1, factorial(len(chain)))
+        for prev, nxt in pairwise((0,) + chain):
+            term *= y[nxt - prev] + x[nxt - prev] * prev
+        total += term
+    return total
+
+
+oracle_maps = st.fixed_dictionaries({e: fractions for e in range(1, 6)})
+
+
+@settings(max_examples=25)
+@given(oracle_maps, oracle_maps, st.integers(1, 5))
+def test_chain_sums_match_brute_force(x, y, order):
+    expected = {d: _brute_force_transform(x, y, d) for d in range(1, order + 1)}
+    assert corollary_transform(x, y, order) == expected
+    values = {d: _brute_force_double_comb(x, y, d) for d in range(1, order + 1)}
+    expected_series = QSeries.from_scalars(SCALARS, order, {0: 1, **values})
+    assert double_comb_series(x, y, order, SCALARS) == expected_series
 
 
 @settings(max_examples=25)
