@@ -224,9 +224,9 @@ def proposition_linearity(seed: int = DEFAULT_SEED) -> str:
         y2 = {e: _random_fraction(rng) for e in range(1, order + 1)}
         c1, c2 = _random_fraction(rng), _random_fraction(rng)
         mixed = {e: c1 * y1[e] + c2 * y2[e] for e in range(1, order + 1)}
-        f1 = double_comb_series(x, y1, order, spec)
-        f2 = double_comb_series(x, y2, order, spec)
-        f3 = double_comb_series(x, mixed, order, spec)
+        f1 = double_comb_series(x, y1, order)
+        f2 = double_comb_series(x, y2, order)
+        f3 = double_comb_series(x, mixed, order)
         assert f3.log() == f1.log() * c1 + f2.log() * c2, "log F is not linear in y"
         transformed = corollary_transform(x, y1, order)
         rebuilt = QSeries.from_scalars(spec, order, transformed).exp()

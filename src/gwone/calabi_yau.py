@@ -90,9 +90,6 @@ class LambdaForm:
         """The form evaluated at (h + position*t, t)."""
         return LaurentPoly.linear(spec, self.alpha, self.alpha * position + self.beta)
 
-    def to_laurent(self, spec: RingSpec) -> LaurentPoly:
-        return self.shifted(spec, 0)
-
     def __str__(self) -> str:
         return f"({self.alpha})*h + ({self.beta})*t"
 
@@ -182,8 +179,8 @@ def lambda_readoff(
         partial = _partial_comb_sum(model, d, lambdas)
     spec = model.spec
     simple_term = -(
-        LaurentPoly.from_class(partial.coefficient(-1), -1)
-        + LaurentPoly.from_class(partial.coefficient(0), 0)
+        LaurentPoly.single(spec, -1, partial.coefficient(-1))
+        + LaurentPoly.single(spec, 0, partial.coefficient(0))
     )
     product = Fraction(model.degree_product)
     alpha_rows = _integrate_rows(simple_term, model.n - model.m - 1)

@@ -283,7 +283,19 @@ def cmd_selftest(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """An argparse ``type``: an integer >= low, so out-of-range values exit 2."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    positive, natural = _at_least(1), _at_least(0)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", type=Path, help="also write the JSON document here")
@@ -295,68 +307,68 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phi", parents=[common], help="the hypergeometric Laurent polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, action="append")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--l", type=positive, action="append")
+    p.add_argument("--d", type=natural, required=True)
     p.set_defaults(handler=cmd_phi)
 
     p = sub.add_parser("correlator", parents=[common], help="the one-point correlator")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, action="append")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--l", type=positive, action="append")
+    p.add_argument("--d", type=natural, required=True)
     p.set_defaults(handler=cmd_correlator)
 
     p = sub.add_parser("invariant", parents=[common], help="a single one-point invariant")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, action="append")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--a", type=int, required=True, help="cotangent-class power")
-    p.add_argument("--b", type=int, required=True, help="hyperplane-class power")
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--l", type=positive, action="append")
+    p.add_argument("--d", type=natural, required=True)
+    p.add_argument("--a", type=natural, required=True, help="cotangent-class power")
+    p.add_argument("--b", type=natural, required=True, help="hyperplane-class power")
     p.set_defaults(handler=cmd_invariant)
 
     p = sub.add_parser("cy", parents=[common], help="Calabi-Yau correlators and lambda table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, action="append")
-    p.add_argument("--max-d", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--l", type=positive, action="append")
+    p.add_argument("--max-d", type=natural, required=True)
     p.set_defaults(handler=cmd_cy)
 
     p = sub.add_parser("quintic", parents=[common], help="full quintic pipeline")
-    p.add_argument("--max-d", type=int, required=True)
+    p.add_argument("--max-d", type=positive, required=True)
     p.set_defaults(handler=cmd_quintic)
 
     p = sub.add_parser("mirror", parents=[common], help="mirror coefficients and verification")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, action="append")
-    p.add_argument("--max-d", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--l", type=positive, action="append")
+    p.add_argument("--max-d", type=natural, required=True)
     p.set_defaults(handler=cmd_mirror)
 
     rel = sub.add_parser("relative", help="projective-bundle computations")
     rel_sub = rel.add_subparsers(dest="relative_command", required=True)
 
     p = rel_sub.add_parser("euler", parents=[common], help="relative equivariant Euler class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--l", type=int, action="append")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--cutoff", type=natural, required=True)
+    p.add_argument("--l", type=positive, action="append")
+    p.add_argument("--d", type=natural, required=True)
     p.set_defaults(handler=cmd_relative_euler)
 
     p = rel_sub.add_parser("phi", parents=[common], help="relative phi")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--l", type=int, action="append")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--cutoff", type=natural, required=True)
+    p.add_argument("--l", type=positive, action="append")
+    p.add_argument("--d", type=natural, required=True)
     p.set_defaults(handler=cmd_relative_phi)
 
     p = rel_sub.add_parser("porteous", parents=[common], help="Porteous class of lines")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="number of linear sections")
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--cutoff", type=natural, required=True)
+    p.add_argument("--m", type=positive, required=True, help="number of linear sections")
     p.set_defaults(handler=cmd_relative_porteous)
 
     p = rel_sub.add_parser("linear-cy", parents=[common], help="linear Calabi-Yau pipeline")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--max-d", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--cutoff", type=natural, required=True)
+    p.add_argument("--max-d", type=natural, required=True)
     p.set_defaults(handler=cmd_relative_linear_cy)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")

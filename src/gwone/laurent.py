@@ -39,10 +39,6 @@ class LaurentPoly:
         return cls(spec, {0: CohClass.one(spec)})
 
     @classmethod
-    def from_class(cls, coeff: CohClass, t_exp: int = 0) -> LaurentPoly:
-        return cls(coeff.spec, {t_exp: coeff})
-
-    @classmethod
     def single(cls, spec: RingSpec, t_exp: int, coeff: CohClass | Scalar) -> LaurentPoly:
         if isinstance(coeff, (int, Fraction)):
             coeff = CohClass.scalar(spec, coeff)

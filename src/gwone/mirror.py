@@ -65,27 +65,21 @@ def corollary_transform(
     return {d: _chain_sum(d, weight) for d in range(1, max_degree + 1)}
 
 
-def double_comb_series(
-    x: Mapping[int, Fraction],
-    y: Mapping[int, Fraction],
-    order: int,
-    spec: RingSpec | None = None,
-) -> QSeries:
+def double_comb_series(x: Mapping[int, Fraction], y: Mapping[int, Fraction], order: int) -> QSeries:
     """The generating function F(q) = sum over chains of
     prod (y_{d_i - d_{i-1}} + x_{d_i - d_{i-1}} * d_{i-1}) / r! per degree.
 
     F(x, 0) = 1 because every chain carries a y_{d_1} factor; log F is
     linear in the y-variables, which is what makes the corollary transform
-    work.  Returned as a scalar-coefficient series for property testing.
+    work.  Returned as a series over Q (``RingSpec.absolute(0)``) for property
+    checks.
     """
-    if spec is None:
-        spec = RingSpec.absolute(0)
 
     def weight(delta: int, start: int) -> Fraction:
         return Fraction(y[delta]) + Fraction(x[delta]) * start
 
     values = {d: _chain_sum(d, weight) for d in range(1, order + 1)}
-    return QSeries.from_scalars(spec, order, {0: 1, **values})
+    return QSeries.from_scalars(RingSpec.absolute(0), order, {0: 1, **values})
 
 
 @dataclass(frozen=True)

@@ -21,34 +21,27 @@ from typing import Mapping
 
 from .correlators import phi_numerator
 from .laurent import LaurentPoly
-from .rings import BasePoly, CohClass, RingSpec
+from .rings import BasePoly, CohClass, RingSpec, generator_mono, mono_mul
 from .series import QSeries
 
 
-def _chern_from_segre(cutoff: int) -> list[BasePoly]:
+@lru_cache(maxsize=None)
+def _chern_from_segre(cutoff: int) -> tuple[BasePoly, ...]:
     """c_0..c_cutoff as base polynomials, from s(V) * c(V) = 1.
 
     Generator i (0-based index i-1) is s_i with degree i; the recursion is
-    c_k = -sum_{i=1}^{k} s_i * c_{k-i}.
+    c_k = -sum_{i=1}^{k} s_i * c_{k-i}.  Cached: callers must not mutate.
     """
     chern: list[BasePoly] = [{(): Fraction(1)}]
     for k in range(1, cutoff + 1):
         acc: BasePoly = {}
         for i in range(1, k + 1):
-            s_mono = (0,) * (i - 1) + (1,)
+            s_mono = generator_mono(i - 1)
             for mono, coeff in chern[k - i].items():
-                padded = tuple(
-                    a + b
-                    for a, b in zip(
-                        mono + (0,) * (cutoff - len(mono)),
-                        s_mono + (0,) * (cutoff - len(s_mono)),
-                    )
-                )
-                while padded and padded[-1] == 0:
-                    padded = padded[:-1]
-                acc[padded] = acc.get(padded, Fraction(0)) - coeff
+                prod = mono_mul(mono, s_mono)
+                acc[prod] = acc.get(prod, Fraction(0)) - coeff
         chern.append({m: c for m, c in acc.items() if c})
-    return chern
+    return tuple(chern)
 
 
 @lru_cache(maxsize=None)
@@ -122,6 +115,7 @@ def relative_euler(model: RelativeModel, d: int) -> LaurentPoly:
     if d < 0:
         raise ValueError("degree must be >= 0")
     spec = model.spec
+    chern = [model.chern_class(j) for j in range(model.n + 2)]
     out = LaurentPoly.one(spec)
     for k in range(1, d + 1):
         base = LaurentPoly.linear(spec, 1, k)
@@ -129,8 +123,7 @@ def relative_euler(model: RelativeModel, d: int) -> LaurentPoly:
         for _ in range(model.n + 1):
             powers.append(powers[-1] * base)
         factor = LaurentPoly.zero(spec)
-        for j in range(model.n + 2):
-            cj = model.chern_class(j)
+        for j, cj in enumerate(chern):
             if cj.is_zero():
                 continue
             factor = factor + powers[model.n + 1 - j] * cj
@@ -171,7 +164,7 @@ class SchubertInput:
         out = LaurentPoly.zero(spec)
         h_plus_t = LaurentPoly.linear(spec, 1, 1)
         for (i, j), c in self.coefficients:
-            term = LaurentPoly.from_class(CohClass.h_power(spec, i) * c)
+            term = LaurentPoly.single(spec, 0, CohClass.h_power(spec, i) * c)
             out = out + term * h_plus_t**j
         return out
 

@@ -9,7 +9,8 @@ The representation is dense in the h-exponent and sparse in base monomials:
 a class holds a tuple of n+1 dicts, one per power of h, each mapping a base
 exponent tuple (trailing zeros stripped) to its rational coefficient.  The
 empty tuple () is the unit monomial, so absolute-mode classes only ever use
-that key.  Zero coefficients are never stored.
+that key.  Zero coefficients and monomials above the base cutoff are never
+stored.  Every class reaches this normal form exactly once, in ``_normalise``.
 
 Everything is immutable after construction, so values can be shared freely.
 """
@@ -41,7 +42,8 @@ def _strip(mono: Iterable[int]) -> Mono:
     return out
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
+def mono_mul(a: Mono, b: Mono) -> Mono:
+    """The product of two stripped monomials, stripped."""
     if not a:
         return b
     if not b:
@@ -49,6 +51,11 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     if len(a) < len(b):
         a, b = b, a
     return _strip(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+
+
+def generator_mono(index: int) -> Mono:
+    """The stripped monomial of base generator ``index`` (0-based)."""
+    return (0,) * index + (1,)
 
 
 @dataclass(frozen=True)
@@ -123,31 +130,32 @@ class RingSpec:
         return monos
 
 
-def _reduce(spec: RingSpec, raw: list[BasePoly]) -> tuple[BasePoly, ...]:
-    """Rewrite powers of h above n and drop monomials above the cutoff."""
-    n = spec.n
+def _normalise(spec: RingSpec, raw: list[BasePoly]) -> tuple[BasePoly, ...]:
+    """The normal form of a class: its n+1 h-slots.
+
+    ``raw`` holds stripped monomials with ``Fraction`` coefficients in any
+    number of h-slots; it is consumed.  Powers of h above n are rewritten
+    through the h-rule (pruning products above the cutoff as they appear),
+    then zero coefficients and monomials above the cutoff are dropped.
+    """
+    n, cutoff, degree = spec.n, spec.base_cutoff, spec.mono_degree
     for e in range(len(raw) - 1, n, -1):
         poly = raw[e]
         if not poly:
             continue
         for j, rmono, rc in spec.h_rule:
-            target = e - (n + 1) + j
-            acc = raw[target]
+            acc = raw[e - (n + 1) + j]
             for mono, c in poly.items():
-                prod = _mono_mul(mono, rmono)
-                if spec.mono_degree(prod) > spec.base_cutoff:
+                prod = mono_mul(mono, rmono)
+                if prod and degree(prod) > cutoff:
                     continue
-                acc[prod] = acc.get(prod, Fraction(0)) + c * rc
-        raw[e] = {}
-    out = []
-    for e in range(n + 1):
-        poly = raw[e] if e < len(raw) else {}
-        out.append({
-            mono: c
-            for mono, c in poly.items()
-            if c != 0 and spec.mono_degree(mono) <= spec.base_cutoff
-        })
-    return tuple(out)
+                old = acc.get(prod)
+                acc[prod] = c * rc if old is None else old + c * rc
+    raw.extend({} for _ in range(n + 1 - len(raw)))
+    return tuple([  # from a list, so the tuple is allocated at its final size
+        {mono: c for mono, c in poly.items() if c and not (mono and degree(mono) > cutoff)}
+        for poly in raw[: n + 1]
+    ])
 
 
 class CohClass:
@@ -156,20 +164,25 @@ class CohClass:
     __slots__ = ("spec", "_parts")
 
     def __init__(self, spec: RingSpec, parts: Iterable[Mapping[Mono, Scalar]]):
-        cleaned: list[BasePoly] = []
+        """Coerce caller input, one dict per power of h (any number of them)."""
+        raw: list[BasePoly] = []
         for poly in parts:
             entry: BasePoly = {}
             for mono, c in poly.items():
-                c = Fraction(c)
-                if c:
-                    entry[_strip(mono)] = c
-            cleaned.append(entry)
-        if len(cleaned) > spec.n + 1:
-            raise ValueError("too many h-slots; reduce first")
-        while len(cleaned) < spec.n + 1:
-            cleaned.append({})
+                mono = _strip(mono)
+                old = entry.get(mono)
+                entry[mono] = Fraction(c) if old is None else old + Fraction(c)
+            raw.append(entry)
         self.spec = spec
-        self._parts = tuple(cleaned)
+        self._parts = _normalise(spec, raw)
+
+    @classmethod
+    def _new(cls, spec: RingSpec, raw: list[BasePoly]) -> CohClass:
+        """A class from kernel-built slots: stripped monomials, Fraction coefficients."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out._parts = _normalise(spec, raw)
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -183,32 +196,27 @@ class CohClass:
 
     @classmethod
     def scalar(cls, spec: RingSpec, value: Scalar) -> CohClass:
-        value = Fraction(value)
-        if not value:
-            return cls.zero(spec)
         return cls(spec, [{(): value}])
 
     @classmethod
     def h_power(cls, spec: RingSpec, k: int) -> CohClass:
         """h^k, rewritten through the h-rule when k exceeds n."""
-        return cls.from_terms(spec, {(k, ()): Fraction(1)})
+        return cls.from_terms(spec, {(k, ()): 1})
 
     @classmethod
     def generator(cls, spec: RingSpec, index: int) -> CohClass:
-        mono = _strip((0,) * index + (1,))
-        return cls(spec, [{mono: Fraction(1)}])
+        return cls(spec, [{generator_mono(index): 1}])
 
     @classmethod
     def from_terms(cls, spec: RingSpec, terms: Mapping[tuple[int, Mono], Scalar]) -> CohClass:
         """Build a class from (h-exponent, base-monomial) -> coefficient."""
         top = max((k for (k, _) in terms), default=0)
-        raw: list[BasePoly] = [dict() for _ in range(max(top, spec.n) + 1)]
+        slots: list[dict[Mono, Scalar]] = [{} for _ in range(top + 1)]
         for (k, mono), c in terms.items():
             if k < 0:
                 raise ValueError("negative h-exponent")
-            mono = _strip(mono)
-            raw[k][mono] = raw[k].get(mono, Fraction(0)) + Fraction(c)
-        return cls(spec, _reduce(spec, raw))
+            slots[k][mono] = c
+        return cls(spec, slots)
 
     # -- inspection -------------------------------------------------------
 
@@ -223,9 +231,6 @@ class CohClass:
         if not 0 <= h_exp <= self.spec.n:
             return Fraction(0)
         return self._parts[h_exp].get(_strip(mono), Fraction(0))
-
-    def h_coefficient(self, h_exp: int) -> BasePoly:
-        return dict(self._parts[h_exp])
 
     def terms(self) -> Iterator[tuple[int, Mono, Fraction]]:
         for k, poly in enumerate(self._parts):
@@ -252,29 +257,30 @@ class CohClass:
         for p, q in zip(self._parts, other._parts):
             merged = dict(p)
             for mono, c in q.items():
-                merged[mono] = merged.get(mono, Fraction(0)) + c
+                old = merged.get(mono)
+                merged[mono] = c if old is None else old + c
             parts.append(merged)
-        return CohClass(self.spec, parts)
+        return CohClass._new(self.spec, parts)
 
     def __sub__(self, other: CohClass) -> CohClass:
         return self + (-other)
 
     def __neg__(self) -> CohClass:
-        return CohClass(self.spec, [{m: -c for m, c in p.items()} for p in self._parts])
+        return CohClass._new(self.spec, [{m: -c for m, c in p.items()} for p in self._parts])
 
     def __mul__(self, other: CohClass | Scalar) -> CohClass:
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
             if not other:
                 return CohClass.zero(self.spec)
-            return CohClass(
+            return CohClass._new(
                 self.spec,
                 [{m: c * other for m, c in p.items()} for p in self._parts],
             )
         self._check(other)
         spec = self.spec
         raw: list[BasePoly] = [dict() for _ in range(2 * spec.n + 1)]
-        cutoff = spec.base_cutoff
+        cutoff, degree = spec.base_cutoff, spec.mono_degree
         for i, p in enumerate(self._parts):
             if not p:
                 continue
@@ -284,11 +290,12 @@ class CohClass:
                 acc = raw[i + j]
                 for ma, ca in p.items():
                     for mb, cb in q.items():
-                        mono = _mono_mul(ma, mb)
-                        if spec.mono_degree(mono) > cutoff:
+                        mono = mono_mul(ma, mb)
+                        if mono and degree(mono) > cutoff:
                             continue
-                        acc[mono] = acc.get(mono, Fraction(0)) + ca * cb
-        return CohClass(spec, _reduce(spec, raw))
+                        old = acc.get(mono)
+                        acc[mono] = ca * cb if old is None else old + ca * cb
+        return CohClass._new(spec, raw)
 
     def __rmul__(self, other: Scalar) -> CohClass:
         return self.__mul__(other)

@@ -89,7 +89,7 @@ def test_cy_term_toothless_comb_is_phi():
 def test_cy_term_simple_comb():
     lam = QUINTIC_LAMBDAS[2]
     term = cy_term(QUINTIC, Comb((0, 2)), {2: lam})
-    expected = (phi(QUINTIC, 0) * lam.to_laurent(QUINTIC.spec)).shift_t(-1)
+    expected = (phi(QUINTIC, 0) * lam.shifted(QUINTIC.spec, 0)).shift_t(-1)
     assert term == expected
 
 

@@ -196,6 +196,28 @@ def test_usage_error_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quintic", "--max-d", "-1"),
+        ("quintic", "--max-d", "0"),
+        ("cy", "--n", "4", "--l", "5", "--max-d", "-2"),
+        ("phi", "--n", "0", "--l", "1", "--d", "1"),
+        ("phi", "--n", "3", "--l", "1", "--d", "-1"),
+        ("phi", "--n", "3", "--l", "0", "--d", "1"),
+        ("relative", "euler", "--n", "2", "--cutoff", "-1", "--d", "1"),
+        ("invariant", "--n", "4", "--l", "5", "--d", "1", "--a", "-1", "--b", "0"),
+        ("relative", "porteous", "--n", "2", "--cutoff", "3", "--m", "0"),
+    ],
+    ids=["quintic-max-d-neg", "quintic-max-d-0", "cy-max-d", "n", "d", "l", "cutoff", "a", "m"],
+)
+def test_out_of_range_argument_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert "must be >=" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -79,7 +79,7 @@ small_maps = st.fixed_dictionaries({e: fractions for e in range(1, 5)})
 def test_double_comb_series_with_zero_y_is_one():
     x = {e: Fraction(1) for e in range(1, 5)}
     y = {e: Fraction(0) for e in range(1, 5)}
-    assert double_comb_series(x, y, 4, SCALARS) == QSeries.one(SCALARS, 4)
+    assert double_comb_series(x, y, 4) == QSeries.one(SCALARS, 4)
 
 
 @settings(max_examples=25)
@@ -87,9 +87,9 @@ def test_double_comb_series_with_zero_y_is_one():
 def test_log_of_double_comb_series_is_linear_in_y(x, y1, y2, c1, c2):
     order = 4
     mixed = {e: c1 * y1[e] + c2 * y2[e] for e in y1}
-    lhs = double_comb_series(x, mixed, order, SCALARS).log()
-    rhs = double_comb_series(x, y1, order, SCALARS).log() * c1 + double_comb_series(
-        x, y2, order, SCALARS
+    lhs = double_comb_series(x, mixed, order).log()
+    rhs = double_comb_series(x, y1, order).log() * c1 + double_comb_series(
+        x, y2, order
     ).log() * c2
     assert lhs == rhs
 
@@ -131,7 +131,7 @@ def test_chain_sums_match_brute_force(x, y, order):
     assert corollary_transform(x, y, order) == expected
     values = {d: _brute_force_double_comb(x, y, d) for d in range(1, order + 1)}
     expected_series = QSeries.from_scalars(SCALARS, order, {0: 1, **values})
-    assert double_comb_series(x, y, order, SCALARS) == expected_series
+    assert double_comb_series(x, y, order) == expected_series
 
 
 @settings(max_examples=25)
@@ -140,7 +140,7 @@ def test_transform_exponentiates_to_double_comb_series(x, y):
     order = 4
     transformed = corollary_transform(x, y, order)
     rebuilt = QSeries.from_scalars(SCALARS, order, transformed).exp()
-    assert rebuilt == double_comb_series(x, y, order, SCALARS)
+    assert rebuilt == double_comb_series(x, y, order)
 
 
 def test_mirror_comb_correlator_degree_zero():

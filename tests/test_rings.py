@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from gwone.relative import relative_ring
 from gwone.rings import CohClass, NotInvertibleError, RingSpec, SpecMismatchError
 
-from strategies import coh_triples, coh_units, specs
+from strategies import coh_classes, coh_triples, coh_units, coh_units_for, fractions, specs
 
 N4 = RingSpec.absolute(4)
 
@@ -114,3 +116,80 @@ def test_str_rendering():
     c = h(N4) * Fraction(-770) + CohClass.scalar(N4, Fraction(1, 2))
     assert str(c) == "1/2 - 770*h"
     assert str(CohClass.zero(N4)) == "0"
+
+
+# -- normal form --------------------------------------------------------------
+
+UV = RingSpec.relative(2, (("u", 1), ("v", 2)), 3)
+
+
+def assert_normal_form(value):
+    """n+1 h-slots, stripped monomials, nonzero Fractions, degree <= cutoff."""
+    spec = value.spec
+    for k, mono, c in value.terms():
+        assert 0 <= k <= spec.n
+        assert not mono or mono[-1] != 0
+        assert type(c) is Fraction and c != 0
+        assert spec.mono_degree(mono) <= spec.base_cutoff
+
+
+def raw_monos(spec):
+    """Monomials as a caller may write them: some unstripped, some above the cutoff."""
+    exponents = st.lists(st.integers(0, spec.base_cutoff + 1), max_size=len(spec.base))
+    return st.tuples(exponents, st.integers(0, 1)).map(lambda p: tuple(p[0]) + (0,) * p[1])
+
+
+def raw_coefficients():
+    return st.one_of(fractions, st.integers(-3, 3))
+
+
+def raw_parts(spec):
+    """Constructor input with up to 2n+2 h-slots."""
+    return st.lists(
+        st.dictionaries(raw_monos(spec), raw_coefficients(), max_size=3), max_size=2 * spec.n + 2
+    )
+
+
+def raw_terms(spec):
+    keys = st.tuples(st.integers(0, 2 * spec.n + 1), raw_monos(spec))
+    return st.dictionaries(keys, raw_coefficients(), max_size=4)
+
+
+@given(st.data())
+def test_every_result_is_in_normal_form(data):
+    spec = data.draw(specs)
+    a = data.draw(coh_classes(spec))
+    b = data.draw(coh_classes(spec))
+    c = data.draw(fractions)
+    unit = data.draw(coh_units_for(spec))
+    results = [
+        a + b,
+        a - b,
+        -a,
+        a * c,
+        c * a,
+        a * b,
+        unit.inverse(),
+        CohClass.from_terms(spec, data.draw(raw_terms(spec))),
+        CohClass(spec, data.draw(raw_parts(spec))),
+    ]
+    for value in results:
+        assert_normal_form(value)
+
+
+def test_constructor_sums_monomials_that_strip_alike():
+    value = CohClass(UV, [{(1, 0): 1, (1,): 2}])
+    assert value == CohClass.from_terms(UV, {(0, (1, 0)): 1, (0, (1,)): 2})
+    assert value == CohClass.generator(UV, 0) * 3
+
+
+def test_constructor_drops_monomials_above_the_cutoff():
+    value = CohClass(UV, [{(0, 2): 1}])
+    assert value == CohClass.from_terms(UV, {(0, (0, 2)): 1})
+    assert value.is_zero()
+
+
+def test_constructor_rewrites_extra_h_slots():
+    spec = relative_ring(2, 2)
+    assert CohClass(spec, [{}, {}, {}, {(): 1}]) == CohClass.h_power(spec, 3)
+    assert CohClass(RingSpec.absolute(2), [{}, {}, {}, {(): 1}]).is_zero()
