@@ -10,13 +10,8 @@ class, at the (a, b) that makes it a finite count.
 
 import argparse
 
-from gwone.correlators import (
-    classify,
-    degree_vectors,
-    fano_ge2_correlator,
-    fano_index1_correlator,
-    one_point_invariant,
-)
+from gwone.calabi_yau import correlator
+from gwone.correlators import classify, degree_vectors, one_point_invariant
 
 
 def main() -> None:
@@ -29,20 +24,14 @@ def main() -> None:
     for n in range(1, args.max_n + 1):
         for degrees in degree_vectors(n):
             model = classify(n, degrees)
-            total = sum(degrees)
             for d in range(1, args.max_d + 1):
-                if total < n:
-                    corr = fano_ge2_correlator(model, d)
-                elif total == n:
-                    corr = fano_index1_correlator(model, d)
-                else:
-                    continue
+                corr = correlator(model, d)
                 assert corr.is_homogeneous(model.correlator_weight(d))
                 assert corr.is_zero() or corr.t_max() <= -2
                 checked += 1
-            if total == n and degrees:
+            if sum(degrees) == n:
                 # degree-1 count: dim constraint puts b = n - m - 1, a = 0
-                corr = fano_index1_correlator(model, 1)
+                corr = correlator(model, 1)
                 b = n - model.m - 1
                 if b >= 0:
                     count = one_point_invariant(corr, 0, b)

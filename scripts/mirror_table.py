@@ -4,7 +4,8 @@ the mirror-map coefficients, re-verifying the series identity exactly."""
 
 import argparse
 
-from gwone.calabi_yau import classify, solve_lambdas_up_to
+from gwone.calabi_yau import solve_lambdas_up_to
+from gwone.correlators import classify
 from gwone.mirror import verify_mirror_identity
 
 

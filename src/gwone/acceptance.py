@@ -15,6 +15,7 @@ from typing import Callable
 from .calabi_yau import (
     LambdaForm,
     LambdaShapeError,
+    correlator,
     cy_correlator,
     lambda_readoff,
     quintic_report,
@@ -23,8 +24,6 @@ from .calabi_yau import (
 from .correlators import (
     classify,
     degree_vectors,
-    fano_ge2_correlator,
-    fano_index1_correlator,
     phi,
     pn_one_point,
 )
@@ -153,14 +152,8 @@ def fano_properties() -> str:
     for n in range(1, 7):
         for degrees in degree_vectors(n):
             model = classify(n, degrees)
-            total = sum(degrees)
             for d in range(1, 4):
-                if total < n:
-                    corr = fano_ge2_correlator(model, d)
-                elif total == n:
-                    corr = fano_index1_correlator(model, d)
-                else:
-                    continue
+                corr = correlator(model, d)
                 weight = model.correlator_weight(d)
                 assert corr.is_homogeneous(weight), (
                     f"{model} d={d}: correlator is not homogeneous of weight {weight}"

@@ -158,12 +158,7 @@ def _integrate_rows(poly: LaurentPoly, h_exp: int) -> dict[int, Fraction]:
     return out
 
 
-def lambda_readoff(
-    model: CIModel,
-    d: int,
-    lambdas: Mapping[int, LambdaForm],
-    partial: LaurentPoly | None = None,
-) -> LambdaForm:
+def lambda_readoff(model: CIModel, d: int, lambdas: Mapping[int, LambdaForm]) -> LambdaForm:
     """Read (alpha_d, beta_d) off by fiber integration.
 
     The simple-comb term phi_0 * lambda_d / t equals minus the t^{-1} and
@@ -175,8 +170,11 @@ def lambda_readoff(
     This is an independent extraction path from the monomial-shape division
     used by :func:`solve_lambda`.
     """
-    if partial is None:
-        partial = _partial_comb_sum(model, d, lambdas)
+    return _readoff(model, _partial_comb_sum(model, d, lambdas))
+
+
+def _readoff(model: CIModel, partial: LaurentPoly) -> LambdaForm:
+    """The fiber-integral read-off of :func:`lambda_readoff` from a partial comb sum."""
     spec = model.spec
     simple_term = -(
         LaurentPoly.single(spec, -1, partial.coefficient(-1))
@@ -214,7 +212,7 @@ def solve_lambda(
     rho1 = _pure_h_multiple(partial.coefficient(-1), model.m + 1)
     rho0 = _pure_h_multiple(partial.coefficient(0), model.m)
     solved = LambdaForm(alpha=-rho1 / product, beta=-rho0 / product)
-    check = lambda_readoff(model, d, lambdas, partial=partial)
+    check = _readoff(model, partial)
     if solved != check:
         raise LambdaShapeError(
             f"cancellation and integral read-off disagree at degree {d}: "
@@ -250,17 +248,15 @@ def cy_correlator(
 def correlator(model: CIModel, d: int) -> LaurentPoly:
     """The one-point correlator of any Fano or Calabi-Yau model."""
     cls = model.classification
+    if cls is Classification.GENERAL_TYPE:
+        raise ClassificationError(f"general type: l_1+...+l_m > n+1 for {model}")
     if d == 0:
-        if cls is Classification.GENERAL_TYPE:
-            raise ClassificationError(f"general type: l_1+...+l_m > n+1 for {model}")
         return phi(model, 0)
     if cls is Classification.FANO_INDEX_GE2:
         return fano_ge2_correlator(model, d)
     if cls is Classification.FANO_INDEX_ONE:
         return fano_index1_correlator(model, d)
-    if cls is Classification.CALABI_YAU:
-        return cy_correlator(model, d)
-    raise ClassificationError(f"general type: l_1+...+l_m > n+1 for {model}")
+    return cy_correlator(model, d)
 
 
 def _divisors(d: int) -> list[int]:

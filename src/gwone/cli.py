@@ -84,63 +84,38 @@ def _lambda_json(lambdas) -> dict:
 
 
 # -- command handlers -------------------------------------------------------
+# A handler returns its result fields and its text; main() builds the document.
 
 
 def _model(args) -> CIModel:
-    return classify(args.n, tuple(args.l or ()))
+    return classify(args.n, args.degrees)
 
 
 def cmd_phi(args) -> tuple[dict, str]:
-    model = _model(args)
-    value = phi(model, args.d)
-    payload = {
-        "command": "phi",
-        "n": model.n,
-        "degrees": list(model.degrees),
-        "d": args.d,
-        "phi": laurent_to_json(value),
-    }
-    return payload, str(value)
+    value = phi(_model(args), args.d)
+    return {"phi": laurent_to_json(value)}, str(value)
 
 
 def cmd_correlator(args) -> tuple[dict, str]:
     model = _model(args)
     value = correlator(model, args.d)
-    payload = {
-        "command": "correlator",
-        "n": model.n,
-        "degrees": list(model.degrees),
+    fields = {
         "classification": model.classification.value,
-        "d": args.d,
         "correlator": laurent_to_json(value),
     }
-    return payload, str(value)
+    return fields, str(value)
 
 
 def cmd_invariant(args) -> tuple[dict, str]:
-    model = _model(args)
-    value = one_point_invariant(correlator(model, args.d), args.a, args.b)
-    payload = {
-        "command": "invariant",
-        "n": model.n,
-        "degrees": list(model.degrees),
-        "d": args.d,
-        "a": args.a,
-        "b": args.b,
-        "value": str(value),
-    }
-    return payload, str(value)
+    value = one_point_invariant(correlator(_model(args), args.d), args.a, args.b)
+    return {"value": str(value)}, str(value)
 
 
 def cmd_cy(args) -> tuple[dict, str]:
     model = _model(args)
     lambdas = solve_lambdas_up_to(model, args.max_d)
     correlators = {d: cy_correlator(model, d, lambdas) for d in range(args.max_d + 1)}
-    payload = {
-        "command": "cy",
-        "n": model.n,
-        "degrees": list(model.degrees),
-        "max_d": args.max_d,
+    fields = {
         "lambda": _lambda_json(lambdas),
         "correlators": {str(d): laurent_to_json(c) for d, c in correlators.items()},
     }
@@ -149,14 +124,12 @@ def cmd_cy(args) -> tuple[dict, str]:
         lines.append(f"lambda_{d} = {lambdas[d]}")
     for d in range(args.max_d + 1):
         lines.append(f"degree {d}: {correlators[d]}")
-    return payload, "\n".join(lines)
+    return fields, "\n".join(lines)
 
 
 def cmd_quintic(args) -> tuple[dict, str]:
     report = quintic_report(args.max_d)
-    payload = {
-        "command": "quintic",
-        "max_d": args.max_d,
+    fields = {
         "n": {str(r.degree): str(r.n_d) for r in report.rows},
         "m": {str(r.degree): str(r.m_d) for r in report.rows},
         "N": {str(d): str(v) for d, v in sorted(report.immersed_counts.items())},
@@ -168,17 +141,13 @@ def cmd_quintic(args) -> tuple[dict, str]:
             f"d={r.degree}  n_d={r.n_d}  m_d={r.m_d}  "
             f"N_d={report.immersed_counts[r.degree]}  lambda_d = {r.lam}"
         )
-    return payload, "\n".join(lines)
+    return fields, "\n".join(lines)
 
 
 def cmd_mirror(args) -> tuple[dict, str]:
     model = _model(args)
     report = verify_mirror_identity(model, args.max_d)
-    payload = {
-        "command": "mirror",
-        "n": model.n,
-        "degrees": list(model.degrees),
-        "max_d": args.max_d,
+    fields = {
         "a": {str(e): str(v) for e, v in sorted(report.mirror.a.items())},
         "b": {str(e): str(v) for e, v in sorted(report.mirror.b.items())},
         "holds": report.holds,
@@ -189,47 +158,24 @@ def cmd_mirror(args) -> tuple[dict, str]:
         lines.append(f"a_{e} = {report.mirror.a[e]}   b_{e} = {report.mirror.b[e]}")
     verdict = "holds" if report.holds else f"fails at q^{report.first_failing_degree}"
     lines.append(f"mirror identity to q^{args.max_d}: {verdict}")
-    return payload, "\n".join(lines)
+    return fields, "\n".join(lines)
 
 
 def cmd_relative_euler(args) -> tuple[dict, str]:
-    model = RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=tuple(args.l or ()))
-    value = relative_euler(model, args.d)
-    payload = {
-        "command": "relative-euler",
-        "n": args.n,
-        "cutoff": args.cutoff,
-        "d": args.d,
-        "euler": laurent_to_json(value),
-    }
-    return payload, str(value)
+    value = relative_euler(RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=()), args.d)
+    return {"euler": laurent_to_json(value)}, str(value)
 
 
 def cmd_relative_phi(args) -> tuple[dict, str]:
-    model = RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=tuple(args.l or ()))
+    model = RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=tuple(args.degrees))
     value = relative_phi(model, args.d)
-    payload = {
-        "command": "relative-phi",
-        "n": args.n,
-        "cutoff": args.cutoff,
-        "degrees": list(model.degrees),
-        "d": args.d,
-        "phi": laurent_to_json(value),
-    }
-    return payload, str(value)
+    return {"phi": laurent_to_json(value)}, str(value)
 
 
 def cmd_relative_porteous(args) -> tuple[dict, str]:
     model = RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=(1,) * args.m)
     value = porteous_lines(model)
-    payload = {
-        "command": "relative-porteous",
-        "n": args.n,
-        "cutoff": args.cutoff,
-        "m": args.m,
-        "class": coh_to_json(value),
-    }
-    return payload, str(value)
+    return {"class": coh_to_json(value)}, str(value)
 
 
 def cmd_relative_linear_cy(args) -> tuple[dict, str]:
@@ -238,11 +184,7 @@ def cmd_relative_linear_cy(args) -> tuple[dict, str]:
     pushforwards = {
         d: linear_cy_pushforward(model, d, args.max_d) for d in range(1, args.max_d + 1)
     }
-    payload = {
-        "command": "relative-linear-cy",
-        "n": args.n,
-        "cutoff": args.cutoff,
-        "max_d": args.max_d,
+    fields = {
         "lambda": {
             str(e): {"a": str(a), "b": coh_to_json(b)}
             for e, (a, b) in enumerate(pairs, start=1)
@@ -254,30 +196,22 @@ def cmd_relative_linear_cy(args) -> tuple[dict, str]:
         lines.append(f"lambda_{e} = ({a})*t + ({b})")
     for d, c in pushforwards.items():
         lines.append(f"pushforward d={d}: {c}")
-    return payload, "\n".join(lines)
+    return fields, "\n".join(lines)
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[dict, str]:
     results = acceptance.run_all()
-    if args.format == "json":
-        doc = {
-            "command": "selftest",
-            "results": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status}  criterion {r.number:2d}  {r.name}: {r.detail}")
-    return 0 if all(r.passed for r in results) else 1
+    fields = {
+        "results": [
+            {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ]
+    }
+    lines = []
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        lines.append(f"{status}  criterion {r.number:2d}  {r.name}: {r.detail}")
+    return fields, "\n".join(lines)
 
 
 # -- parser -----------------------------------------------------------------
@@ -296,9 +230,18 @@ def _at_least(low: int):
 
 def _build_parser() -> argparse.ArgumentParser:
     positive, natural = _at_least(1), _at_least(0)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--out", type=Path, help="also write the JSON document here")
+    text_or_json = argparse.ArgumentParser(add_help=False)
+    text_or_json.add_argument("--format", choices=("text", "json"), default="text")
+    output = argparse.ArgumentParser(add_help=False, parents=[text_or_json])
+    output.add_argument("--out", type=Path, help="also write the JSON document here")
+    model = argparse.ArgumentParser(add_help=False, parents=[output])
+    model.add_argument("--n", type=positive, required=True)
+    model.add_argument(
+        "--l", type=positive, action="append", default=[], dest="degrees", metavar="L"
+    )
+    bundle = argparse.ArgumentParser(add_help=False, parents=[output])
+    bundle.add_argument("--n", type=positive, required=True)
+    bundle.add_argument("--cutoff", type=natural, required=True)
 
     parser = argparse.ArgumentParser(
         prog="gw",
@@ -306,93 +249,81 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phi", parents=[common], help="the hypergeometric Laurent polynomial")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--l", type=positive, action="append")
+    p = sub.add_parser("phi", parents=[model], help="the hypergeometric Laurent polynomial")
     p.add_argument("--d", type=natural, required=True)
     p.set_defaults(handler=cmd_phi)
 
-    p = sub.add_parser("correlator", parents=[common], help="the one-point correlator")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--l", type=positive, action="append")
+    p = sub.add_parser("correlator", parents=[model], help="the one-point correlator")
     p.add_argument("--d", type=natural, required=True)
     p.set_defaults(handler=cmd_correlator)
 
-    p = sub.add_parser("invariant", parents=[common], help="a single one-point invariant")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--l", type=positive, action="append")
+    p = sub.add_parser("invariant", parents=[model], help="a single one-point invariant")
     p.add_argument("--d", type=natural, required=True)
     p.add_argument("--a", type=natural, required=True, help="cotangent-class power")
     p.add_argument("--b", type=natural, required=True, help="hyperplane-class power")
     p.set_defaults(handler=cmd_invariant)
 
-    p = sub.add_parser("cy", parents=[common], help="Calabi-Yau correlators and lambda table")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--l", type=positive, action="append")
+    p = sub.add_parser("cy", parents=[model], help="Calabi-Yau correlators and lambda table")
     p.add_argument("--max-d", type=natural, required=True)
     p.set_defaults(handler=cmd_cy)
 
-    p = sub.add_parser("quintic", parents=[common], help="full quintic pipeline")
+    p = sub.add_parser("quintic", parents=[output], help="full quintic pipeline")
     p.add_argument("--max-d", type=positive, required=True)
     p.set_defaults(handler=cmd_quintic)
 
-    p = sub.add_parser("mirror", parents=[common], help="mirror coefficients and verification")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--l", type=positive, action="append")
+    p = sub.add_parser("mirror", parents=[model], help="mirror coefficients and verification")
     p.add_argument("--max-d", type=natural, required=True)
     p.set_defaults(handler=cmd_mirror)
 
     rel = sub.add_parser("relative", help="projective-bundle computations")
     rel_sub = rel.add_subparsers(dest="relative_command", required=True)
 
-    p = rel_sub.add_parser("euler", parents=[common], help="relative equivariant Euler class")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--cutoff", type=natural, required=True)
-    p.add_argument("--l", type=positive, action="append")
+    p = rel_sub.add_parser("euler", parents=[bundle], help="relative equivariant Euler class")
     p.add_argument("--d", type=natural, required=True)
     p.set_defaults(handler=cmd_relative_euler)
 
-    p = rel_sub.add_parser("phi", parents=[common], help="relative phi")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--cutoff", type=natural, required=True)
-    p.add_argument("--l", type=positive, action="append")
+    p = rel_sub.add_parser("phi", parents=[bundle], help="relative phi")
+    p.add_argument(
+        "--l", type=positive, action="append", default=[], dest="degrees", metavar="L"
+    )
     p.add_argument("--d", type=natural, required=True)
     p.set_defaults(handler=cmd_relative_phi)
 
-    p = rel_sub.add_parser("porteous", parents=[common], help="Porteous class of lines")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--cutoff", type=natural, required=True)
+    p = rel_sub.add_parser("porteous", parents=[bundle], help="Porteous class of lines")
     p.add_argument("--m", type=positive, required=True, help="number of linear sections")
     p.set_defaults(handler=cmd_relative_porteous)
 
-    p = rel_sub.add_parser("linear-cy", parents=[common], help="linear Calabi-Yau pipeline")
-    p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--cutoff", type=natural, required=True)
+    p = rel_sub.add_parser("linear-cy", parents=[bundle], help="linear Calabi-Yau pipeline")
     p.add_argument("--max-d", type=natural, required=True)
     p.set_defaults(handler=cmd_relative_linear_cy)
 
-    p = sub.add_parser("selftest", help="run the acceptance checks")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=None, selftest=True)
+    p = sub.add_parser("selftest", parents=[text_or_json], help="run the acceptance checks")
+    p.set_defaults(handler=cmd_selftest)
 
     return parser
 
 
+# Parsed attributes that are not echoed into the document.
+_NOT_ECHOED = ("handler", "format", "out", "command", "relative_command")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "selftest", False):
-        return cmd_selftest(args)
+    args = _build_parser().parse_args(argv)
     try:
-        payload, text = args.handler(args)
+        fields, text = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    document = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out is not None:
-        args.out.write_text(document + "\n", encoding="utf-8")
+    parsed = vars(args)
+    command = "-".join(filter(None, (args.command, parsed.get("relative_command"))))
+    echo = {key: value for key, value in parsed.items() if key not in _NOT_ECHOED}
+    document = json.dumps({"command": command, **echo, **fields}, indent=2, sort_keys=True)
+    out = parsed.get("out")
+    if out is not None:
+        out.write_text(document + "\n", encoding="utf-8")
     print(document if args.format == "json" else text)
-    return 0
+    # a document that reports a failed check (selftest's results) exits 1
+    return 0 if all(r["passed"] for r in fields.get("results", ())) else 1
 
 
 if __name__ == "__main__":

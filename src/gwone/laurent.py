@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .rings import CohClass, NotInvertibleError, RingSpec, Scalar, SpecMismatchError
+from .rings import _geometric_series
 
 
 class LaurentPoly:
@@ -155,16 +156,7 @@ class LaurentPoly:
         top = self.t_max()
         seed = LaurentPoly.single(self.spec, -top, self.coefficient(top).inverse())
         remainder = LaurentPoly.one(self.spec) - self * seed
-        acc = LaurentPoly.one(self.spec)
-        power = remainder
-        for _ in range(self.spec.n + self.spec.base_cutoff + 1):
-            if power.is_zero():
-                break
-            acc = acc + power
-            power = power * remainder
-        if not power.is_zero():
-            raise NotInvertibleError("lower-order terms are not nilpotent")
-        return acc * seed
+        return _geometric_series(remainder, "lower-order terms are not nilpotent") * seed
 
     # -- rendering --------------------------------------------------------
 

@@ -121,19 +121,19 @@ def mirror_comb_correlator(model: CIModel, d: int, mirror: MirrorData) -> Lauren
     """The degree-d comb sum with (a, b) in place of the lambdas.
 
     Each tooth contributes a_e * (d_1 + h/t) + b_e where d_1 is the comb's
-    first endpoint; this is the per-degree form of the mirror identity.
+    first endpoint; this is the per-degree form of the mirror identity.  The
+    combs that start at d_1 are the chains of degree d - d_1, so the sum is
+    phi_d + sum over d_1 < d of phi_{d_1} * (chain sum of degree d - d_1).
     """
     spec = model.spec
-    if d == 0:
-        return phi(model, 0)
-    out = LaurentPoly.zero(spec)
-    for comb in enumerate_combs(d):
-        d1 = comb.endpoints[0]
-        term = phi(model, d1)
-        for delta in comb.deltas:
+    out = phi(model, d)
+    for d1 in range(d):
+
+        def weight(delta: int, start: int) -> LaurentPoly:
             a, b = mirror.a[delta], mirror.b[delta]
-            term = term * LaurentPoly.linear(spec, a, a * d1 + b).shift_t(-1)
-        out = out + term * Fraction(1, factorial(comb.tooth_count))
+            return LaurentPoly.linear(spec, a, a * d1 + b).shift_t(-1)
+
+        out = out + phi(model, d1) * _chain_sum(d - d1, weight)
     return out
 
 

@@ -158,6 +158,23 @@ def _normalise(spec: RingSpec, raw: list[BasePoly]) -> tuple[BasePoly, ...]:
     ])
 
 
+def _geometric_series(x, failure: str):
+    """1 + x + x^2 + ... for a nilpotent ``CohClass`` or ``LaurentPoly`` x.
+
+    A nilpotent x has x^k = 0 by k = n + base_cutoff + 1; if it does not,
+    raises :class:`NotInvertibleError` with the message ``failure``.
+    """
+    acc, power = type(x).one(x.spec), x
+    for _ in range(x.spec.n + x.spec.base_cutoff + 1):
+        if power.is_zero():
+            break
+        acc = acc + power
+        power = power * x
+    if not power.is_zero():
+        raise NotInvertibleError(failure)
+    return acc
+
+
 class CohClass:
     """An element of the truncated ring described by a :class:`RingSpec`."""
 
@@ -322,16 +339,7 @@ class CohClass:
             raise NotInvertibleError("degree-0 part is zero")
         scale = Fraction(1) / c0
         x = CohClass.one(self.spec) - self * scale
-        acc = CohClass.one(self.spec)
-        power = x
-        for _ in range(self.spec.n + self.spec.base_cutoff + 1):
-            if power.is_zero():
-                break
-            acc = acc + power
-            power = power * x
-        if not power.is_zero():
-            raise NotInvertibleError("remainder is not nilpotent")
-        return acc * scale
+        return _geometric_series(x, "remainder is not nilpotent") * scale
 
     def integrate(self) -> Fraction | CohClass:
         """Fiber integration: the coefficient of h^n.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gwone import acceptance
 from gwone.calabi_yau import cy_correlator
 from gwone.cli import laurent_from_json, laurent_to_json, main
 from gwone.correlators import classify, phi
@@ -222,3 +223,113 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, echo, results",
+    [
+        (
+            ("phi", "--n", "3", "--l", "2", "--l", "1", "--d", "1"),
+            {"command": "phi", "n": 3, "degrees": [2, 1], "d": 1},
+            {"phi"},
+        ),
+        (
+            ("phi", "--n", "2", "--d", "1"),
+            {"command": "phi", "n": 2, "degrees": [], "d": 1},
+            {"phi"},
+        ),
+        (
+            ("correlator", "--n", "3", "--l", "3", "--d", "1"),
+            {"command": "correlator", "n": 3, "degrees": [3], "d": 1},
+            {"classification", "correlator"},
+        ),
+        (
+            ("invariant", "--n", "3", "--l", "3", "--d", "1", "--a", "0", "--b", "1"),
+            {"command": "invariant", "n": 3, "degrees": [3], "d": 1, "a": 0, "b": 1},
+            {"value"},
+        ),
+        (
+            ("cy", "--n", "4", "--l", "5", "--max-d", "1"),
+            {"command": "cy", "n": 4, "degrees": [5], "max_d": 1},
+            {"lambda", "correlators"},
+        ),
+        (
+            ("quintic", "--max-d", "1"),
+            {"command": "quintic", "max_d": 1},
+            {"n", "m", "N", "lambda"},
+        ),
+        (
+            ("mirror", "--n", "4", "--l", "5", "--max-d", "1"),
+            {"command": "mirror", "n": 4, "degrees": [5], "max_d": 1},
+            {"a", "b", "holds", "first_failing_degree"},
+        ),
+        (
+            ("relative", "euler", "--n", "2", "--cutoff", "3", "--d", "1"),
+            {"command": "relative-euler", "n": 2, "cutoff": 3, "d": 1},
+            {"euler"},
+        ),
+        (
+            ("relative", "phi", "--n", "2", "--cutoff", "3", "--l", "1", "--d", "1"),
+            {"command": "relative-phi", "n": 2, "cutoff": 3, "degrees": [1], "d": 1},
+            {"phi"},
+        ),
+        (
+            ("relative", "porteous", "--n", "2", "--cutoff", "4", "--m", "3"),
+            {"command": "relative-porteous", "n": 2, "cutoff": 4, "m": 3},
+            {"class"},
+        ),
+        (
+            ("relative", "linear-cy", "--n", "2", "--cutoff", "3", "--max-d", "1"),
+            {"command": "relative-linear-cy", "n": 2, "cutoff": 3, "max_d": 1},
+            {"lambda", "pushforward"},
+        ),
+    ],
+    ids=[
+        "phi",
+        "phi-without-l",
+        "correlator",
+        "invariant",
+        "cy",
+        "quintic",
+        "mirror",
+        "relative-euler",
+        "relative-phi",
+        "relative-porteous",
+        "relative-linear-cy",
+    ],
+)
+def test_json_document_echoes_the_arguments(tmp_path, capsys, argv, echo, results):
+    target = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(target))
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == set(echo) | results
+    assert {key: data[key] for key in echo} == echo
+    assert json.loads(target.read_text()) == data
+
+
+def test_selftest_document_and_failure_exit_code(monkeypatch, capsys):
+    failing = [
+        acceptance.CriterionResult(1, "first", True, "ok"),
+        acceptance.CriterionResult(2, "second", False, "broken"),
+    ]
+    monkeypatch.setattr(acceptance, "run_all", lambda: failing)
+    code, out, _ = run_cli(capsys, "selftest", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "selftest",
+        "results": [
+            {"number": 1, "name": "first", "passed": True, "detail": "ok"},
+            {"number": 2, "name": "second", "passed": False, "detail": "broken"},
+        ],
+    }
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out == "PASS  criterion  1  first: ok\nFAIL  criterion  2  second: broken\n"
+
+
+def test_relative_euler_takes_no_degrees(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["relative", "euler", "--n", "2", "--cutoff", "3", "--l", "1", "--d", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --l 1" in capsys.readouterr().err

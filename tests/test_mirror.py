@@ -5,8 +5,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwone.calabi_yau import solve_lambdas_up_to
+from gwone.calabi_yau import enumerate_combs, solve_lambdas_up_to
 from gwone.correlators import ClassificationError, classify, phi
+from gwone.laurent import LaurentPoly
 from gwone.mirror import (
     corollary_transform,
     double_comb_series,
@@ -147,6 +148,26 @@ def test_mirror_comb_correlator_degree_zero():
     lambdas = solve_lambdas_up_to(QUINTIC, 1)
     data = mirror_coefficients(lambdas)
     assert mirror_comb_correlator(QUINTIC, 0, data) == phi(QUINTIC, 0)
+
+
+@pytest.mark.parametrize(
+    "n, degrees", [(4, (5,)), (5, (3, 3)), (5, (2, 4))], ids=["quintic", "3,3", "2,4"]
+)
+def test_mirror_comb_correlator_matches_per_comb_sum(n, degrees):
+    # oracle: one product per comb, each tooth a_e * (d_1 + h/t) + b_e
+    model = classify(n, degrees)
+    spec = model.spec
+    data = mirror_coefficients(solve_lambdas_up_to(model, 5))
+    for d in range(1, 6):
+        brute = LaurentPoly.zero(spec)
+        for comb in enumerate_combs(d):
+            d1 = comb.endpoints[0]
+            term = phi(model, d1)
+            for delta in comb.deltas:
+                a, b = data.a[delta], data.b[delta]
+                term = term * LaurentPoly.linear(spec, a, a * d1 + b).shift_t(-1)
+            brute = brute + term * Fraction(1, factorial(comb.tooth_count))
+        assert mirror_comb_correlator(model, d, data) == brute, (degrees, d)
 
 
 def test_mirror_identity_quintic_low_order():
