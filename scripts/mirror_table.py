@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Solve the lambda recursion for Calabi-Yau threefolds in P^n and print
-the mirror-map coefficients, re-verifying the series identity exactly."""
+the mirror-map coefficients, re-verifying the series identity exactly.
+Exits 1 when the identity fails."""
 
 import argparse
+import sys
 
 from gwone.calabi_yau import solve_lambdas_up_to
 from gwone.correlators import classify
@@ -18,7 +20,7 @@ MODELS = {
 }
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-d", type=int, default=3)
     parser.add_argument("--model", choices=sorted(MODELS), default="quintic")
@@ -38,7 +40,8 @@ def main() -> None:
         )
     verdict = "holds" if report.holds else f"FAILS at q^{report.first_failing_degree}"
     print(f"mirror identity to q^{args.max_d}: {verdict}")
+    return 0 if report.holds else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, pairwise
 from math import factorial
-from typing import Mapping
+from operator import add
+from typing import Callable, Mapping, TypeVar
 
 from .correlators import (
     CIModel,
@@ -33,6 +35,9 @@ from .correlators import (
 )
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec
+
+
+V = TypeVar("V")
 
 
 class LambdaShapeError(ValueError):
@@ -77,6 +82,30 @@ def enumerate_combs(d: int) -> list[Comb]:
     return sorted(
         (Comb(tuple(s) + (d,)) for s in subsets), key=lambda c: c.endpoints
     )
+
+
+def _chain_sums(order: int, weight: Callable[[int, int], V]) -> dict[int, V]:
+    """For q = 1..order, the sum over chains 0 = d_0 < d_1 < ... < d_r = q of
+    prod_{i=1}^r weight(d_i - d_{i-1}, d_{i-1}) / r!.
+
+    A chain is a comb that starts at 0.  ends[q][r] sums the r-tooth chains
+    ending at q, extended one tooth at a time, so each weight is evaluated
+    once per (delta, start) and the cost is O(order^3) products, not
+    sum_q q 2^q.  The start-0 tooth's weight leads each product, so only it
+    needs to support multiplication by the later weights and by Fraction.
+    """
+    ends: dict[int, dict[int, V]] = {}
+    for q in range(1, order + 1):
+        row = {1: weight(q, 0)}
+        for p in range(1, q):
+            w = weight(q - p, p)
+            for r, value in ends[p].items():
+                row[r + 1] = row[r + 1] + value * w if r + 1 in row else value * w
+        ends[q] = row
+    return {
+        q: reduce(add, (value * Fraction(1, factorial(r)) for r, value in row.items()))
+        for q, row in ends.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -146,18 +175,6 @@ def _pure_h_multiple(cls: CohClass, h_exp: int) -> Fraction:
     return rho
 
 
-def _integrate_rows(poly: LaurentPoly, h_exp: int) -> dict[int, Fraction]:
-    """Integrate h^{h_exp} * poly over the fiber, one rational per t-power."""
-    spec = poly.spec
-    weight = CohClass.h_power(spec, h_exp)
-    out = {}
-    for exp, cls in poly.items():
-        val = (weight * cls).integrate()
-        if val:
-            out[exp] = val
-    return out
-
-
 def lambda_readoff(model: CIModel, d: int, lambdas: Mapping[int, LambdaForm]) -> LambdaForm:
     """Read (alpha_d, beta_d) off by fiber integration.
 
@@ -176,16 +193,14 @@ def lambda_readoff(model: CIModel, d: int, lambdas: Mapping[int, LambdaForm]) ->
 def _readoff(model: CIModel, partial: LaurentPoly) -> LambdaForm:
     """The fiber-integral read-off of :func:`lambda_readoff` from a partial comb sum."""
     spec = model.spec
-    simple_term = -(
-        LaurentPoly.single(spec, -1, partial.coefficient(-1))
-        + LaurentPoly.single(spec, 0, partial.coefficient(0))
-    )
     product = Fraction(model.degree_product)
-    alpha_rows = _integrate_rows(simple_term, model.n - model.m - 1)
-    beta_rows = _integrate_rows(simple_term, model.n - model.m)
+
+    def integral(h_exp: int, t_exp: int) -> Fraction:
+        return (CohClass.h_power(spec, h_exp) * partial.coefficient(t_exp)).integrate()
+
     return LambdaForm(
-        alpha=alpha_rows.get(-1, Fraction(0)) / product,
-        beta=beta_rows.get(0, Fraction(0)) / product,
+        alpha=-integral(model.n - model.m - 1, -1) / product,
+        beta=-integral(model.n - model.m, 0) / product,
     )
 
 

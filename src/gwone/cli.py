@@ -2,7 +2,8 @@
 
 Output is deterministic (sorted keys, no timestamps, no environment
 lookups); rationals serialize as "p/q" strings, never floats.  Exit codes:
-0 success, 1 math-domain error (e.g. a general-type model), 2 usage error.
+0 success, 1 math-domain error (e.g. a general-type model) or a failed check
+(selftest, the mirror identity), 2 usage error.
 """
 
 from __future__ import annotations
@@ -251,64 +252,67 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi", parents=[model], help="the hypergeometric Laurent polynomial")
     p.add_argument("--d", type=natural, required=True)
-    p.set_defaults(handler=cmd_phi)
+    p.set_defaults(handler=cmd_phi, parser=p)
 
     p = sub.add_parser("correlator", parents=[model], help="the one-point correlator")
     p.add_argument("--d", type=natural, required=True)
-    p.set_defaults(handler=cmd_correlator)
+    p.set_defaults(handler=cmd_correlator, parser=p)
 
     p = sub.add_parser("invariant", parents=[model], help="a single one-point invariant")
     p.add_argument("--d", type=natural, required=True)
     p.add_argument("--a", type=natural, required=True, help="cotangent-class power")
     p.add_argument("--b", type=natural, required=True, help="hyperplane-class power")
-    p.set_defaults(handler=cmd_invariant)
+    p.set_defaults(handler=cmd_invariant, parser=p)
 
     p = sub.add_parser("cy", parents=[model], help="Calabi-Yau correlators and lambda table")
     p.add_argument("--max-d", type=natural, required=True)
-    p.set_defaults(handler=cmd_cy)
+    p.set_defaults(handler=cmd_cy, parser=p)
 
     p = sub.add_parser("quintic", parents=[output], help="full quintic pipeline")
     p.add_argument("--max-d", type=positive, required=True)
-    p.set_defaults(handler=cmd_quintic)
+    p.set_defaults(handler=cmd_quintic, parser=p)
 
     p = sub.add_parser("mirror", parents=[model], help="mirror coefficients and verification")
     p.add_argument("--max-d", type=natural, required=True)
-    p.set_defaults(handler=cmd_mirror)
+    p.set_defaults(handler=cmd_mirror, parser=p)
 
     rel = sub.add_parser("relative", help="projective-bundle computations")
     rel_sub = rel.add_subparsers(dest="relative_command", required=True)
 
     p = rel_sub.add_parser("euler", parents=[bundle], help="relative equivariant Euler class")
     p.add_argument("--d", type=natural, required=True)
-    p.set_defaults(handler=cmd_relative_euler)
+    p.set_defaults(handler=cmd_relative_euler, parser=p)
 
     p = rel_sub.add_parser("phi", parents=[bundle], help="relative phi")
     p.add_argument(
         "--l", type=positive, action="append", default=[], dest="degrees", metavar="L"
     )
     p.add_argument("--d", type=natural, required=True)
-    p.set_defaults(handler=cmd_relative_phi)
+    p.set_defaults(handler=cmd_relative_phi, parser=p)
 
     p = rel_sub.add_parser("porteous", parents=[bundle], help="Porteous class of lines")
     p.add_argument("--m", type=positive, required=True, help="number of linear sections")
-    p.set_defaults(handler=cmd_relative_porteous)
+    p.set_defaults(handler=cmd_relative_porteous, parser=p)
 
     p = rel_sub.add_parser("linear-cy", parents=[bundle], help="linear Calabi-Yau pipeline")
     p.add_argument("--max-d", type=natural, required=True)
-    p.set_defaults(handler=cmd_relative_linear_cy)
+    p.set_defaults(handler=cmd_relative_linear_cy, parser=p)
 
     p = sub.add_parser("selftest", parents=[text_or_json], help="run the acceptance checks")
-    p.set_defaults(handler=cmd_selftest)
+    p.set_defaults(handler=cmd_selftest, parser=p)
 
     return parser
 
 
 # Parsed attributes that are not echoed into the document.
-_NOT_ECHOED = ("handler", "format", "out", "command", "relative_command")
+_NOT_ECHOED = ("handler", "parser", "format", "out", "command", "relative_command")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        # reported with the chosen subcommand's usage, not the top-level one
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         fields, text = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
@@ -322,8 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     if out is not None:
         out.write_text(document + "\n", encoding="utf-8")
     print(document if args.format == "json" else text)
-    # a document that reports a failed check (selftest's results) exits 1
-    return 0 if all(r["passed"] for r in fields.get("results", ())) else 1
+    # a document that reports a failed check (selftest's results, mirror's holds) exits 1
+    passed = fields.get("holds", True) and all(r["passed"] for r in fields.get("results", ()))
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -10,43 +10,24 @@ the two series are then related by
 with f = sum a_e q^e and g = sum b_e q^e.  This module implements the
 transform, the double-comb generating function behind it (whose logarithm
 is linear in the y-variables), and an exact verifier for the identity.
+Every chain sum comes from one forward recursion over the chain's last
+endpoint (``calabi_yau._chain_sums``), polynomial in the degree, not from
+enumerating the 2^d combs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
-from math import factorial
-from typing import Callable, Mapping, TypeVar
+from typing import Mapping, TypeVar
 
-from .calabi_yau import LambdaForm, cy_correlator, enumerate_combs, solve_lambdas_up_to
+from .calabi_yau import LambdaForm, _chain_sums, cy_correlator, solve_lambdas_up_to
 from .correlators import CIModel, phi
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec
 from .series import QSeries
 
 V = TypeVar("V")
-
-
-def _chain_sum(d: int, weight: Callable[[int, int], V]) -> V:
-    """Sum over chains 0 < d_1 < ... < d_r = d of
-    prod_{i=1}^r weight(d_i - d_{i-1}, d_{i-1}) / r!, with d_0 = 0.
-
-    A chain is the comb (0, d_1, ..., d_r).  The start-0 tooth's weight
-    leads each product, so only it needs to support multiplication by the
-    later weights and by Fraction.
-    """
-    total = None
-    for comb in enumerate_combs(d):
-        if comb.endpoints[0] != 0:
-            continue
-        term = weight(comb.endpoints[1], 0)
-        for start, nxt in pairwise(comb.endpoints[1:]):
-            term = term * weight(nxt - start, start)
-        term = term * Fraction(1, factorial(comb.tooth_count))
-        total = term if total is None else total + term
-    return total
 
 
 def corollary_transform(
@@ -62,7 +43,7 @@ def corollary_transform(
     def weight(delta: int, start: int):
         return y[delta] if start == 0 else Fraction(x[delta]) * start
 
-    return {d: _chain_sum(d, weight) for d in range(1, max_degree + 1)}
+    return _chain_sums(max_degree, weight)
 
 
 def double_comb_series(x: Mapping[int, Fraction], y: Mapping[int, Fraction], order: int) -> QSeries:
@@ -78,8 +59,7 @@ def double_comb_series(x: Mapping[int, Fraction], y: Mapping[int, Fraction], ord
     def weight(delta: int, start: int) -> Fraction:
         return Fraction(y[delta]) + Fraction(x[delta]) * start
 
-    values = {d: _chain_sum(d, weight) for d in range(1, order + 1)}
-    return QSeries.from_scalars(RingSpec.absolute(0), order, {0: 1, **values})
+    return QSeries.from_scalars(RingSpec.absolute(0), order, {0: 1, **_chain_sums(order, weight)})
 
 
 @dataclass(frozen=True)
@@ -124,16 +104,17 @@ def mirror_comb_correlator(model: CIModel, d: int, mirror: MirrorData) -> Lauren
     first endpoint; this is the per-degree form of the mirror identity.  The
     combs that start at d_1 are the chains of degree d - d_1, so the sum is
     phi_d + sum over d_1 < d of phi_{d_1} * (chain sum of degree d - d_1).
+    The tooth forms depend only on (e, d_1), so each is built once.
     """
     spec = model.spec
     out = phi(model, d)
     for d1 in range(d):
-
-        def weight(delta: int, start: int) -> LaurentPoly:
-            a, b = mirror.a[delta], mirror.b[delta]
-            return LaurentPoly.linear(spec, a, a * d1 + b).shift_t(-1)
-
-        out = out + phi(model, d1) * _chain_sum(d - d1, weight)
+        forms = {
+            e: LaurentPoly.linear(spec, mirror.a[e], mirror.a[e] * d1 + mirror.b[e]).shift_t(-1)
+            for e in range(1, d - d1 + 1)
+        }
+        chains = _chain_sums(d - d1, lambda delta, start: forms[delta])
+        out = out + phi(model, d1) * chains[d - d1]
     return out
 
 

@@ -1,11 +1,16 @@
+import importlib.util
 import json
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gwone import acceptance
+from gwone import acceptance, cli
 from gwone.calabi_yau import cy_correlator
 from gwone.cli import laurent_from_json, laurent_to_json, main
 from gwone.correlators import classify, phi
+from gwone.mirror import MirrorData, MirrorReport
 from gwone.relative import RelativeModel, relative_phi
 
 
@@ -333,3 +338,64 @@ def test_relative_euler_takes_no_degrees(capsys):
         main(["relative", "euler", "--n", "2", "--cutoff", "3", "--l", "1", "--d", "1"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --l 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, usage, unknown",
+    [
+        (
+            ("relative", "euler", "--n", "2", "--cutoff", "3", "--d", "1", "--l", "1"),
+            "usage: gw relative euler ",
+            "--l 1",
+        ),
+        (("phi", "--n", "3", "--d", "1", "--bogus"), "usage: gw phi ", "--bogus"),
+    ],
+    ids=["relative-euler", "phi"],
+)
+def test_unknown_option_is_reported_with_the_subcommand_usage(capsys, argv, usage, unknown):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(usage)
+    assert f"unrecognized arguments: {unknown}" in captured.err
+
+
+def _failing_mirror_report(model, order, lambdas=None):
+    data = MirrorData(a={1: Fraction(-770)}, b={1: Fraction(-120)}, order=1)
+    return MirrorReport(holds=False, first_failing_degree=1, order=1, mirror=data)
+
+
+def test_mirror_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_mirror_identity", _failing_mirror_report)
+    code, out, _ = run_cli(
+        capsys, "mirror", "--n", "4", "--l", "5", "--max-d", "1", "--format", "json"
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "mirror",
+        "n": 4,
+        "degrees": [5],
+        "max_d": 1,
+        "a": {"1": "-770"},
+        "b": {"1": "-120"},
+        "holds": False,
+        "first_failing_degree": 1,
+    }
+    code, out, _ = run_cli(capsys, "mirror", "--n", "4", "--l", "5", "--max-d", "1")
+    assert code == 1
+    assert out.splitlines()[-1] == "mirror identity to q^1: fails at q^1"
+
+
+def test_mirror_table_script_exit_code(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "mirror_table.py"
+    spec = importlib.util.spec_from_file_location("mirror_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["mirror_table.py", "--max-d", "1"])
+    assert script.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "mirror identity to q^1: holds"
+    monkeypatch.setattr(script, "verify_mirror_identity", _failing_mirror_report)
+    assert script.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "mirror identity to q^1: FAILS at q^1"

@@ -122,17 +122,35 @@ def _brute_force_double_comb(x, y, d):
     return total
 
 
-oracle_maps = st.fixed_dictionaries({e: fractions for e in range(1, 6)})
+oracle_maps = st.fixed_dictionaries({e: fractions for e in range(1, 8)})
 
 
 @settings(max_examples=25)
-@given(oracle_maps, oracle_maps, st.integers(1, 5))
+@given(oracle_maps, oracle_maps, st.integers(1, 7))
 def test_chain_sums_match_brute_force(x, y, order):
     expected = {d: _brute_force_transform(x, y, d) for d in range(1, order + 1)}
     assert corollary_transform(x, y, order) == expected
     values = {d: _brute_force_double_comb(x, y, d) for d in range(1, order + 1)}
     expected_series = QSeries.from_scalars(SCALARS, order, {0: 1, **values})
     assert double_comb_series(x, y, order) == expected_series
+
+
+class _CountingMap(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        _CountingMap.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_chain_recursion_evaluates_each_weight_once():
+    # one lookup per (delta, start) pair: sum_{q <= 10} q = 55, not one per comb tooth
+    x = _CountingMap({e: Fraction(e, 3) for e in range(1, 11)})
+    y = _CountingMap({e: Fraction(2, e) for e in range(1, 11)})
+    _CountingMap.lookups = 0
+    transformed = corollary_transform(x, y, 10)
+    assert _CountingMap.lookups <= 55
+    assert transformed[10] == _brute_force_transform(dict(x), dict(y), 10)
 
 
 @settings(max_examples=25)
@@ -151,7 +169,9 @@ def test_mirror_comb_correlator_degree_zero():
 
 
 @pytest.mark.parametrize(
-    "n, degrees", [(4, (5,)), (5, (3, 3)), (5, (2, 4))], ids=["quintic", "3,3", "2,4"]
+    "n, degrees",
+    [(4, (5,)), (5, (3, 3)), (5, (2, 4)), (6, (2, 2, 3)), (7, (2, 2, 2, 2))],
+    ids=["quintic", "3,3", "2,4", "2,2,3", "2,2,2,2"],
 )
 def test_mirror_comb_correlator_matches_per_comb_sum(n, degrees):
     # oracle: one product per comb, each tooth a_e * (d_1 + h/t) + b_e
