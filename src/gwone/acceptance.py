@@ -207,8 +207,8 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def proposition_linearity(seed: int = DEFAULT_SEED) -> str:
-    rng = random.Random(seed)
+def proposition_linearity() -> str:
+    rng = random.Random(DEFAULT_SEED)
     spec = RingSpec.absolute(0)
     order = 5
     for _ in range(20):
@@ -270,8 +270,8 @@ def _random_unit(rng: random.Random, spec: RingSpec) -> LaurentPoly:
     return unit
 
 
-def algebra_kernel(seed: int = DEFAULT_SEED) -> str:
-    rng = random.Random(seed)
+def algebra_kernel() -> str:
+    rng = random.Random(DEFAULT_SEED)
     pool = _spec_pool()
 
     for _ in range(100):

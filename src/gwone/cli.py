@@ -182,9 +182,7 @@ def cmd_relative_porteous(args) -> tuple[dict, str]:
 def cmd_relative_linear_cy(args) -> tuple[dict, str]:
     model = linear_cy_model(args.n, args.cutoff)
     pairs = derive_linear_cy_lambdas(model, args.max_d)
-    pushforwards = {
-        d: linear_cy_pushforward(model, d, args.max_d) for d in range(1, args.max_d + 1)
-    }
+    pushforwards = {d: linear_cy_pushforward(model, d) for d in range(1, args.max_d + 1)}
     fields = {
         "lambda": {
             str(e): {"a": str(a), "b": coh_to_json(b)}

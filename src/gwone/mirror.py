@@ -97,25 +97,27 @@ def mirror_coefficients(
     )
 
 
-def mirror_comb_correlator(model: CIModel, d: int, mirror: MirrorData) -> LaurentPoly:
-    """The degree-d comb sum with (a, b) in place of the lambdas.
+def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QSeries:
+    """The comb sums with (a, b) in place of the lambdas, to q^order.
 
     Each tooth contributes a_e * (d_1 + h/t) + b_e where d_1 is the comb's
     first endpoint; this is the per-degree form of the mirror identity.  The
-    combs that start at d_1 are the chains of degree d - d_1, so the sum is
-    phi_d + sum over d_1 < d of phi_{d_1} * (chain sum of degree d - d_1).
-    The tooth forms depend only on (e, d_1), so each is built once.
+    combs that start at d_1 are the chains of degree d - d_1, so the q^d
+    coefficient is phi_d + sum over d_1 < d of phi_{d_1} * (chain sum of
+    degree d - d_1).  The tooth forms depend only on (e, d_1), so each is
+    built once, and one chain recursion per start d_1 serves every degree.
     """
     spec = model.spec
-    out = phi(model, d)
-    for d1 in range(d):
+    values = {d: phi(model, d) for d in range(order + 1)}
+    for d1 in range(order):
         forms = {
             e: LaurentPoly.linear(spec, mirror.a[e], mirror.a[e] * d1 + mirror.b[e]).shift_t(-1)
-            for e in range(1, d - d1 + 1)
+            for e in range(1, order - d1 + 1)
         }
-        chains = _chain_sums(d - d1, lambda delta, start: forms[delta])
-        out = out + phi(model, d1) * chains[d - d1]
-    return out
+        chains = _chain_sums(order - d1, lambda delta, start: forms[delta])
+        for q, chain in chains.items():
+            values[d1 + q] = values[d1 + q] + phi(model, d1) * chain
+    return QSeries.from_coefficients(spec, order, values)
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,13 @@ def verify_mirror_identity(
     h_over_t = LaurentPoly.single(spec, -1, CohClass.h_power(spec, 1))
     prefactor = (f.scale(h_over_t) + g).exp()
     rhs = prefactor * phi_series.substitute(f)
+    comb_form = mirror_comb_correlator(model, order, mirror)
     failing = None
     for d in range(order + 1):
         if rhs.coefficient(d) != sigma.coefficient(d):
             failing = d
             break
-        if mirror_comb_correlator(model, d, mirror) != sigma.coefficient(d):
+        if comb_form.coefficient(d) != sigma.coefficient(d):
             failing = d
             break
     return MirrorReport(

@@ -14,7 +14,7 @@ Calabi-Yau pipeline where every lambda collapses to -(1/e)(t + s_1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -133,11 +133,14 @@ def relative_euler(model: RelativeModel, d: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def relative_phi(model: RelativeModel, d: int) -> LaurentPoly:
-    """phi_d with the relative Euler class in the denominator."""
-    numerator = phi_numerator(model.spec, model.degrees, d)
-    if d == 0:
-        return numerator
-    return numerator * relative_euler(model, d).inverse()
+    """phi_d with the relative Euler class in the denominator.
+
+    The denominator depends only on the bundle, so it is inverted once, by the
+    section-free model of the same bundle, and cached there.
+    """
+    if not model.degrees:
+        return relative_euler(model, d).inverse()
+    return phi_numerator(model.spec, model.degrees, d) * relative_phi(replace(model, degrees=()), d)
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,7 @@ def relative_schubert_leading(model: RelativeModel, sigma: SchubertInput) -> Lau
     correction; callers should only extract what the Porteous pipeline
     extracts.
     """
-    return sigma.evaluate(model.spec) * relative_euler(model, 1).inverse()
+    return sigma.evaluate(model.spec) * relative_phi(replace(model, degrees=()), 1)
 
 
 def porteous_lines(model: RelativeModel) -> CohClass:
@@ -226,12 +229,13 @@ def _unit_factors(model: RelativeModel, order: int) -> QSeries:
     keeps the t^0 row invertible during coefficient matching.
     """
     spec = model.spec
+    bundle = replace(model, degrees=())
+    absolute_part = LaurentPoly.one(spec)
     values = {}
     for e in range(order + 1):
-        absolute_part = LaurentPoly.one(spec)
-        for k in range(1, e + 1):
-            absolute_part = absolute_part * LaurentPoly.linear(spec, 1, k) ** (model.n + 1)
-        values[e] = absolute_part * relative_euler(model, e).inverse()
+        if e:
+            absolute_part = absolute_part * LaurentPoly.linear(spec, 1, e) ** (model.n + 1)
+        values[e] = absolute_part * relative_phi(bundle, e)
     return QSeries.from_coefficients(spec, order, values)
 
 
@@ -248,11 +252,9 @@ def derive_linear_cy_lambdas(
     if not model.is_linear_cy:
         raise ValueError("model is not a linear Calabi-Yau")
     spec = model.spec
-    units = _unit_factors(model, max_degree)
-    lam_over_t = QSeries.zero(spec, max_degree)
+    known = _unit_factors(model, max_degree)
     out: list[tuple[Fraction, CohClass]] = []
     for e in range(1, max_degree + 1):
-        known = units * lam_over_t.exp()
         row = known.coefficient(e)
         t0 = row.coefficient(0)
         if not t0.is_homogeneous(0):
@@ -265,15 +267,8 @@ def derive_linear_cy_lambdas(
                 f"derived lambda at degree {e} is ({a_e}, {b_e}), "
                 f"expected ({expected_a}, {expected_b})"
             )
-        lam_over_t = lam_over_t + QSeries.from_coefficients(
-            spec,
-            max_degree,
-            {
-                e: LaurentPoly(
-                    spec, {0: CohClass.scalar(spec, a_e), -1: b_e}
-                )
-            },
-        )
+        lam_over_t = LaurentPoly(spec, {0: CohClass.scalar(spec, a_e), -1: b_e})
+        known = known * QSeries.from_coefficients(spec, max_degree, {e: lam_over_t}).exp()
         out.append((a_e, b_e))
     return out
 

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwone import mirror as mirror_module
 from gwone.calabi_yau import enumerate_combs, solve_lambdas_up_to
 from gwone.correlators import ClassificationError, classify, phi
 from gwone.laurent import LaurentPoly
@@ -165,7 +166,7 @@ def test_transform_exponentiates_to_double_comb_series(x, y):
 def test_mirror_comb_correlator_degree_zero():
     lambdas = solve_lambdas_up_to(QUINTIC, 1)
     data = mirror_coefficients(lambdas)
-    assert mirror_comb_correlator(QUINTIC, 0, data) == phi(QUINTIC, 0)
+    assert mirror_comb_correlator(QUINTIC, 0, data).coefficient(0) == phi(QUINTIC, 0)
 
 
 @pytest.mark.parametrize(
@@ -178,6 +179,7 @@ def test_mirror_comb_correlator_matches_per_comb_sum(n, degrees):
     model = classify(n, degrees)
     spec = model.spec
     data = mirror_coefficients(solve_lambdas_up_to(model, 5))
+    comb_form = mirror_comb_correlator(model, 5, data)
     for d in range(1, 6):
         brute = LaurentPoly.zero(spec)
         for comb in enumerate_combs(d):
@@ -187,7 +189,26 @@ def test_mirror_comb_correlator_matches_per_comb_sum(n, degrees):
                 a, b = data.a[delta], data.b[delta]
                 term = term * LaurentPoly.linear(spec, a, a * d1 + b).shift_t(-1)
             brute = brute + term * Fraction(1, factorial(comb.tooth_count))
-        assert mirror_comb_correlator(model, d, data) == brute, (degrees, d)
+        assert comb_form.coefficient(d) == brute, (degrees, d)
+
+
+def test_mirror_verifier_runs_one_chain_recursion_per_start(monkeypatch):
+    # the two transforms evaluate 2 * 28 weights and the comb form
+    # sum_{N <= 7} N(N+1)/2 = 84, one recursion of length 7 - d_1 per start d_1
+    calls = 0
+    chain_sums = mirror_module._chain_sums
+
+    def counting_chain_sums(order, weight):
+        def counted(delta, start):
+            nonlocal calls
+            calls += 1
+            return weight(delta, start)
+
+        return chain_sums(order, counted)
+
+    monkeypatch.setattr(mirror_module, "_chain_sums", counting_chain_sums)
+    assert verify_mirror_identity(classify(5, (3, 3)), 7).holds
+    assert calls == 140
 
 
 def test_mirror_identity_quintic_low_order():
@@ -221,6 +242,6 @@ def test_mirror_comparison_is_sensitive():
     broken = MirrorData(
         a=dict(data.a), b={**data.b, 2: data.b[2] + 1}, order=data.order
     )
-    assert mirror_comb_correlator(QUINTIC, 2, broken) != cy_correlator(
+    assert mirror_comb_correlator(QUINTIC, 2, broken).coefficient(2) != cy_correlator(
         QUINTIC, 2, lambdas
     )

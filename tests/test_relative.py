@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gwone.correlators import classify, phi, pn_one_point
+from gwone.correlators import classify, phi, phi_numerator, pn_one_point
 from gwone.laurent import LaurentPoly
 from gwone.relative import (
     RelativeModel,
@@ -79,6 +79,44 @@ def test_relative_phi_trivial_bundle_matches_absolute():
     absolute = classify(4, (2,))
     for d in (0, 1, 2):
         assert relative_phi(model, d) == phi(absolute, d)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        linear_cy_model(2, 4),
+        RelativeModel(n=3, base_cutoff=6, degrees=(1,) * 4),
+        RelativeModel(n=2, base_cutoff=3, degrees=(2,)),
+        RelativeModel(n=2, base_cutoff=0, degrees=(1, 1)),
+        RelativeModel(n=2, base_cutoff=3, degrees=()),
+    ],
+    ids=["linear-cy", "porteous", "quadric", "trivial-bundle", "section-free"],
+)
+def test_relative_phi_matches_numerator_over_euler_inverse(model):
+    # oracle: each model inverts its own Euler class, with no bundle sharing
+    for d in range(4):
+        numerator = phi_numerator(model.spec, model.degrees, d)
+        expected = numerator if d == 0 else numerator * relative_euler(model, d).inverse()
+        assert relative_phi(model, d) == expected, d
+
+
+def test_linear_cy_pipeline_inverts_each_euler_class_once(monkeypatch):
+    # E_0..E_4 of the bundle, each inverted once and shared by both routes
+    model = linear_cy_model(2, 4)
+    relative_phi.cache_clear()
+    relative_euler.cache_clear()
+    calls = 0
+    inverse = LaurentPoly.inverse
+
+    def counting_inverse(self):
+        nonlocal calls
+        calls += 1
+        return inverse(self)
+
+    monkeypatch.setattr(LaurentPoly, "inverse", counting_inverse)
+    derive_linear_cy_lambdas(model, 4)
+    linear_cy_series(model, 4)
+    assert calls == 5
 
 
 def test_linear_cy_phi_rows():
