@@ -22,7 +22,7 @@ class LaurentPoly:
     def __init__(self, spec: RingSpec, terms: Mapping[int, CohClass]):
         cleaned: dict[int, CohClass] = {}
         for exp, cls in terms.items():
-            if cls.spec != spec:
+            if cls.spec is not spec and cls.spec != spec:
                 raise SpecMismatchError("coefficient from a different ring")
             if not cls.is_zero():
                 cleaned[exp] = cls
@@ -85,7 +85,7 @@ class LaurentPoly:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: LaurentPoly) -> None:
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatchError("operands live in different rings")
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:

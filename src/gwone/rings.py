@@ -5,12 +5,14 @@ of (Q[s_1,...,s_g]/(degree > cutoff))[h] with powers of h above n rewritten
 through a configurable rule.  All coefficients are ``fractions.Fraction``;
 nothing here ever rounds.
 
-The representation is dense in the h-exponent and sparse in base monomials:
-a class holds a tuple of n+1 dicts, one per power of h, each mapping a base
-exponent tuple (trailing zeros stripped) to its rational coefficient.  The
-empty tuple () is the unit monomial, so absolute-mode classes only ever use
-that key.  Zero coefficients and monomials above the base cutoff are never
-stored.  Every class reaches this normal form exactly once, in ``_normalise``.
+Each :class:`RingSpec` numbers its ring's basis once (its ``basis``): with
+the base monomials of degree <= cutoff listed as m_0 = 1, m_1, ..., m_{M-1}
+(``RingSpec.monomials``), the element h^k * m_i is the int k*M + i for
+0 <= k <= n.  A class is one dict from these ints to nonzero coefficients;
+absolute mode is the case M = 1, where h^k is simply k.  Products look
+each pair of basis elements up in the basis's monomial product table and
+never form a term the truncation drops; powers of h above n are rewritten
+through the h-rule, whose normal form of each h^k * m_i is built once.
 
 Everything is immutable after construction, so values can be shared freely.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 Mono = tuple[int, ...]
@@ -85,6 +88,8 @@ class RingSpec:
                 raise ValueError("h_rule exponent out of range")
             if len(mono) > len(self.base):
                 raise ValueError("h_rule monomial has too many generators")
+            if any(e < 0 for e in mono):
+                raise ValueError("h_rule monomial has a negative exponent")
 
     @classmethod
     def absolute(cls, n: int) -> RingSpec:
@@ -117,7 +122,7 @@ class RingSpec:
         """Every base monomial of degree <= base_cutoff, () first.
 
         The order is fixed: seeded random draws (acceptance criterion 12)
-        index into this list.
+        index into this list, and it numbers the basis.
         """
         monos: list[Mono] = [()]
         for index, (_, degree) in enumerate(self.base):
@@ -129,33 +134,101 @@ class RingSpec:
             monos.extend(extended)
         return monos
 
+    @cached_property
+    def basis(self) -> Basis:
+        """This instance's numbered basis, built on first use."""
+        return Basis(self)
 
-def _normalise(spec: RingSpec, raw: list[BasePoly]) -> tuple[BasePoly, ...]:
-    """The normal form of a class: its n+1 h-slots.
 
-    ``raw`` holds stripped monomials with ``Fraction`` coefficients in any
-    number of h-slots; it is consumed.  Powers of h above n are rewritten
-    through the h-rule (pruning products above the cutoff as they appear),
-    then zero coefficients and monomials above the cutoff are dropped.
+class Basis:
+    """The numbered basis of a spec's ring, with its product tables.
+
+    Element b = k*M + i stands for h^k * m_i (0 <= k <= n).  ``h_offset[b]``
+    is k*M, ``mono_of[b]`` is i and ``degree[b]`` is k + deg(m_i);
+    ``products[i][j]`` is the index of m_i * m_j, or -1 above the cutoff.
+    An int b >= ``top`` = (n+1)*M numbers h^k * m_i with k > n the same
+    way; ``tail(b)`` is its normal form, rewritten through the h-rule.
     """
-    n, cutoff, degree = spec.n, spec.base_cutoff, spec.mono_degree
-    for e in range(len(raw) - 1, n, -1):
-        poly = raw[e]
-        if not poly:
-            continue
-        for j, rmono, rc in spec.h_rule:
-            acc = raw[e - (n + 1) + j]
-            for mono, c in poly.items():
-                prod = mono_mul(mono, rmono)
-                if prod and degree(prod) > cutoff:
+
+    __slots__ = (
+        "n", "size", "top", "monos", "index", "generators",
+        "products", "h_offset", "mono_of", "degree", "_rule", "_tails",
+    )
+
+    def __init__(self, spec: RingSpec):
+        monos = spec.monomials()
+        size = len(monos)
+        index = {mono: i for i, mono in enumerate(monos)}
+        powers = range(spec.n + 1)
+        self.n = spec.n
+        self.size = size
+        self.top = (spec.n + 1) * size
+        self.monos = monos
+        self.index = index
+        self.generators = len(spec.base)
+        self.products = [[index.get(mono_mul(a, b), -1) for b in monos] for a in monos]
+        self.h_offset = [k * size for k in powers for _ in monos]
+        self.mono_of = [i for _ in powers for i in range(size)]
+        self.degree = [k + spec.mono_degree(mono) for k in powers for mono in monos]
+        # Rule terms whose monomial is above the cutoff vanish.
+        rule = [(j, index.get(_strip(mono)), Fraction(c)) for j, mono, c in spec.h_rule]
+        self._rule = [(j, r, c) for j, r, c in rule if r is not None]
+        self._tails: list[dict[int, Fraction]] = []
+
+    def mono_index(self, mono: Mono) -> int:
+        """The index of a caller's monomial, or -1 when it is above the cutoff.
+
+        Trailing zero exponents are ignored.  Raises ValueError for anything
+        that is not a monomial of this ring: a negative exponent, or more
+        exponents than the ring has generators.
+        """
+        i = self.index.get(mono)
+        if i is not None:
+            return i
+        stripped = _strip(mono)
+        i = self.index.get(stripped)
+        if i is not None:
+            return i
+        if any(e < 0 for e in stripped):
+            raise ValueError(f"monomial {mono!r} has a negative exponent")
+        if len(stripped) > self.generators:
+            raise ValueError(
+                f"monomial {mono!r} has more exponents than the {self.generators} generators"
+            )
+        return -1
+
+    def tail(self, key: int) -> dict[int, Fraction]:
+        """The normal form of h^k * m_i for k > n (``key`` >= ``top``).
+
+        Tails are built in key order on first use, so each rewrite through
+        the h-rule reads only tails already built.
+        """
+        tails, top, size = self._tails, self.top, self.size
+        while len(tails) <= key - top:
+            k, i = divmod(top + len(tails), size)
+            row = self.products[i]
+            acc: dict[int, Fraction] = {}
+            spill: dict[int, Fraction] = {}
+            for j, r, c in self._rule:
+                m = row[r]
+                if m < 0:
                     continue
-                old = acc.get(prod)
-                acc[prod] = c * rc if old is None else old + c * rc
-    raw.extend({} for _ in range(n + 1 - len(raw)))
-    return tuple([  # from a list, so the tuple is allocated at its final size
-        {mono: c for mono, c in poly.items() if c and not (mono and degree(mono) > cutoff)}
-        for poly in raw[: n + 1]
-    ])
+                target = (k - self.n - 1 + j) * size + m
+                into = acc if target < top else spill
+                into[target] = into.get(target, 0) + c
+            tails.append(self.fold(acc, spill))
+        return tails[key - top]
+
+    def fold(self, acc: dict[int, Fraction], spill: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """The nonzero terms of ``acc`` plus ``spill`` (keys >= top) rewritten through ``tail``.
+
+        ``acc`` is consumed.
+        """
+        for key, c in spill.items():
+            for t, v in self.tail(key).items():
+                old = acc.get(t)
+                acc[t] = c * v if old is None else old + c * v
+        return {key: c for key, c in acc.items() if c}
 
 
 def _geometric_series(x, failure: str):
@@ -178,27 +251,32 @@ def _geometric_series(x, failure: str):
 class CohClass:
     """An element of the truncated ring described by a :class:`RingSpec`."""
 
-    __slots__ = ("spec", "_parts")
+    __slots__ = ("spec", "_coeffs")
 
     def __init__(self, spec: RingSpec, parts: Iterable[Mapping[Mono, Scalar]]):
         """Coerce caller input, one dict per power of h (any number of them)."""
-        raw: list[BasePoly] = []
-        for poly in parts:
-            entry: BasePoly = {}
+        basis = spec.basis
+        size, top, mono_index = basis.size, basis.top, basis.mono_index
+        acc: dict[int, Fraction] = {}
+        spill: dict[int, Fraction] = {}
+        for k, poly in enumerate(parts):
             for mono, c in poly.items():
-                mono = _strip(mono)
-                old = entry.get(mono)
-                entry[mono] = Fraction(c) if old is None else old + Fraction(c)
-            raw.append(entry)
+                i = mono_index(mono)
+                if i < 0:
+                    continue
+                key = k * size + i
+                into = acc if key < top else spill
+                old = into.get(key)
+                into[key] = Fraction(c) if old is None else old + Fraction(c)
         self.spec = spec
-        self._parts = _normalise(spec, raw)
+        self._coeffs = basis.fold(acc, spill)
 
     @classmethod
-    def _new(cls, spec: RingSpec, raw: list[BasePoly]) -> CohClass:
-        """A class from kernel-built slots: stripped monomials, Fraction coefficients."""
+    def _new(cls, spec: RingSpec, coeffs: dict[int, Fraction]) -> CohClass:
+        """A class from kernel-built coefficients: basis keys below top, nonzero Fractions."""
         out = object.__new__(cls)
         out.spec = spec
-        out._parts = _normalise(spec, raw)
+        out._coeffs = coeffs
         return out
 
     # -- constructors -----------------------------------------------------
@@ -238,25 +316,30 @@ class CohClass:
     # -- inspection -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not poly for poly in self._parts)
+        return not self._coeffs
 
     @property
     def scalar_part(self) -> Fraction:
-        return self._parts[0].get((), Fraction(0))
+        return self._coeffs.get(0, Fraction(0))
 
     def coefficient(self, h_exp: int, mono: Mono = ()) -> Fraction:
-        if not 0 <= h_exp <= self.spec.n:
+        basis = self.spec.basis
+        i = basis.mono_index(tuple(mono))
+        if i < 0 or not 0 <= h_exp <= self.spec.n:
             return Fraction(0)
-        return self._parts[h_exp].get(_strip(mono), Fraction(0))
+        return self._coeffs.get(h_exp * basis.size + i, Fraction(0))
 
     def terms(self) -> Iterator[tuple[int, Mono, Fraction]]:
-        for k, poly in enumerate(self._parts):
-            for mono, c in poly.items():
-                yield k, mono, c
+        """(h-exponent, base monomial, coefficient) in basis order."""
+        basis = self.spec.basis
+        for key in sorted(self._coeffs):
+            k, i = divmod(key, basis.size)
+            yield k, basis.monos[i], self._coeffs[key]
 
     def degrees(self) -> set[int]:
         """Total degrees present, grading h by 1 and generator i by deg(i)."""
-        return {k + self.spec.mono_degree(mono) for k, mono, _ in self.terms()}
+        degree = self.spec.basis.degree
+        return {degree[key] for key in self._coeffs}
 
     def is_homogeneous(self, degree: int) -> bool:
         degs = self.degrees()
@@ -265,54 +348,58 @@ class CohClass:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: CohClass) -> None:
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatchError("operands live in different rings")
 
     def __add__(self, other: CohClass) -> CohClass:
         self._check(other)
-        parts = []
-        for p, q in zip(self._parts, other._parts):
-            merged = dict(p)
-            for mono, c in q.items():
-                old = merged.get(mono)
-                merged[mono] = c if old is None else old + c
-            parts.append(merged)
-        return CohClass._new(self.spec, parts)
+        out = dict(self._coeffs)
+        for key, c in other._coeffs.items():
+            old = out.get(key)
+            if old is None:
+                out[key] = c
+                continue
+            total = old + c
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        return CohClass._new(self.spec, out)
 
     def __sub__(self, other: CohClass) -> CohClass:
         return self + (-other)
 
     def __neg__(self) -> CohClass:
-        return CohClass._new(self.spec, [{m: -c for m, c in p.items()} for p in self._parts])
+        return CohClass._new(self.spec, {key: -c for key, c in self._coeffs.items()})
 
     def __mul__(self, other: CohClass | Scalar) -> CohClass:
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
             if not other:
                 return CohClass.zero(self.spec)
-            return CohClass._new(
-                self.spec,
-                [{m: c * other for m, c in p.items()} for p in self._parts],
-            )
+            return CohClass._new(self.spec, {key: c * other for key, c in self._coeffs.items()})
         self._check(other)
-        spec = self.spec
-        raw: list[BasePoly] = [dict() for _ in range(2 * spec.n + 1)]
-        cutoff, degree = spec.base_cutoff, spec.mono_degree
-        for i, p in enumerate(self._parts):
-            if not p:
-                continue
-            for j, q in enumerate(other._parts):
-                if not q:
+        basis = self.spec.basis
+        top, products, h_offset, mono_of, tail = (
+            basis.top, basis.products, basis.h_offset, basis.mono_of, basis.tail
+        )
+        right = [(h_offset[b], mono_of[b], cb) for b, cb in other._coeffs.items()]
+        acc: dict[int, Fraction] = {}
+        spill: dict[int, Fraction] = {}
+        for a, ca in self._coeffs.items():
+            ka, row = h_offset[a], products[mono_of[a]]
+            for kb, ib, cb in right:
+                m = row[ib]
+                if m < 0:
                     continue
-                acc = raw[i + j]
-                for ma, ca in p.items():
-                    for mb, cb in q.items():
-                        mono = mono_mul(ma, mb)
-                        if mono and degree(mono) > cutoff:
-                            continue
-                        old = acc.get(mono)
-                        acc[mono] = ca * cb if old is None else old + ca * cb
-        return CohClass._new(spec, raw)
+                key = ka + kb + m
+                if key < top:
+                    old = acc.get(key)
+                    acc[key] = ca * cb if old is None else old + ca * cb
+                elif tail(key):
+                    old = spill.get(key)
+                    spill[key] = ca * cb if old is None else old + ca * cb
+        return CohClass._new(self.spec, basis.fold(acc, spill))
 
     def __rmul__(self, other: Scalar) -> CohClass:
         return self.__mul__(other)
@@ -328,7 +415,8 @@ class CohClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CohClass):
             return NotImplemented
-        return self.spec == other.spec and self._parts == other._parts
+        same_spec = self.spec is other.spec or self.spec == other.spec
+        return same_spec and self._coeffs == other._coeffs
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -347,9 +435,11 @@ class CohClass:
         Returns a rational in absolute mode and the base class multiplying
         h^n in relative mode.
         """
+        low = self.spec.n * self.spec.basis.size
         if not self.spec.is_relative:
-            return self._parts[self.spec.n].get((), Fraction(0))
-        return CohClass(self.spec, [self._parts[self.spec.n]])
+            return self._coeffs.get(low, Fraction(0))
+        base_part = {key - low: c for key, c in self._coeffs.items() if key >= low}
+        return CohClass._new(self.spec, base_part)
 
     # -- rendering --------------------------------------------------------
 

@@ -28,6 +28,28 @@ def coh_classes(spec: RingSpec, max_terms: int = 4):
     )
 
 
+def raw_monos(spec):
+    """Monomials as a caller may write them: some unstripped, some above the cutoff."""
+    exponents = st.lists(st.integers(0, spec.base_cutoff + 1), max_size=len(spec.base))
+    return st.tuples(exponents, st.integers(0, 1)).map(lambda p: tuple(p[0]) + (0,) * p[1])
+
+
+def raw_coefficients():
+    return st.one_of(fractions, st.integers(-3, 3))
+
+
+def raw_parts(spec):
+    """Constructor input with up to 2n+2 h-slots."""
+    return st.lists(
+        st.dictionaries(raw_monos(spec), raw_coefficients(), max_size=3), max_size=2 * spec.n + 2
+    )
+
+
+def raw_terms(spec):
+    keys = st.tuples(st.integers(0, 2 * spec.n + 1), raw_monos(spec))
+    return st.dictionaries(keys, raw_coefficients(), max_size=4)
+
+
 def laurent_polys(spec: RingSpec, min_exp: int = -2, max_exp: int = 2, max_terms: int = 3):
     return st.dictionaries(
         st.integers(min_exp, max_exp), coh_classes(spec, 2), max_size=max_terms

@@ -1,0 +1,137 @@
+"""The numbered-basis ring kernel against the slot-dict kernel it replaced.
+
+The oracle below is the former ``gwone.rings`` arithmetic: a class is a
+tuple of n+1 dicts, one per power of h, each mapping a stripped base
+monomial to its nonzero ``Fraction`` coefficient.  Every product is formed
+in full, with ``mono_mul`` and ``RingSpec.mono_degree`` in the inner loop,
+and ``normalise`` rewrites powers of h above n through the h-rule
+afterwards.  It is slow and independent of the basis tables, so the new
+kernel must agree with it term for term.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gwone.rings import BasePoly, CohClass, RingSpec, _strip, mono_mul
+
+from strategies import SPECS, coh_units_for, fractions, raw_parts, raw_terms
+
+Slots = tuple[BasePoly, ...]
+
+
+def normalise(spec: RingSpec, raw: list[BasePoly]) -> Slots:
+    """The n+1 h-slots of ``raw`` (stripped monomials, any number of slots; consumed)."""
+    n, cutoff, degree = spec.n, spec.base_cutoff, spec.mono_degree
+    for e in range(len(raw) - 1, n, -1):
+        poly = raw[e]
+        for j, rmono, rc in spec.h_rule:
+            acc = raw[e - (n + 1) + j]
+            for mono, c in poly.items():
+                prod = mono_mul(mono, rmono)
+                if prod and degree(prod) > cutoff:
+                    continue
+                acc[prod] = acc.get(prod, Fraction(0)) + c * rc
+    raw.extend({} for _ in range(n + 1 - len(raw)))
+    return tuple(
+        {mono: c for mono, c in poly.items() if c and not (mono and degree(mono) > cutoff)}
+        for poly in raw[: n + 1]
+    )
+
+
+def coerce(spec: RingSpec, parts) -> Slots:
+    raw = []
+    for poly in parts:
+        entry: BasePoly = {}
+        for mono, c in poly.items():
+            mono = _strip(mono)
+            entry[mono] = entry.get(mono, Fraction(0)) + Fraction(c)
+        raw.append(entry)
+    return normalise(spec, raw)
+
+
+def from_terms(spec: RingSpec, terms) -> Slots:
+    top = max((k for (k, _) in terms), default=0)
+    slots = [{} for _ in range(top + 1)]
+    for (k, mono), c in terms.items():
+        slots[k][mono] = c
+    return coerce(spec, slots)
+
+
+def add(spec: RingSpec, p: Slots, q: Slots) -> Slots:
+    raw = [dict(a) for a in p]
+    for acc, b in zip(raw, q):
+        for mono, c in b.items():
+            acc[mono] = acc.get(mono, Fraction(0)) + c
+    return normalise(spec, raw)
+
+
+def scale(spec: RingSpec, p: Slots, s: Fraction) -> Slots:
+    return normalise(spec, [{m: c * s for m, c in a.items()} for a in p])
+
+
+def mul(spec: RingSpec, p: Slots, q: Slots) -> Slots:
+    raw: list[BasePoly] = [{} for _ in range(2 * spec.n + 1)]
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            acc = raw[i + j]
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    mono = mono_mul(ma, mb)
+                    if mono and spec.mono_degree(mono) > spec.base_cutoff:
+                        continue
+                    acc[mono] = acc.get(mono, Fraction(0)) + ca * cb
+    return normalise(spec, raw)
+
+
+def inverse(spec: RingSpec, p: Slots) -> Slots:
+    s = Fraction(1) / p[0][()]
+    one = coerce(spec, [{(): 1}])
+    x = add(spec, one, scale(spec, p, -s))
+    acc, power = one, x
+    for _ in range(spec.n + spec.base_cutoff + 1):
+        acc = add(spec, acc, power)
+        power = mul(spec, power, x)
+    assert not any(power)
+    return scale(spec, acc, s)
+
+
+def slots(value: CohClass) -> Slots:
+    """A kernel class in the oracle's form."""
+    out: list[BasePoly] = [{} for _ in range(value.spec.n + 1)]
+    for k, mono, c in value.terms():
+        out[k][mono] = c
+    return tuple(out)
+
+
+def spec_id(spec: RingSpec) -> str:
+    return f"n{spec.n}-gens{len(spec.base)}-cutoff{spec.base_cutoff}-rule{len(spec.h_rule)}"
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+@given(st.data())
+def test_kernel_matches_the_slot_dict_oracle(spec, data):
+    parts = data.draw(raw_parts(spec))
+    terms = data.draw(raw_terms(spec))
+    c = data.draw(fractions)
+    a, b = CohClass(spec, parts), CohClass.from_terms(spec, terms)
+    pa, pb = coerce(spec, parts), from_terms(spec, terms)
+    assert slots(a) == pa
+    assert slots(b) == pb
+    assert slots(a + b) == add(spec, pa, pb)
+    assert slots(a - b) == add(spec, pa, scale(spec, pb, Fraction(-1)))
+    assert slots(-a) == scale(spec, pa, Fraction(-1))
+    assert slots(a * c) == slots(c * a) == scale(spec, pa, c)
+    assert slots(a * b) == mul(spec, pa, pb)
+    assert slots(a * a) == mul(spec, pa, pa)
+    unit = data.draw(coh_units_for(spec))
+    assert slots(unit.inverse()) == inverse(spec, slots(unit))
+    top = a.integrate()
+    if spec.is_relative:
+        assert slots(top) == coerce(spec, [pa[spec.n]])
+    else:
+        assert top == pa[spec.n].get((), Fraction(0))

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,16 @@ from hypothesis import strategies as st
 from gwone.relative import relative_ring
 from gwone.rings import CohClass, NotInvertibleError, RingSpec, SpecMismatchError
 
-from strategies import coh_classes, coh_triples, coh_units, coh_units_for, fractions, specs
+from strategies import (
+    coh_classes,
+    coh_triples,
+    coh_units,
+    coh_units_for,
+    fractions,
+    raw_parts,
+    raw_terms,
+    specs,
+)
 
 N4 = RingSpec.absolute(4)
 
@@ -133,28 +144,6 @@ def assert_normal_form(value):
         assert spec.mono_degree(mono) <= spec.base_cutoff
 
 
-def raw_monos(spec):
-    """Monomials as a caller may write them: some unstripped, some above the cutoff."""
-    exponents = st.lists(st.integers(0, spec.base_cutoff + 1), max_size=len(spec.base))
-    return st.tuples(exponents, st.integers(0, 1)).map(lambda p: tuple(p[0]) + (0,) * p[1])
-
-
-def raw_coefficients():
-    return st.one_of(fractions, st.integers(-3, 3))
-
-
-def raw_parts(spec):
-    """Constructor input with up to 2n+2 h-slots."""
-    return st.lists(
-        st.dictionaries(raw_monos(spec), raw_coefficients(), max_size=3), max_size=2 * spec.n + 2
-    )
-
-
-def raw_terms(spec):
-    keys = st.tuples(st.integers(0, 2 * spec.n + 1), raw_monos(spec))
-    return st.dictionaries(keys, raw_coefficients(), max_size=4)
-
-
 @given(st.data())
 def test_every_result_is_in_normal_form(data):
     spec = data.draw(specs)
@@ -193,3 +182,41 @@ def test_constructor_rewrites_extra_h_slots():
     spec = relative_ring(2, 2)
     assert CohClass(spec, [{}, {}, {}, {(): 1}]) == CohClass.h_power(spec, 3)
     assert CohClass(RingSpec.absolute(2), [{}, {}, {}, {(): 1}]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "spec, mono",
+    [(N4, (-1,)), (N4, (1,)), (N4, (0, 2)), (UV, (0, -1)), (UV, (1, 0, 1)), (UV, (-1, 1, 0))],
+)
+def test_malformed_monomials_are_rejected(spec, mono):
+    with pytest.raises(ValueError, match=re.escape(repr(mono))):
+        CohClass(spec, [{mono: 1}])
+    with pytest.raises(ValueError, match=re.escape(repr(mono))):
+        CohClass.from_terms(spec, {(1, mono): 1})
+    with pytest.raises(ValueError, match=re.escape(repr(mono))):
+        CohClass.one(spec).coefficient(0, mono)
+
+
+def test_trailing_zero_exponents_are_not_malformed():
+    assert CohClass(N4, [{(0, 0): 3}]) == CohClass.scalar(N4, 3)
+    assert CohClass(UV, [{(1, 0, 0): 1}]) == CohClass.generator(UV, 0)
+    assert CohClass.generator(UV, 0).coefficient(0, (1, 0, 0)) == 1
+
+
+@given(st.data())
+def test_equal_but_distinct_specs_mix(data):
+    spec = data.draw(specs)
+    twin = dataclasses.replace(spec)
+    assert twin == spec and twin is not spec
+    terms_a, terms_b = data.draw(raw_terms(spec)), data.draw(raw_terms(spec))
+    a, b = CohClass.from_terms(spec, terms_a), CohClass.from_terms(spec, terms_b)
+    a2, b2 = CohClass.from_terms(twin, terms_a), CohClass.from_terms(twin, terms_b)
+    assert a2 == a and b2 == b
+    assert a + b2 == a2 + b == a + b
+    assert a * b2 == a2 * b == a * b
+    assert a2 - b == a - b
+
+
+def test_h_rule_monomial_with_a_negative_exponent_is_rejected():
+    with pytest.raises(ValueError, match="negative exponent"):
+        RingSpec.relative(2, (("u", 1),), 3, [(0, (-1,), Fraction(1))])
