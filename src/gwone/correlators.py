@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .laurent import LaurentPoly
@@ -74,7 +74,7 @@ class CIModel:
             return Classification.CALABI_YAU
         return Classification.GENERAL_TYPE
 
-    @property
+    @cached_property
     def spec(self) -> RingSpec:
         return RingSpec.absolute(self.n)
 

@@ -3,6 +3,9 @@
 Coefficients are :class:`~gwone.rings.CohClass` values; exponents may be
 negative.  The coefficient of t^{-2-a} is where correlators store the a-th
 cotangent-power invariant, so extraction by exponent is the main read API.
+
+A product is one call of the ring kernel (``rings._convolve``), which builds
+no class per pair of t-coefficients.  Only nonzero classes are stored.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .rings import CohClass, NotInvertibleError, RingSpec, Scalar, SpecMismatchError
-from .rings import _geometric_series
+from .rings import _convolve, _geometric_series
 
 
 class LaurentPoly:
@@ -28,6 +31,14 @@ class LaurentPoly:
                 cleaned[exp] = cls
         self.spec = spec
         self._terms = cleaned
+
+    @classmethod
+    def _new(cls, spec: RingSpec, terms: dict[int, CohClass]) -> LaurentPoly:
+        """A polynomial from kernel-built terms: nonzero classes of ``spec``."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out._terms = terms
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -48,13 +59,17 @@ class LaurentPoly:
     @classmethod
     def linear(cls, spec: RingSpec, h_coeff: Scalar, t_coeff: Scalar) -> LaurentPoly:
         """The linear form h_coeff*h + t_coeff*t."""
-        return cls(
-            spec,
-            {
-                0: CohClass.from_terms(spec, {(1, ()): h_coeff}),
-                1: CohClass.scalar(spec, t_coeff),
-            },
-        )
+        basis = spec.basis
+        h, t = Fraction(h_coeff), Fraction(t_coeff)
+        terms = {}
+        if h:
+            # h * m_0 is basis element ``size``; when n = 0 it is h^{n+1}, rewritten by the h-rule.
+            h_part = basis.fold({}, {basis.size: h}) if spec.n == 0 else {basis.size: h}
+            if h_part:
+                terms[0] = CohClass._new(spec, h_part)
+        if t:
+            terms[1] = CohClass._new(spec, {0: t})
+        return cls._new(spec, terms)
 
     # -- inspection -------------------------------------------------------
 
@@ -102,23 +117,12 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.spec, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._new(self.spec, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: LaurentPoly | CohClass | Scalar) -> LaurentPoly:
         if isinstance(other, LaurentPoly):
             self._check(other)
-            out: dict[int, CohClass] = {}
-            for ea, ca in self._terms.items():
-                for eb, cb in other._terms.items():
-                    prod = ca * cb
-                    if prod.is_zero():
-                        continue
-                    exp = ea + eb
-                    if exp in out:
-                        out[exp] = out[exp] + prod
-                    else:
-                        out[exp] = prod
-            return LaurentPoly(self.spec, out)
+            return LaurentPoly._new(self.spec, _convolve(self.spec, self._terms, other._terms))
         return LaurentPoly(self.spec, {e: c * other for e, c in self._terms.items()})
 
     def __rmul__(self, other: Scalar) -> LaurentPoly:
@@ -134,12 +138,13 @@ class LaurentPoly:
 
     def shift_t(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
-        return LaurentPoly(self.spec, {e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._new(self.spec, {e + k: c for e, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.spec == other.spec and self._terms == other._terms
+        same_spec = self.spec is other.spec or self.spec == other.spec
+        return same_spec and self._terms == other._terms
 
     __hash__ = None  # type: ignore[assignment]
 

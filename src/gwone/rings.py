@@ -9,10 +9,15 @@ Each :class:`RingSpec` numbers its ring's basis once (its ``basis``): with
 the base monomials of degree <= cutoff listed as m_0 = 1, m_1, ..., m_{M-1}
 (``RingSpec.monomials``), the element h^k * m_i is the int k*M + i for
 0 <= k <= n.  A class is one dict from these ints to nonzero coefficients;
-absolute mode is the case M = 1, where h^k is simply k.  Products look
-each pair of basis elements up in the basis's monomial product table and
-never form a term the truncation drops; powers of h above n are rewritten
-through the h-rule, whose normal form of each h^k * m_i is built once.
+absolute mode is the case M = 1, where h^k is simply k.
+
+One kernel multiplies polynomials in t with class coefficients; a class is
+the t^0 case, so ``CohClass`` and ``LaurentPoly`` products share it.  Each
+operand becomes int numerators over its common denominator, each pair of
+basis elements is looked up in the monomial product table (no term the
+truncation drops is formed) and its int product is summed per power of t.
+Powers of h above n are then rewritten through the h-rule, whose normal form
+of each h^k * m_i is built once, and each sum becomes one ``Fraction``.
 
 Everything is immutable after construction, so values can be shared freely.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 Mono = tuple[int, ...]
@@ -170,10 +176,14 @@ class Basis:
         self.h_offset = [k * size for k in powers for _ in monos]
         self.mono_of = [i for _ in powers for i in range(size)]
         self.degree = [k + spec.mono_degree(mono) for k in powers for mono in monos]
-        # Rule terms whose monomial is above the cutoff vanish.
+        # Rule terms whose monomial is above the cutoff vanish.  Integral
+        # coefficients are kept as ints, so the product kernel's int sums
+        # fold through the h-rule without Fraction arithmetic.
         rule = [(j, index.get(_strip(mono)), Fraction(c)) for j, mono, c in spec.h_rule]
-        self._rule = [(j, r, c) for j, r, c in rule if r is not None]
-        self._tails: list[dict[int, Fraction]] = []
+        self._rule = [
+            (j, r, c.numerator if c.denominator == 1 else c) for j, r, c in rule if r is not None
+        ]
+        self._tails: list[dict[int, Scalar]] = []
 
     def mono_index(self, mono: Mono) -> int:
         """The index of a caller's monomial, or -1 when it is above the cutoff.
@@ -197,7 +207,7 @@ class Basis:
             )
         return -1
 
-    def tail(self, key: int) -> dict[int, Fraction]:
+    def tail(self, key: int) -> dict[int, Scalar]:
         """The normal form of h^k * m_i for k > n (``key`` >= ``top``).
 
         Tails are built in key order on first use, so each rewrite through
@@ -207,8 +217,8 @@ class Basis:
         while len(tails) <= key - top:
             k, i = divmod(top + len(tails), size)
             row = self.products[i]
-            acc: dict[int, Fraction] = {}
-            spill: dict[int, Fraction] = {}
+            acc: dict[int, Scalar] = {}
+            spill: dict[int, Scalar] = {}
             for j, r, c in self._rule:
                 m = row[r]
                 if m < 0:
@@ -219,10 +229,11 @@ class Basis:
             tails.append(self.fold(acc, spill))
         return tails[key - top]
 
-    def fold(self, acc: dict[int, Fraction], spill: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    def fold(self, acc: dict[int, Scalar], spill: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """The nonzero terms of ``acc`` plus ``spill`` (keys >= top) rewritten through ``tail``.
 
-        ``acc`` is consumed.
+        ``acc`` is consumed.  Tails hold an h-rule coefficient as an int when
+        it is integral, so int sums stay ints and Fraction sums Fractions.
         """
         for key, c in spill.items():
             for t, v in self.tail(key).items():
@@ -246,6 +257,69 @@ def _geometric_series(x, failure: str):
     if not power.is_zero():
         raise NotInvertibleError(failure)
     return acc
+
+
+def _denominator(terms: Mapping[int, CohClass]) -> int:
+    """The lcm of the denominators of every coefficient in ``terms``."""
+    # A loop, not lcm(*...): unpacking argument tuples of every length raised peak RSS.
+    den = 1
+    for cls in terms.values():
+        for c in cls._coeffs.values():
+            den = lcm(den, c.denominator)
+    return den
+
+
+def _convolve(
+    spec: RingSpec, left: Mapping[int, CohClass], right: Mapping[int, CohClass]
+) -> dict[int, CohClass]:
+    """The product of two polynomials in t with classes of ``spec`` as coefficients.
+
+    Maps each t-exponent of the product to its nonzero class; one class is
+    the exponent-0 case.  Each operand is taken as int numerators over its
+    common denominator, so every basis-pair product is one int product
+    summed into its output exponent.  Each output exponent is then rewritten
+    through the h-rule once (``Basis.fold``) and each surviving coefficient
+    becomes one ``Fraction`` over the product of the two denominators.
+    """
+    basis = spec.basis
+    top, products, h_offset, mono_of, tail = (
+        basis.top, basis.products, basis.h_offset, basis.mono_of, basis.tail
+    )
+    den_a, den_b = _denominator(left), _denominator(right)
+    rows = [
+        (ea, [(h_offset[a], products[mono_of[a]], c.numerator * (den_a // c.denominator))
+              for a, c in cls._coeffs.items()])
+        for ea, cls in left.items()
+    ]
+    cols = [
+        (eb, [(h_offset[b], mono_of[b], c.numerator * (den_b // c.denominator))
+              for b, c in cls._coeffs.items()])
+        for eb, cls in right.items()
+    ]
+    sums: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    for ea, row_terms in rows:
+        for eb, col_terms in cols:
+            slot = sums.get(ea + eb)
+            if slot is None:
+                slot = sums[ea + eb] = ({}, {})
+            acc, spill = slot
+            for ka, row, na in row_terms:
+                for kb, ib, nb in col_terms:
+                    m = row[ib]
+                    if m < 0:
+                        continue
+                    key = ka + kb + m
+                    if key < top:
+                        acc[key] = acc.get(key, 0) + na * nb
+                    elif tail(key):
+                        spill[key] = spill.get(key, 0) + na * nb
+    den = den_a * den_b
+    out: dict[int, CohClass] = {}
+    for e, (acc, spill) in sums.items():
+        coeffs = basis.fold(acc, spill)
+        if coeffs:
+            out[e] = CohClass._new(spec, {key: Fraction(v, den) for key, v in coeffs.items()})
+    return out
 
 
 class CohClass:
@@ -379,27 +453,8 @@ class CohClass:
                 return CohClass.zero(self.spec)
             return CohClass._new(self.spec, {key: c * other for key, c in self._coeffs.items()})
         self._check(other)
-        basis = self.spec.basis
-        top, products, h_offset, mono_of, tail = (
-            basis.top, basis.products, basis.h_offset, basis.mono_of, basis.tail
-        )
-        right = [(h_offset[b], mono_of[b], cb) for b, cb in other._coeffs.items()]
-        acc: dict[int, Fraction] = {}
-        spill: dict[int, Fraction] = {}
-        for a, ca in self._coeffs.items():
-            ka, row = h_offset[a], products[mono_of[a]]
-            for kb, ib, cb in right:
-                m = row[ib]
-                if m < 0:
-                    continue
-                key = ka + kb + m
-                if key < top:
-                    old = acc.get(key)
-                    acc[key] = ca * cb if old is None else old + ca * cb
-                elif tail(key):
-                    old = spill.get(key)
-                    spill[key] = ca * cb if old is None else old + ca * cb
-        return CohClass._new(self.spec, basis.fold(acc, spill))
+        product = _convolve(self.spec, {0: self}, {0: other})
+        return product[0] if product else CohClass._new(self.spec, {})
 
     def __rmul__(self, other: Scalar) -> CohClass:
         return self.__mul__(other)

@@ -27,7 +27,7 @@ class QSeries:
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the truncation allows")
         for c in coeffs:
-            if c.spec != spec:
+            if c.spec is not spec and c.spec != spec:
                 raise SpecMismatchError("coefficient from a different ring")
         while len(coeffs) < order + 1:
             coeffs.append(LaurentPoly.zero(spec))
@@ -83,7 +83,7 @@ class QSeries:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: QSeries) -> None:
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatchError("operands live in different rings")
         if self.order != other.order:
             raise ValueError("operands have different truncation orders")
@@ -137,7 +137,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return (
-            self.spec == other.spec
+            (self.spec is other.spec or self.spec == other.spec)
             and self.order == other.order
             and self._coeffs == other._coeffs
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from gwone.laurent import LaurentPoly
@@ -14,6 +16,9 @@ SPECS = [
     RingSpec.absolute(4),
     relative_ring(2, 2),
     RingSpec.relative(2, (("u", 1), ("v", 2)), 3),
+    # h^3 = u*h^2/2 - 2u^3/3: non-integral h-rule coefficients, degree-homogeneous
+    # so that every class without scalar part is nilpotent.
+    RingSpec.relative(2, (("u", 1),), 3, [(2, (1,), Fraction(1, 2)), (0, (3,), Fraction(-2, 3))]),
 ]
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)

@@ -1,12 +1,22 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gwone.laurent import LaurentPoly
 from gwone.rings import CohClass, NotInvertibleError, RingSpec
 
-from strategies import laurent_triples, laurent_units
+from strategies import (
+    SPECS,
+    coh_classes,
+    fractions,
+    laurent_polys,
+    laurent_triples,
+    laurent_units,
+    specs,
+)
 
 
 def t_power(spec, exp, coeff=1):
@@ -106,3 +116,51 @@ def test_str_rendering():
         {-2: h_class(spec, 3) * 2875, -3: h_class(spec, 4) * -5750},
     )
     assert str(q) == "2875*h^3*t^-2 - 5750*h^4*t^-3"
+
+
+def assert_stored_in_lowest_terms(cls: CohClass):
+    for c in cls._coeffs.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def assert_stored_normal(poly: LaurentPoly):
+    """No stored class is zero; every stored coefficient is a nonzero Fraction in lowest terms."""
+    for cls in poly._terms.values():
+        assert not cls.is_zero()
+        assert_stored_in_lowest_terms(cls)
+
+
+scalars = st.one_of(fractions, st.integers(-3, 3))
+
+
+@given(st.data())
+def test_results_store_only_normal_coefficients(data):
+    spec = data.draw(specs)
+    p, q = data.draw(laurent_polys(spec)), data.draw(laurent_polys(spec))
+    a, b = data.draw(coh_classes(spec)), data.draw(coh_classes(spec))
+    unit = data.draw(laurent_units())
+    linear = LaurentPoly.linear(spec, data.draw(scalars), data.draw(scalars))
+    for value in (p * q, p * p, unit.inverse(), linear, linear * p, p * a):
+        assert_stored_normal(value)
+    assert_stored_in_lowest_terms(a * b)
+
+
+RELATIVE_N0 = RingSpec.relative(0, (("u", 1),), 2, [(0, (1,), Fraction(3, 2))])
+
+
+@pytest.mark.parametrize("spec", [*SPECS, RingSpec.absolute(0), RELATIVE_N0])
+@given(h_coeff=scalars, t_coeff=scalars)
+def test_linear_matches_the_general_constructor(spec, h_coeff, t_coeff):
+    expected = LaurentPoly(
+        spec,
+        {0: CohClass.from_terms(spec, {(1, ()): h_coeff}), 1: CohClass.scalar(spec, t_coeff)},
+    )
+    assert LaurentPoly.linear(spec, h_coeff, t_coeff) == expected
+
+
+def test_linear_rewrites_h_when_n_is_zero():
+    assert LaurentPoly.linear(RingSpec.absolute(0), 1, 2) == t_power(RingSpec.absolute(0), 1, 2)
+    # h = 3u/2 there, so 2h = 3u.
+    three_u = CohClass.generator(RELATIVE_N0, 0) * 3
+    assert LaurentPoly.linear(RELATIVE_N0, 2, 0) == LaurentPoly.single(RELATIVE_N0, 0, three_u)

@@ -7,6 +7,10 @@ in full, with ``mono_mul`` and ``RingSpec.mono_degree`` in the inner loop,
 and ``normalise`` rewrites powers of h above n through the h-rule
 afterwards.  It is slow and independent of the basis tables, so the new
 kernel must agree with it term for term.
+
+``laurent_mul`` is the product of t-Laurent polynomials as it was before the
+fused kernel: one class product per pair of t-coefficients, summed per
+exponent, here with the slot-dict ``mul`` and ``add`` as the class product.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gwone.laurent import LaurentPoly
 from gwone.rings import BasePoly, CohClass, RingSpec, _strip, mono_mul
 
-from strategies import SPECS, coh_units_for, fractions, raw_parts, raw_terms
+from strategies import SPECS, coh_units_for, fractions, laurent_polys, raw_parts, raw_terms
 
 Slots = tuple[BasePoly, ...]
 
@@ -135,3 +140,36 @@ def test_kernel_matches_the_slot_dict_oracle(spec, data):
         assert slots(top) == coerce(spec, [pa[spec.n]])
     else:
         assert top == pa[spec.n].get((), Fraction(0))
+
+
+def laurent_mul(spec: RingSpec, p: LaurentPoly, q: LaurentPoly) -> dict[int, Slots]:
+    """The nonzero t-coefficients of p * q, one class product per pair of t-coefficients."""
+    out: dict[int, Slots] = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            prod = mul(spec, slots(ca), slots(cb))
+            e = ea + eb
+            out[e] = add(spec, out[e], prod) if e in out else prod
+    return {e: c for e, c in out.items() if any(c)}
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+@given(st.data())
+def test_laurent_product_matches_the_pairwise_oracle(spec, data):
+    p = data.draw(laurent_polys(spec, max_terms=4))
+    q = data.draw(laurent_polys(spec, max_terms=4))
+    product = p * q
+    assert {e: slots(c) for e, c in product.items()} == laurent_mul(spec, p, q)
+    assert product == q * p
+
+
+def test_laurent_products_that_cancel_store_nothing():
+    spec = RingSpec.absolute(4)
+    h3 = LaurentPoly.single(spec, 0, CohClass.h_power(spec, 3))
+    assert h3 * h3 == LaurentPoly.zero(spec)
+    assert (h3 * h3).support() == []
+    # (h/2 + t/3)(h/2 - t/3): the two t^1 products, over denominators 6, cancel.
+    p = LaurentPoly.linear(spec, Fraction(1, 2), Fraction(1, 3))
+    q = LaurentPoly.linear(spec, Fraction(1, 2), Fraction(-1, 3))
+    assert (p * q).support() == [0, 2]
+    assert laurent_mul(spec, p, q).keys() == {0, 2}
