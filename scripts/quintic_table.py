@@ -2,7 +2,7 @@
 """Print the quintic pipeline table: n_d, m_d, N_d and the lambda forms.
 
 Each degree sums 2^d comb terms, so the running time roughly doubles per
-degree: d = 8 takes about a second and d = 10 already several seconds.
+degree.
 """
 
 import argparse

@@ -319,6 +319,8 @@ class QuinticReport:
     immersed_counts: dict[int, Fraction]
 
     def row(self, d: int) -> CyRow:
+        if not 1 <= d <= len(self.rows):
+            raise IndexError(f"degree {d} is outside the report's range 1..{len(self.rows)}")
         return self.rows[d - 1]
 
 

@@ -14,7 +14,7 @@ coefficient paired against powers of the hyperplane class.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
@@ -124,23 +124,40 @@ def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPo
     return out
 
 
+def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentPoly:
+    """prod_{k=1}^d sum_j c_j * (h + k*t)^{n+1-j}: prod_j (h + alpha_j + k*t) over Chern roots.
+
+    ``chern`` is c_1..c_{n+1} or a prefix of it (c_0 = 1); zero classes are
+    skipped, and with none this is prod_k (h + k*t)^{n+1}, the Euler class on P^n.
+    """
+    out, top = LaurentPoly.one(spec), spec.n + 1
+    for k in range(1, d + 1):
+        base, powers = LaurentPoly.linear(spec, 1, k), [LaurentPoly.one(spec)]
+        for _ in range(top):
+            powers.append(powers[-1] * base)
+        factor = powers[top]
+        for j, cj in enumerate(chern, start=1):
+            if not cj.is_zero():
+                factor = factor + powers[top - j] * cj
+        out = out * factor
+    return out
+
+
 @lru_cache(maxsize=None)
 def phi(model: CIModel, d: int) -> LaurentPoly:
     """The degree-d hypergeometric Laurent polynomial of the model.
 
     For d = 0 the products are empty apart from the k = 0 factors, leaving
-    (prod l_i) * h^m, the class of the complete intersection itself.
+    (prod l_i) * h^m, the class of the complete intersection itself.  The
+    denominator is inverted once per (n, d), by P^n's own cached phi.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    spec = model.spec
-    numerator = phi_numerator(spec, model.degrees, d)
     if d == 0:
-        return numerator
-    denominator = LaurentPoly.one(spec)
-    for k in range(1, d + 1):
-        denominator = denominator * LaurentPoly.linear(spec, 1, k) ** (model.n + 1)
-    return numerator * denominator.inverse()
+        return phi_numerator(model.spec, model.degrees, d)
+    if not model.degrees:
+        return euler_class(model.spec, (), d).inverse()
+    return phi_numerator(model.spec, model.degrees, d) * phi(replace(model, degrees=()), d)
 
 
 @lru_cache(maxsize=None)

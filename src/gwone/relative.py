@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .correlators import phi_numerator
+from .correlators import euler_class, phi_numerator
 from .laurent import LaurentPoly
 from .rings import BasePoly, CohClass, RingSpec, generator_mono, mono_mul
 from .series import QSeries
@@ -107,28 +107,11 @@ def linear_cy_model(n: int, base_cutoff: int) -> RelativeModel:
 
 @lru_cache(maxsize=None)
 def relative_euler(model: RelativeModel, d: int) -> LaurentPoly:
-    """prod_{k=1}^d prod_j (h + alpha_j + k*t), via Chern-class expansion.
-
-    Each k-factor is sum_{j=0}^{n+1} c_j(V) * (h + k*t)^{n+1-j}, which is the
-    symmetric-function form of the product over Chern roots.
-    """
+    """prod_{k=1}^d prod_j (h + alpha_j + k*t), expanded in the Chern classes of V."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    spec = model.spec
-    chern = [model.chern_class(j) for j in range(model.n + 2)]
-    out = LaurentPoly.one(spec)
-    for k in range(1, d + 1):
-        base = LaurentPoly.linear(spec, 1, k)
-        powers = [LaurentPoly.one(spec)]
-        for _ in range(model.n + 1):
-            powers.append(powers[-1] * base)
-        factor = LaurentPoly.zero(spec)
-        for j, cj in enumerate(chern):
-            if cj.is_zero():
-                continue
-            factor = factor + powers[model.n + 1 - j] * cj
-        out = out * factor
-    return out
+    chern = tuple(model.chern_class(j) for j in range(1, model.n + 2))
+    return euler_class(model.spec, chern, d)
 
 
 @lru_cache(maxsize=None)

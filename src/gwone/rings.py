@@ -72,8 +72,8 @@ class RingSpec:
     """Shape of a truncated ring: fiber dimension, base generators, h-rule.
 
     ``h_rule`` rewrites h^{n+1}: each entry (j, mono, c) contributes
-    c * mono * h^j to the expansion of h^{n+1}.  An empty rule means
-    h^{n+1} = 0 (plain truncation, the absolute case).
+    c * mono * h^j to the expansion of h^{n+1}, and j + deg(mono) must be
+    n + 1.  An empty rule means h^{n+1} = 0 (plain truncation, the absolute case).
     """
 
     n: int
@@ -89,13 +89,18 @@ class RingSpec:
         for name, degree in self.base:
             if degree < 1:
                 raise ValueError(f"generator {name!r} must have degree >= 1")
-        for j, mono, _ in self.h_rule:
+        for j, mono, c in self.h_rule:
             if not 0 <= j <= self.n:
                 raise ValueError("h_rule exponent out of range")
             if len(mono) > len(self.base):
                 raise ValueError("h_rule monomial has too many generators")
             if any(e < 0 for e in mono):
                 raise ValueError("h_rule monomial has a negative exponent")
+            if (degree := j + self.mono_degree(mono)) != self.n + 1:
+                raise ValueError(
+                    f"h_rule term ({j}, {mono}, {c}) is not degree-homogeneous: "
+                    f"it has degree {degree}, not n + 1 = {self.n + 1}"
+                )
 
     @classmethod
     def absolute(cls, n: int) -> RingSpec:
@@ -245,8 +250,12 @@ class Basis:
 def _geometric_series(x, failure: str):
     """1 + x + x^2 + ... for a nilpotent ``CohClass`` or ``LaurentPoly`` x.
 
-    A nilpotent x has x^k = 0 by k = n + base_cutoff + 1; if it does not,
-    raises :class:`NotInvertibleError` with the message ``failure``.
+    Products and the h-rule preserve degree (h-exponent plus base degree),
+    since ``RingSpec`` admits only rule terms of degree n + 1.  Classes
+    without scalar part therefore span degrees 1..n + base_cutoff, and any
+    x whose coefficients have no scalar part has x^k = 0 by k = n + base_cutoff + 1.
+    If x^k does not vanish by then, raises :class:`NotInvertibleError` with
+    the message ``failure``.
     """
     acc, power = type(x).one(x.spec), x
     for _ in range(x.spec.n + x.spec.base_cutoff + 1):

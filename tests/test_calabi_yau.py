@@ -274,3 +274,11 @@ def test_quintic_degree_five_and_six_regression():
     )
     assert report.immersed_counts[5] == Fraction(229305888887625)
     assert report.immersed_counts[6] == Fraction(248249742118022000)
+
+
+@pytest.mark.parametrize("d", [0, -1, 3])
+def test_report_row_outside_its_degrees_is_rejected(d):
+    report = quintic_report(2)
+    assert report.row(1).degree == 1 and report.row(2).degree == 2
+    with pytest.raises(IndexError, match=rf"degree {d} is outside the report's range 1\.\.2"):
+        report.row(d)

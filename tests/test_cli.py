@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import re
+import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -399,3 +401,27 @@ def test_mirror_table_script_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(script, "verify_mirror_identity", _failing_mirror_report)
     assert script.main() == 1
     assert capsys.readouterr().out.splitlines()[-1] == "mirror identity to q^1: FAILS at q^1"
+
+
+def _readme_cli_lines():
+    """The ``gw ...`` lines of the code block under "## CLI" in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("gw ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example(capsys, line):
+    command, _, comment = line.partition("#")
+    expected_code = int(m.group(1)) if (m := re.search(r"exits (\d+)", comment)) else 0
+    try:
+        code = main(shlex.split(command)[1:])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == expected_code
+    if m := re.search(r"prints: (.*?)(?:\s{2,}|$)", comment):
+        assert capsys.readouterr().out.splitlines()[0] == m.group(1)
+
+
+def test_readme_cli_block_is_found():
+    assert len(_readme_cli_lines()) >= 10

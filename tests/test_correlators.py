@@ -7,10 +7,12 @@ from gwone.correlators import (
     Classification,
     ClassificationError,
     classify,
+    degree_vectors,
     fano_ge2_correlator,
     fano_index1_correlator,
     one_point_invariant,
     phi,
+    phi_numerator,
     pn_one_point,
 )
 from gwone.laurent import LaurentPoly
@@ -130,9 +132,14 @@ def test_index1_rejects_other_classes():
         fano_index1_correlator(QUINTIC, 1)
 
 
-def test_cubic_surface_has_27_lines():
-    lines = one_point_invariant(fano_index1_correlator(classify(3, (3,)), 1), 0, 1)
-    assert lines == 27
+@pytest.mark.parametrize(
+    "n, degrees, b, lines",
+    [(3, (3,), 1, 27), (4, (2, 2), 1, 16), (4, (4,), 2, 320)],
+    ids=["cubic-surface", "two-quadrics-in-p4", "quartic-threefold"],
+)
+def test_cubic_surface_has_27_lines(n, degrees, b, lines):
+    # the classical line counts of the index-one Fano sweep, as quoted in the README
+    assert one_point_invariant(fano_index1_correlator(classify(n, degrees), 1), 0, b) == lines
 
 
 def test_one_point_invariant_missing_exponent_is_zero():
@@ -162,3 +169,39 @@ def test_phi_divisible_by_h_to_the_m():
     model = classify(5, (2, 3))
     for _, cls in phi(model, 2).items():
         assert all(k >= model.m for k, _, _ in cls.terms())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_phi_matches_numerator_over_euler_inverse(n):
+    # oracle: every Fano and Calabi-Yau model inverts its own prod_k (h + k*t)^{n+1}
+    spec = RingSpec.absolute(n)
+    inverses = {}
+    for d in range(1, 4):
+        euler = LaurentPoly.one(spec)
+        for k in range(1, d + 1):
+            euler = euler * LaurentPoly.linear(spec, 1, k) ** (n + 1)
+        inverses[d] = euler.inverse()
+    for model in (classify(n, l) for l in degree_vectors(n + 1)):
+        for d in range(4):
+            numerator = phi_numerator(spec, model.degrees, d)
+            expected = numerator if d == 0 else numerator * inverses[d]
+            assert phi(model, d) == expected, (model, d)
+
+
+def test_fano_phis_invert_each_euler_class_once(monkeypatch):
+    # phi_1..phi_3 of all Fano models in P^1..P^6 share one inverse per (n, d)
+    phi.cache_clear()
+    calls = 0
+    inverse = LaurentPoly.inverse
+
+    def counting_inverse(self):
+        nonlocal calls
+        calls += 1
+        return inverse(self)
+
+    monkeypatch.setattr(LaurentPoly, "inverse", counting_inverse)
+    for n in range(1, 7):
+        for degrees in degree_vectors(n):
+            for d in range(1, 4):
+                phi(classify(n, degrees), d)
+    assert calls == 18

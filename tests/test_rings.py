@@ -220,3 +220,11 @@ def test_equal_but_distinct_specs_mix(data):
 def test_h_rule_monomial_with_a_negative_exponent_is_rejected():
     with pytest.raises(ValueError, match="negative exponent"):
         RingSpec.relative(2, (("u", 1),), 3, [(0, (-1,), Fraction(1))])
+
+
+def test_h_rule_that_is_not_degree_homogeneous_is_rejected():
+    # h^3 = u/2 would leave 1 + h without an inverse: h^12 = 0, but not within
+    # the n + base_cutoff + 1 = 6 powers the geometric series takes
+    message = "h_rule term (0, (1,), 1/2) is not degree-homogeneous"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RingSpec.relative(2, (("u", 1),), 3, [(0, (1,), Fraction(1, 2))])
