@@ -15,7 +15,7 @@ equations degree by degree yields the whole lambda table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, pairwise
@@ -114,10 +114,18 @@ class LambdaForm:
 
     alpha: Fraction
     beta: Fraction
+    # (spec, position) -> the shifted form; not part of the value.
+    _shifted: dict[tuple[RingSpec, int], LaurentPoly] = field(
+        default_factory=dict, init=False, repr=False, hash=False, compare=False
+    )
 
     def shifted(self, spec: RingSpec, position: int) -> LaurentPoly:
-        """The form evaluated at (h + position*t, t)."""
-        return LaurentPoly.linear(spec, self.alpha, self.alpha * position + self.beta)
+        """The form evaluated at (h + position*t, t), built once per (spec, position)."""
+        form = self._shifted.get((spec, position))
+        if form is None:
+            form = LaurentPoly.linear(spec, self.alpha, self.alpha * position + self.beta)
+            self._shifted[spec, position] = form
+        return form
 
     def __str__(self) -> str:
         return f"({self.alpha})*h + ({self.beta})*t"

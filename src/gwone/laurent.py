@@ -1,54 +1,67 @@
 """Finite Laurent polynomials in the equivariant parameter t.
 
-Coefficients are :class:`~gwone.rings.CohClass` values; exponents may be
-negative.  The coefficient of t^{-2-a} is where correlators store the a-th
-cotangent-power invariant, so extraction by exponent is the main read API.
+Coefficients are classes of one :class:`~gwone.rings.RingSpec`; exponents
+may be negative.  The coefficient of t^{-2-a} is where correlators store
+the a-th cotangent-power invariant, so extraction by exponent is the main
+read API.
 
-A product is one call of the ring kernel (``rings._convolve``), which builds
-no class per pair of t-coefficients.  Only nonzero classes are stored.
+A polynomial is stored as the int numerators of its classes, one dict per
+nonzero t-coefficient (``rings``' numbered basis keys to nonzero ints), over
+one positive denominator shared by the whole polynomial, in lowest terms,
+so equal polynomials store equal data.  Sums, negation, scalar products and
+``shift_t`` stay on ints; a product is one call of the ring kernel
+(``rings._convolve``) and one gcd.  A class is built only where a
+coefficient leaves the polynomial (``coefficient``, ``items``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping
 
-from .rings import CohClass, NotInvertibleError, RingSpec, Scalar, SpecMismatchError
-from .rings import _convolve, _geometric_series
+from .rings import CohClass, NotInvertibleError, Poly, RingSpec, Scalar, SpecMismatchError
+from .rings import _add, _convolve, _geometric_series, _lowest, _scaled, _times
 
 
 class LaurentPoly:
     """A finite t-Laurent polynomial with truncated-ring coefficients."""
 
-    __slots__ = ("spec", "_terms")
+    __slots__ = ("spec", "_num", "_den")
 
     def __init__(self, spec: RingSpec, terms: Mapping[int, CohClass]):
-        cleaned: dict[int, CohClass] = {}
+        classes: dict[int, CohClass] = {}
         for exp, cls in terms.items():
             if cls.spec is not spec and cls.spec != spec:
                 raise SpecMismatchError("coefficient from a different ring")
             if not cls.is_zero():
-                cleaned[exp] = cls
+                classes[exp] = cls
+        # Over the lcm of lowest-terms denominators the numerators stay in lowest terms.
+        den = 1
+        for cls in classes.values():
+            den = lcm(den, cls._den)
         self.spec = spec
-        self._terms = cleaned
+        self._num = {exp: _scaled(cls._num, den // cls._den) for exp, cls in classes.items()}
+        self._den = den
 
     @classmethod
-    def _new(cls, spec: RingSpec, terms: dict[int, CohClass]) -> LaurentPoly:
-        """A polynomial from kernel-built terms: nonzero classes of ``spec``."""
+    def _new(cls, spec: RingSpec, num: Poly, den: int) -> LaurentPoly:
+        """A polynomial from nonempty class numerators of ``spec``, in lowest terms over den."""
         out = object.__new__(cls)
         out.spec = spec
-        out._terms = terms
+        out._num = num
+        out._den = den
         return out
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, spec: RingSpec) -> LaurentPoly:
-        return cls(spec, {})
+        return cls._new(spec, {}, 1)
 
     @classmethod
     def one(cls, spec: RingSpec) -> LaurentPoly:
-        return cls(spec, {0: CohClass.one(spec)})
+        return cls._new(spec, {0: {0: 1}}, 1)
 
     @classmethod
     def single(cls, spec: RingSpec, t_exp: int, coeff: CohClass | Scalar) -> LaurentPoly:
@@ -61,69 +74,74 @@ class LaurentPoly:
         """The linear form h_coeff*h + t_coeff*t."""
         basis = spec.basis
         h, t = Fraction(h_coeff), Fraction(t_coeff)
-        terms = {}
-        if h:
-            # h * m_0 is basis element ``size``; when n = 0 it is h^{n+1}, rewritten by the h-rule.
-            h_part = basis.fold({}, {basis.size: h}) if spec.n == 0 else {basis.size: h}
-            if h_part:
-                terms[0] = CohClass._new(spec, h_part)
+        den = lcm(h.denominator, t.denominator)
+        h_num = {basis.size: h.numerator * (den // h.denominator)}
+        # h * m_0 is basis key ``size``; when n = 0 that is h^{n+1}, which ``fold`` rewrites.
+        h_part = basis.fold({}, h_num) if spec.n == 0 else basis.fold(h_num, {})
+        num = {}
+        if h_part:
+            num[0] = h_part
         if t:
-            terms[1] = CohClass._new(spec, {0: t})
-        return cls._new(spec, terms)
+            num[1] = {0: t.numerator * (den // t.denominator) * basis.tail_den}
+        return cls._new(spec, *_lowest(num, den * basis.tail_den))
 
     # -- inspection -------------------------------------------------------
 
     def coefficient(self, t_exp: int) -> CohClass:
-        return self._terms.get(t_exp, CohClass.zero(self.spec))
+        num = self._num.get(t_exp)
+        if num is None:
+            return CohClass.zero(self.spec)
+        return CohClass._reduced(self.spec, num, self._den)
 
     def support(self) -> list[int]:
-        return sorted(self._terms)
+        return sorted(self._num)
 
     def t_min(self) -> int:
-        return min(self._terms)
+        return min(self._num)
 
     def t_max(self) -> int:
-        return max(self._terms)
+        return max(self._num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def items(self) -> Iterator[tuple[int, CohClass]]:
-        return iter(sorted(self._terms.items()))
+        return iter([(exp, self.coefficient(exp)) for exp in sorted(self._num)])
 
     def is_homogeneous(self, total_degree: int) -> bool:
         """True when the t^j coefficient is concentrated in degree total-j."""
+        degree = self.spec.basis.degree
         return all(
-            cls.is_homogeneous(total_degree - exp) for exp, cls in self._terms.items()
+            degree[key] == total_degree - exp for exp, num in self._num.items() for key in num
         )
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other: LaurentPoly) -> None:
+    def _check(self, other: LaurentPoly | CohClass) -> None:
         if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatchError("operands live in different rings")
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         self._check(other)
-        merged = dict(self._terms)
-        for exp, cls in other._terms.items():
-            if exp in merged:
-                merged[exp] = merged[exp] + cls
-            else:
-                merged[exp] = cls
-        return LaurentPoly(self.spec, merged)
+        return LaurentPoly._new(self.spec, *_add(self._num, self._den, other._num, other._den))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._new(self.spec, {e: -c for e, c in self._terms.items()})
+        negated = {e: {key: -v for key, v in num.items()} for e, num in self._num.items()}
+        return LaurentPoly._new(self.spec, negated, self._den)
 
     def __mul__(self, other: LaurentPoly | CohClass | Scalar) -> LaurentPoly:
         if isinstance(other, LaurentPoly):
-            self._check(other)
-            return LaurentPoly._new(self.spec, _convolve(self.spec, self._terms, other._terms))
-        return LaurentPoly(self.spec, {e: c * other for e, c in self._terms.items()})
+            right = other._num
+        elif isinstance(other, CohClass):
+            right = {0: other._num}
+        else:
+            return LaurentPoly._new(self.spec, *_times(self._num, self._den, Fraction(other)))
+        self._check(other)
+        product = _convolve(self.spec.basis, self._num, self._den, right, other._den)
+        return LaurentPoly._new(self.spec, *product)
 
     def __rmul__(self, other: Scalar) -> LaurentPoly:
         return self.__mul__(other)
@@ -138,13 +156,13 @@ class LaurentPoly:
 
     def shift_t(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
-        return LaurentPoly._new(self.spec, {e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._new(self.spec, {e + k: num for e, num in self._num.items()}, self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         same_spec = self.spec is other.spec or self.spec == other.spec
-        return same_spec and self._terms == other._terms
+        return same_spec and self._den == other._den and self._num == other._num
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -169,12 +187,11 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         pieces = []
-        for exp in sorted(self._terms, reverse=True):
-            cls = self._terms[exp]
-            body = str(cls)
-            multi = sum(1 for _ in cls.terms()) > 1
+        for exp in sorted(self._num, reverse=True):
+            body = str(self.coefficient(exp))
+            multi = len(self._num[exp]) > 1
             if exp == 0:
-                pieces.append(f"({body})" if multi and len(self._terms) > 1 else body)
+                pieces.append(f"({body})" if multi and len(self._num) > 1 else body)
                 continue
             tpart = "t" if exp == 1 else f"t^{exp}"
             if body == "1":

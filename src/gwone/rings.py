@@ -2,22 +2,28 @@
 
 Values are elements of Q[h]/(h^{n+1}) or, when base generators are present,
 of (Q[s_1,...,s_g]/(degree > cutoff))[h] with powers of h above n rewritten
-through a configurable rule.  All coefficients are ``fractions.Fraction``;
-nothing here ever rounds.
+through a configurable rule.  Nothing here ever rounds.
 
 Each :class:`RingSpec` numbers its ring's basis once (its ``basis``): with
 the base monomials of degree <= cutoff listed as m_0 = 1, m_1, ..., m_{M-1}
 (``RingSpec.monomials``), the element h^k * m_i is the int k*M + i for
-0 <= k <= n.  A class is one dict from these ints to nonzero coefficients;
-absolute mode is the case M = 1, where h^k is simply k.
+0 <= k <= n.  A class is int numerators, one dict from these ints to
+nonzero ints, over one positive denominator, in lowest terms: the gcd of
+the denominator and every numerator is 1, and zero is ({}, 1).  Equal
+classes therefore store equal data.  ``fractions.Fraction`` values are
+built only where a coefficient leaves the class (``coefficient``,
+``terms``, ``scalar_part``, ``integrate``, ``__str__``).
 
-One kernel multiplies polynomials in t with class coefficients; a class is
-the t^0 case, so ``CohClass`` and ``LaurentPoly`` products share it.  Each
-operand becomes int numerators over its common denominator, each pair of
-basis elements is looked up in the monomial product table (no term the
-truncation drops is formed) and its int product is summed per power of t.
-Powers of h above n are then rewritten through the h-rule, whose normal form
-of each h^k * m_i is built once, and each sum becomes one ``Fraction``.
+Sums, scalar products and products act on polynomials in t with class
+numerators as coefficients (``_add``, ``_times``, ``_convolve``); a class is
+the t^0 case, so ``CohClass`` and ``LaurentPoly`` share this arithmetic.
+In a product each pair of basis elements is looked up in the monomial
+product table and its int product is summed per power of t; with an empty
+h-rule the loop over each operand's terms, ordered by power of h, ends at
+the truncation.  Powers of h above n are rewritten through the h-rule,
+whose normal form of each h^k * m_i is built once, as ints over one
+denominator per spec (1 when every rule coefficient is an integer).  Each
+result is reduced once, by one gcd over its denominator and numerators.
 
 Everything is immutable after construction, so values can be shared freely.
 """
@@ -27,11 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 Mono = tuple[int, ...]
 BasePoly = dict[Mono, Fraction]
+# Int numerators of one class, by basis key, and of a polynomial in t, by t-exponent.
+Numerators = dict[int, int]
+Poly = dict[int, Numerators]
 
 Scalar = Fraction | int
 
@@ -151,6 +160,50 @@ class RingSpec:
         return Basis(self)
 
 
+def _lowest(num: Poly, den: int) -> tuple[Poly, int]:
+    """``num`` over ``den`` > 0 divided by the gcd of ``den`` and every numerator."""
+    g = den
+    for cls in num.values():
+        if g == 1:
+            return num, den
+        g = gcd(g, *cls.values())
+    if g == 1:
+        return num, den
+    return {e: {key: v // g for key, v in cls.items()} for e, cls in num.items()}, den // g
+
+
+def _scaled(num: Numerators, factor: int) -> Numerators:
+    """``num`` times ``factor``; ``num`` itself for 1, since numerators are never mutated."""
+    return {key: v * factor for key, v in num.items()} if factor != 1 else num
+
+
+def _add(a: Poly, den_a: int, b: Poly, den_b: int) -> tuple[Poly, int]:
+    """a/den_a + b/den_b in lowest terms, with no zero numerator and no empty class."""
+    g = gcd(den_a, den_b)
+    sa, sb = den_b // g, den_a // g
+    out = {e: _scaled(cls, sa) for e, cls in a.items()}
+    for e, cls in b.items():
+        total = dict(out.get(e, {}))
+        for key, v in cls.items():
+            v = v * sb + total.get(key, 0)
+            if v:
+                total[key] = v
+            else:
+                del total[key]
+        if total:
+            out[e] = total
+        else:
+            out.pop(e, None)
+    return _lowest(out, den_a * sa)
+
+
+def _times(num: Poly, den: int, r: Fraction) -> tuple[Poly, int]:
+    """num/den times the rational r, in lowest terms."""
+    if not r:
+        return {}, 1
+    return _lowest({e: _scaled(cls, r.numerator) for e, cls in num.items()}, den * r.denominator)
+
+
 class Basis:
     """The numbered basis of a spec's ring, with its product tables.
 
@@ -158,12 +211,18 @@ class Basis:
     is k*M, ``mono_of[b]`` is i and ``degree[b]`` is k + deg(m_i);
     ``products[i][j]`` is the index of m_i * m_j, or -1 above the cutoff.
     An int b >= ``top`` = (n+1)*M numbers h^k * m_i with k > n the same
-    way; ``tail(b)`` is its normal form, rewritten through the h-rule.
+    way; ``tail(b)`` is its normal form, rewritten through the h-rule, as
+    int numerators over ``tail_den``.
+
+    Each rule term raises the base degree by at least 1, so a tail takes at
+    most base_cutoff rewrites, each by one rule coefficient: with R the lcm
+    of the rule's denominators, every tail is integral over
+    ``tail_den`` = R^base_cutoff, which is 1 for an integral rule.
     """
 
     __slots__ = (
-        "n", "size", "top", "monos", "index", "generators",
-        "products", "h_offset", "mono_of", "degree", "_rule", "_tails",
+        "n", "size", "top", "monos", "index", "generators", "products",
+        "h_offset", "mono_of", "degree", "tail_den", "_rule", "_rule_den", "_tails",
     )
 
     def __init__(self, spec: RingSpec):
@@ -181,14 +240,14 @@ class Basis:
         self.h_offset = [k * size for k in powers for _ in monos]
         self.mono_of = [i for _ in powers for i in range(size)]
         self.degree = [k + spec.mono_degree(mono) for k in powers for mono in monos]
-        # Rule terms whose monomial is above the cutoff vanish.  Integral
-        # coefficients are kept as ints, so the product kernel's int sums
-        # fold through the h-rule without Fraction arithmetic.
+        # Rule terms whose monomial is above the cutoff vanish.  The others
+        # are kept as int numerators over the lcm of their denominators.
         rule = [(j, index.get(_strip(mono)), Fraction(c)) for j, mono, c in spec.h_rule]
-        self._rule = [
-            (j, r, c.numerator if c.denominator == 1 else c) for j, r, c in rule if r is not None
-        ]
-        self._tails: list[dict[int, Scalar]] = []
+        rule = [(j, r, c) for j, r, c in rule if r is not None]
+        self._rule_den = lcm(*(c.denominator for _, _, c in rule))
+        self._rule = [(j, r, c.numerator * (self._rule_den // c.denominator)) for j, r, c in rule]
+        self.tail_den = self._rule_den**spec.base_cutoff
+        self._tails: list[Numerators] = []
 
     def mono_index(self, mono: Mono) -> int:
         """The index of a caller's monomial, or -1 when it is above the cutoff.
@@ -212,8 +271,8 @@ class Basis:
             )
         return -1
 
-    def tail(self, key: int) -> dict[int, Scalar]:
-        """The normal form of h^k * m_i for k > n (``key`` >= ``top``).
+    def tail(self, key: int) -> Numerators:
+        """The normal form of h^k * m_i for k > n (``key`` >= ``top``), over ``tail_den``.
 
         Tails are built in key order on first use, so each rewrite through
         the h-rule reads only tails already built.
@@ -222,8 +281,8 @@ class Basis:
         while len(tails) <= key - top:
             k, i = divmod(top + len(tails), size)
             row = self.products[i]
-            acc: dict[int, Scalar] = {}
-            spill: dict[int, Scalar] = {}
+            acc: Numerators = {}
+            spill: Numerators = {}
             for j, r, c in self._rule:
                 m = row[r]
                 if m < 0:
@@ -231,15 +290,16 @@ class Basis:
                 target = (k - self.n - 1 + j) * size + m
                 into = acc if target < top else spill
                 into[target] = into.get(target, 0) + c
-            tails.append(self.fold(acc, spill))
+            # The rule's ints are R times its coefficients, and the tail is integral over tail_den.
+            tails.append({t: v // self._rule_den for t, v in self.fold(acc, spill).items()})
         return tails[key - top]
 
-    def fold(self, acc: dict[int, Scalar], spill: Mapping[int, Scalar]) -> dict[int, Scalar]:
-        """The nonzero terms of ``acc`` plus ``spill`` (keys >= top) rewritten through ``tail``.
+    def fold(self, acc: Numerators, spill: Mapping[int, int]) -> Numerators:
+        """The nonzero numerators over ``tail_den`` of ``acc`` plus ``spill`` (keys >= top).
 
-        ``acc`` is consumed.  Tails hold an h-rule coefficient as an int when
-        it is integral, so int sums stay ints and Fraction sums Fractions.
+        ``spill`` is rewritten through ``tail``; ``acc`` is consumed.
         """
+        acc = _scaled(acc, self.tail_den)
         for key, c in spill.items():
             for t, v in self.tail(key).items():
                 old = acc.get(t)
@@ -268,44 +328,26 @@ def _geometric_series(x, failure: str):
     return acc
 
 
-def _denominator(terms: Mapping[int, CohClass]) -> int:
-    """The lcm of the denominators of every coefficient in ``terms``."""
-    # A loop, not lcm(*...): unpacking argument tuples of every length raised peak RSS.
-    den = 1
-    for cls in terms.values():
-        for c in cls._coeffs.values():
-            den = lcm(den, c.denominator)
-    return den
+def _convolve(basis: Basis, left: Poly, den_l: int, right: Poly, den_r: int) -> tuple[Poly, int]:
+    """(left/den_l) * (right/den_r) in lowest terms, for polynomials in t of class numerators.
 
-
-def _convolve(
-    spec: RingSpec, left: Mapping[int, CohClass], right: Mapping[int, CohClass]
-) -> dict[int, CohClass]:
-    """The product of two polynomials in t with classes of ``spec`` as coefficients.
-
-    Maps each t-exponent of the product to its nonzero class; one class is
-    the exponent-0 case.  Each operand is taken as int numerators over its
-    common denominator, so every basis-pair product is one int product
-    summed into its output exponent.  Each output exponent is then rewritten
-    through the h-rule once (``Basis.fold``) and each surviving coefficient
-    becomes one ``Fraction`` over the product of the two denominators.
+    Every basis-pair product is one int product summed into its output
+    t-exponent, and each output exponent is rewritten through the h-rule
+    once (``Basis.fold``, over ``tail_den``).  With an empty h-rule each
+    right operand's terms are visited in h-order and the loop ends at the
+    first key >= ``top``.  The result is reduced with one gcd.
     """
-    basis = spec.basis
-    top, products, h_offset, mono_of, tail = (
-        basis.top, basis.products, basis.h_offset, basis.mono_of, basis.tail
-    )
-    den_a, den_b = _denominator(left), _denominator(right)
+    top, products, h_offset, mono_of = basis.top, basis.products, basis.h_offset, basis.mono_of
+    truncates = not basis._rule  # h^{n+1} = 0: every key >= top vanishes
     rows = [
-        (ea, [(h_offset[a], products[mono_of[a]], c.numerator * (den_a // c.denominator))
-              for a, c in cls._coeffs.items()])
-        for ea, cls in left.items()
+        (ea, [(h_offset[a], products[mono_of[a]], na) for a, na in num.items()])
+        for ea, num in left.items()
     ]
     cols = [
-        (eb, [(h_offset[b], mono_of[b], c.numerator * (den_b // c.denominator))
-              for b, c in cls._coeffs.items()])
-        for eb, cls in right.items()
+        (eb, [(h_offset[b], mono_of[b], nb) for b, nb in sorted(num.items())])
+        for eb, num in right.items()
     ]
-    sums: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    sums: dict[int, tuple[Numerators, Numerators]] = {}
     for ea, row_terms in rows:
         for eb, col_terms in cols:
             slot = sums.get(ea + eb)
@@ -320,57 +362,68 @@ def _convolve(
                     key = ka + kb + m
                     if key < top:
                         acc[key] = acc.get(key, 0) + na * nb
-                    elif tail(key):
+                    elif truncates:
+                        break
+                    else:
                         spill[key] = spill.get(key, 0) + na * nb
-    den = den_a * den_b
-    out: dict[int, CohClass] = {}
-    for e, (acc, spill) in sums.items():
-        coeffs = basis.fold(acc, spill)
-        if coeffs:
-            out[e] = CohClass._new(spec, {key: Fraction(v, den) for key, v in coeffs.items()})
-    return out
+    product = {e: num for e, (acc, spill) in sums.items() if (num := basis.fold(acc, spill))}
+    return _lowest(product, den_l * den_r * basis.tail_den)
 
 
 class CohClass:
     """An element of the truncated ring described by a :class:`RingSpec`."""
 
-    __slots__ = ("spec", "_coeffs")
+    __slots__ = ("spec", "_num", "_den")
 
     def __init__(self, spec: RingSpec, parts: Iterable[Mapping[Mono, Scalar]]):
         """Coerce caller input, one dict per power of h (any number of them)."""
         basis = spec.basis
         size, top, mono_index = basis.size, basis.top, basis.mono_index
-        acc: dict[int, Fraction] = {}
-        spill: dict[int, Fraction] = {}
+        terms: dict[int, Fraction] = {}
         for k, poly in enumerate(parts):
             for mono, c in poly.items():
                 i = mono_index(mono)
-                if i < 0:
-                    continue
-                key = k * size + i
-                into = acc if key < top else spill
-                old = into.get(key)
-                into[key] = Fraction(c) if old is None else old + Fraction(c)
+                if i >= 0:
+                    key = k * size + i
+                    terms[key] = terms.get(key, 0) + Fraction(c)
+        den = lcm(*(c.denominator for c in terms.values()))
+        acc: Numerators = {}
+        spill: Numerators = {}
+        for key, c in terms.items():
+            into = acc if key < top else spill
+            into[key] = c.numerator * (den // c.denominator)
+        poly, den = _lowest({0: basis.fold(acc, spill)}, den * basis.tail_den)
         self.spec = spec
-        self._coeffs = basis.fold(acc, spill)
+        self._num, self._den = poly[0], den
 
     @classmethod
-    def _new(cls, spec: RingSpec, coeffs: dict[int, Fraction]) -> CohClass:
-        """A class from kernel-built coefficients: basis keys below top, nonzero Fractions."""
+    def _new(cls, spec: RingSpec, num: Numerators, den: int) -> CohClass:
+        """A class from nonzero numerators of basis keys below top, in lowest terms over den."""
         out = object.__new__(cls)
         out.spec = spec
-        out._coeffs = coeffs
+        out._num = num
+        out._den = den
         return out
+
+    @classmethod
+    def _of(cls, spec: RingSpec, poly: Poly, den: int) -> CohClass:
+        """The class of a polynomial result that has at most a t^0 term."""
+        return cls._new(spec, poly.get(0, {}), den)
+
+    @classmethod
+    def _reduced(cls, spec: RingSpec, num: Numerators, den: int) -> CohClass:
+        """A class from numerators below top over den > 0, not yet in lowest terms."""
+        return cls._of(spec, *_lowest({0: num}, den))
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, spec: RingSpec) -> CohClass:
-        return cls(spec, ())
+        return cls._new(spec, {}, 1)
 
     @classmethod
     def one(cls, spec: RingSpec) -> CohClass:
-        return cls.scalar(spec, 1)
+        return cls._new(spec, {0: 1}, 1)
 
     @classmethod
     def scalar(cls, spec: RingSpec, value: Scalar) -> CohClass:
@@ -399,30 +452,30 @@ class CohClass:
     # -- inspection -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def scalar_part(self) -> Fraction:
-        return self._coeffs.get(0, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def coefficient(self, h_exp: int, mono: Mono = ()) -> Fraction:
         basis = self.spec.basis
         i = basis.mono_index(tuple(mono))
         if i < 0 or not 0 <= h_exp <= self.spec.n:
             return Fraction(0)
-        return self._coeffs.get(h_exp * basis.size + i, Fraction(0))
+        return Fraction(self._num.get(h_exp * basis.size + i, 0), self._den)
 
     def terms(self) -> Iterator[tuple[int, Mono, Fraction]]:
         """(h-exponent, base monomial, coefficient) in basis order."""
         basis = self.spec.basis
-        for key in sorted(self._coeffs):
+        for key in sorted(self._num):
             k, i = divmod(key, basis.size)
-            yield k, basis.monos[i], self._coeffs[key]
+            yield k, basis.monos[i], Fraction(self._num[key], self._den)
 
     def degrees(self) -> set[int]:
         """Total degrees present, grading h by 1 and generator i by deg(i)."""
         degree = self.spec.basis.degree
-        return {degree[key] for key in self._coeffs}
+        return {degree[key] for key in self._num}
 
     def is_homogeneous(self, degree: int) -> bool:
         degs = self.degrees()
@@ -436,34 +489,21 @@ class CohClass:
 
     def __add__(self, other: CohClass) -> CohClass:
         self._check(other)
-        out = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            old = out.get(key)
-            if old is None:
-                out[key] = c
-                continue
-            total = old + c
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        return CohClass._new(self.spec, out)
+        total = _add({0: self._num}, self._den, {0: other._num}, other._den)
+        return CohClass._of(self.spec, *total)
 
     def __sub__(self, other: CohClass) -> CohClass:
         return self + (-other)
 
     def __neg__(self) -> CohClass:
-        return CohClass._new(self.spec, {key: -c for key, c in self._coeffs.items()})
+        return CohClass._new(self.spec, {key: -v for key, v in self._num.items()}, self._den)
 
     def __mul__(self, other: CohClass | Scalar) -> CohClass:
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return CohClass.zero(self.spec)
-            return CohClass._new(self.spec, {key: c * other for key, c in self._coeffs.items()})
+            return CohClass._of(self.spec, *_times({0: self._num}, self._den, Fraction(other)))
         self._check(other)
-        product = _convolve(self.spec, {0: self}, {0: other})
-        return product[0] if product else CohClass._new(self.spec, {})
+        product = _convolve(self.spec.basis, {0: self._num}, self._den, {0: other._num}, other._den)
+        return CohClass._of(self.spec, *product)
 
     def __rmul__(self, other: Scalar) -> CohClass:
         return self.__mul__(other)
@@ -480,7 +520,7 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         same_spec = self.spec is other.spec or self.spec == other.spec
-        return same_spec and self._coeffs == other._coeffs
+        return same_spec and self._den == other._den and self._num == other._num
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -501,9 +541,9 @@ class CohClass:
         """
         low = self.spec.n * self.spec.basis.size
         if not self.spec.is_relative:
-            return self._coeffs.get(low, Fraction(0))
-        base_part = {key - low: c for key, c in self._coeffs.items() if key >= low}
-        return CohClass._new(self.spec, base_part)
+            return Fraction(self._num.get(low, 0), self._den)
+        base_part = {key - low: v for key, v in self._num.items() if key >= low}
+        return CohClass._reduced(self.spec, base_part, self._den)
 
     # -- rendering --------------------------------------------------------
 

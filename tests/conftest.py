@@ -1,0 +1,10 @@
+"""Hypothesis profiles for the test suite.
+
+The default run uses hypothesis' own profile.  ``--hypothesis-profile=kernel``
+is the deeper pass over the ring kernel and its oracles: 1000 examples per
+property test and no per-example deadline.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("kernel", max_examples=1000, deadline=None)

@@ -109,6 +109,33 @@ def test_cy_term_two_teeth_explicit_product():
     assert term == expected
 
 
+def test_shifted_forms_are_built_once_per_spec_and_position():
+    spec = QUINTIC.spec
+    alpha, beta = Fraction(-3470312415625, 6), Fraction(-78111025000)
+    lam = LambdaForm(alpha, beta)
+    fresh = LambdaForm(alpha, beta)
+    form = lam.shifted(spec, 3)
+    assert lam.shifted(spec, 3) is form
+    assert form == LaurentPoly.linear(spec, alpha, alpha * 3 + beta)
+    assert lam.shifted(spec, 0) == LaurentPoly.linear(spec, alpha, beta)
+    # The cache is not part of the value: a form with cached shifts equals,
+    # hashes and prints as one without.
+    assert lam == fresh and hash(lam) == hash(fresh)
+    assert repr(lam) == repr(fresh) == f"LambdaForm(alpha={alpha!r}, beta={beta!r})"
+    assert str(lam) == str(fresh)
+    assert {1: lam} == {1: fresh}
+    assert lam != LambdaForm(alpha, beta + 1)
+
+
+def test_one_point_invariants_are_fractions():
+    corr = cy_correlator(QUINTIC, 1)
+    values = [one_point_invariant(corr, a, b) for a in range(3) for b in range(5)]
+    assert Fraction(2875) in values and Fraction(0) in values
+    assert all(type(v) is Fraction for v in values)
+    coefficients = [c for _, cls in corr.items() for _, _, c in cls.terms()]
+    assert coefficients and all(type(c) is Fraction for c in coefficients)
+
+
 def test_cy_term_missing_lambda():
     with pytest.raises(ValueError):
         cy_term(QUINTIC, Comb((0, 2)), {1: QUINTIC_LAMBDAS[1]})

@@ -15,7 +15,8 @@ from strategies import (
     laurent_polys,
     laurent_triples,
     laurent_units,
-    specs,
+    raw_terms,
+    strip_scalar,
 )
 
 
@@ -118,38 +119,63 @@ def test_str_rendering():
     assert str(q) == "2875*h^3*t^-2 - 5750*h^4*t^-3"
 
 
-def assert_stored_in_lowest_terms(cls: CohClass):
-    for c in cls._coeffs.values():
-        assert type(c) is Fraction and c != 0
-        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+def assert_canonical(value: CohClass | LaurentPoly):
+    """Int numerators of basis keys below top over one positive int denominator, in lowest terms.
 
-
-def assert_stored_normal(poly: LaurentPoly):
-    """No stored class is zero; every stored coefficient is a nonzero Fraction in lowest terms."""
-    for cls in poly._terms.values():
-        assert not cls.is_zero()
-        assert_stored_in_lowest_terms(cls)
+    No stored numerator is zero and a polynomial stores no empty class, so
+    zero is ({}, 1) and equal values store equal data.
+    """
+    if isinstance(value, CohClass):
+        classes = [value._num] if value._num else []
+    else:
+        assert all(type(e) is int for e in value._num)
+        classes = list(value._num.values())
+        assert all(classes), "empty class stored"
+    den, top = value._den, value.spec.basis.top
+    assert type(den) is int and den > 0
+    for num in classes:
+        for key, v in num.items():
+            assert type(key) is int and 0 <= key < top
+            assert type(v) is int and v != 0
+    assert gcd(den, *(v for num in classes for v in num.values())) == 1
 
 
 scalars = st.one_of(fractions, st.integers(-3, 3))
 
+RELATIVE_N0 = RingSpec.relative(0, (("u", 1),), 2, [(0, (1,), Fraction(3, 2))])
+CANONICAL_SPECS = [*SPECS, RingSpec.absolute(0), RELATIVE_N0]
 
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS)
 @given(st.data())
-def test_results_store_only_normal_coefficients(data):
-    spec = data.draw(specs)
+def test_every_operation_stores_canonical_numerators(spec, data):
     p, q = data.draw(laurent_polys(spec)), data.draw(laurent_polys(spec))
     a, b = data.draw(coh_classes(spec)), data.draw(coh_classes(spec))
-    unit = data.draw(laurent_units())
-    linear = LaurentPoly.linear(spec, data.draw(scalars), data.draw(scalars))
-    for value in (p * q, p * p, unit.inverse(), linear, linear * p, p * a):
-        assert_stored_normal(value)
-    assert_stored_in_lowest_terms(a * b)
+    c, d, k = data.draw(scalars), data.draw(scalars), data.draw(st.integers(-3, 3))
+    coh_unit = CohClass.scalar(spec, c or 1) + strip_scalar(b)
+    unit = LaurentPoly.single(spec, k, coh_unit) + LaurentPoly.single(spec, k - 1, strip_scalar(a))
+    linear = LaurentPoly.linear(spec, c, d)
+    built = [
+        CohClass.from_terms(spec, data.draw(raw_terms(spec))),
+        CohClass(spec, [{(): c}, {(): d}] * (spec.n + 1)),
+        CohClass.h_power(spec, 2 * spec.n + 1),
+        CohClass.scalar(spec, c),
+        CohClass.zero(spec),
+        CohClass.one(spec),
+        *(CohClass.generator(spec, i) for i in range(len(spec.base))),
+    ]
+    classes = [a, b, a + b, a - b, -a, a * b, a * a, a * c, c * a, coh_unit.inverse(), *built]
+    classes += [p.coefficient(e) for e in range(-5, 6)] + [cls for _, cls in p.items()]
+    if spec.is_relative:
+        classes.append(a.integrate())
+    polys = [p, p + q, p - q, -p, p * q, p * p, p * a, p * c, c * p, p.shift_t(k)]
+    polys += [unit, unit.inverse(), linear, linear * p, LaurentPoly.single(spec, k, a)]
+    polys += [LaurentPoly.single(spec, k, c), LaurentPoly.zero(spec), LaurentPoly.one(spec)]
+    for value in classes + polys:
+        assert_canonical(value)
 
 
-RELATIVE_N0 = RingSpec.relative(0, (("u", 1),), 2, [(0, (1,), Fraction(3, 2))])
-
-
-@pytest.mark.parametrize("spec", [*SPECS, RingSpec.absolute(0), RELATIVE_N0])
+@pytest.mark.parametrize("spec", CANONICAL_SPECS)
 @given(h_coeff=scalars, t_coeff=scalars)
 def test_linear_matches_the_general_constructor(spec, h_coeff, t_coeff):
     expected = LaurentPoly(

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gwone.laurent import LaurentPoly
 from gwone.relative import relative_ring
-from gwone.rings import CohClass, NotInvertibleError, RingSpec, SpecMismatchError
+from gwone.rings import Basis, CohClass, NotInvertibleError, RingSpec, SpecMismatchError
 
 from strategies import (
     coh_classes,
@@ -228,3 +229,64 @@ def test_h_rule_that_is_not_degree_homogeneous_is_rejected():
     message = "h_rule term (0, (1,), 1/2) is not degree-homogeneous"
     with pytest.raises(ValueError, match=re.escape(message)):
         RingSpec.relative(2, (("u", 1),), 3, [(0, (1,), Fraction(1, 2))])
+
+
+# -- kernel boundaries -----------------------------------------------------
+
+
+@given(coh_classes(N4), coh_classes(N4))
+def test_absolute_products_never_rewrite_through_the_h_rule(a, b):
+    """With an empty h-rule every key >= top vanishes, so a product stops at the truncation."""
+    calls = []
+    original = Basis.tail
+
+    def counted(self, key):
+        calls.append(key)
+        return original(self, key)
+
+    p = LaurentPoly(N4, {0: a, 1: b, -1: a * b})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Basis, "tail", counted)
+        a * b
+        b * a
+        a * a
+        p * p
+        p * a
+        (h(N4, 2) * h(N4, 3)).is_zero()
+    assert calls == []
+
+
+@given(coh_classes(RingSpec.relative(2, (("u", 1),), 3, [(2, (1,), Fraction(1, 2))])))
+def test_coefficients_leave_a_class_as_fractions(a):
+    spec = a.spec
+    values = [a.scalar_part, a.coefficient(1), a.coefficient(2, (1,)), a.coefficient(9)]
+    values += [c for _, _, c in a.terms()]
+    values += [c for _, _, c in (a.integrate() * 2).terms()]
+    values += [CohClass.one(spec).scalar_part, CohClass.scalar(spec, 3).coefficient(0)]
+    values += [(h(N4, 4) * 5).integrate(), CohClass.zero(N4).integrate(), h(N4).integrate()]
+    assert all(type(c) is Fraction for c in values)
+
+
+def test_integral_rule_products_build_no_fraction():
+    """An integral h-rule keeps the kernel on ints: no Fraction between operands and result."""
+    spec = relative_ring(2, 2)
+    a = CohClass.from_terms(spec, {(2, ()): Fraction(1, 3), (1, (1,)): 2, (0, (2,)): 5})
+    b = CohClass.from_terms(spec, {(2, (1,)): 7, (1, ()): Fraction(-1, 2)})
+    expected = a * b
+    calls = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counted))
+        product = a * b
+        p = LaurentPoly.single(spec, 1, a)
+        square = (p + LaurentPoly.single(spec, -1, b)) * p
+        assert calls == []
+        a.scalar_part  # the boundary does build one, so the count is live
+    assert len(calls) == 1
+    assert product == expected
+    assert square.coefficient(2) == a * a
