@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print the quintic pipeline table: n_d, m_d, N_d and the lambda forms.
 
-Each degree sums 2^d comb terms, so the running time roughly doubles per
-degree.
+Each degree sums 2^d combs, at most two ring products each, so the running
+time still roughly doubles per degree.
 """
 
 import argparse

@@ -11,10 +11,15 @@ carries no t^0 or t^{-1} terms, so the simple comb (0, d) -- whose
 contribution is phi_0 * lambda_d / t -- must cancel those two "error"
 coefficients of the sum of all other combs.  Solving the two cancellation
 equations degree by degree yields the whole lambda table.
+
+Each degree sums 2^d combs, at most two ring products each: consecutive
+combs in lexicographic order share all but their last one or two teeth, and
+:func:`cy_term` extends the prefix it shares with the comb it built last.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -114,36 +119,69 @@ class LambdaForm:
 
     alpha: Fraction
     beta: Fraction
-    # (spec, position) -> the shifted form; not part of the value.
-    _shifted: dict[tuple[RingSpec, int], LaurentPoly] = field(
+    # (spec, position, count) -> the tooth form; not part of the value.
+    _teeth: dict[tuple[RingSpec, int, int], LaurentPoly] = field(
         default_factory=dict, init=False, repr=False, hash=False, compare=False
     )
 
-    def shifted(self, spec: RingSpec, position: int) -> LaurentPoly:
-        """The form evaluated at (h + position*t, t), built once per (spec, position)."""
-        form = self._shifted.get((spec, position))
+    def tooth(self, spec: RingSpec, position: int, count: int) -> LaurentPoly:
+        """The form at (h + position*t, t) over count*t, built once per (spec, position, count)."""
+        form = self._teeth.get((spec, position, count))
         if form is None:
-            form = LaurentPoly.linear(spec, self.alpha, self.alpha * position + self.beta)
-            self._shifted[spec, position] = form
+            alpha, beta = self.alpha / count, self.beta / count
+            form = LaurentPoly.linear(spec, alpha, alpha * position + beta).shift_t(-1)
+            self._teeth[spec, position, count] = form
         return form
 
     def __str__(self) -> str:
         return f"({self.alpha})*h + ({self.beta})*t"
 
 
+class _Path(threading.local):
+    """The comb product cy_term built last in this thread, one entry per prefix
+    of its endpoints: entry k is (model, d_{k+1}, lambda_{Delta_k}, T_k) with
+    T_k = phi_{d_1} * prod_{i<=k} lambda_{Delta_i}(h + d_i t) / (k! t^k), and
+    entry 0 carries no form.  The entries hold their model and forms, so no
+    other object can take their ids and comparing them by identity is safe.
+    """
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[CIModel, int, LambdaForm | None, LaurentPoly]] = []
+
+
+_path = _Path()
+
+
 def cy_term(model: CIModel, comb: Comb, lambdas: Mapping[int, LambdaForm]) -> LaurentPoly:
-    """One comb's contribution: phi_{d_1} * prod lambda_{Delta_i}(h+d_i t, t) / (r! t^r)."""
-    spec = model.spec
-    out = phi(model, comb.endpoints[0])
-    for position, nxt in pairwise(comb.endpoints):
-        delta = nxt - position
+    """One comb's contribution: phi_{d_1} * prod lambda_{Delta_i}(h+d_i t, t) / (r! t^r).
+
+    The term keeps the longest prefix it shares with the comb built last
+    (same model, endpoints and form objects) and extends it one tooth at a
+    time, each tooth one product with a cached :meth:`LambdaForm.tooth`.  In
+    the lexicographic order of :func:`enumerate_combs` that is at most two
+    ring products per comb; the saved state is one comb's O(d) prefixes per
+    thread.
+    """
+    ends = comb.endpoints
+    forms = []
+    for delta in comb.deltas:
         if delta not in lambdas:
             raise ValueError(f"missing lambda for tooth degree {delta}")
-        out = out * lambdas[delta].shifted(spec, position)
-    r = comb.tooth_count
-    if r:
-        out = out.shift_t(-r) * Fraction(1, factorial(r))
-    return out
+        forms.append(lambdas[delta])
+    path = _path.entries
+    keep = 0
+    for (held_model, end, form, _), want_end, want_form in zip(path, ends, (None, *forms)):
+        if held_model is not model or end != want_end or form is not want_form:
+            break
+        keep += 1
+    del path[keep:]
+    if not path:
+        path.append((model, ends[0], None, phi(model, ends[0])))
+    for k in range(len(path), len(ends)):
+        lam = forms[k - 1]
+        term = path[-1][3] * lam.tooth(model.spec, ends[k - 1], k)
+        path.append((model, ends[k], lam, term))
+    return path[-1][3]
 
 
 def _require_calabi_yau(model: CIModel) -> None:
@@ -256,7 +294,7 @@ def solve_lambdas_up_to(model: CIModel, max_degree: int) -> dict[int, LambdaForm
 def cy_correlator(
     model: CIModel, d: int, lambdas: Mapping[int, LambdaForm] | None = None
 ) -> LaurentPoly:
-    """The degree-d Calabi-Yau correlator: the full sum over all 2^d combs."""
+    """The degree-d Calabi-Yau correlator: 2^d combs, at most two ring products each."""
     _require_calabi_yau(model)
     if d == 0:
         return phi(model, 0)

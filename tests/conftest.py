@@ -1,8 +1,8 @@
 """Hypothesis profiles for the test suite.
 
 The default run uses hypothesis' own profile.  ``--hypothesis-profile=kernel``
-is the deeper pass over the ring kernel and its oracles: 1000 examples per
-property test and no per-example deadline.
+is the deeper pass over the ring kernel, the comb terms and their oracles:
+1000 examples per property test and no per-example deadline.
 """
 
 from hypothesis import settings

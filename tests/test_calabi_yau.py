@@ -1,7 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import pairwise
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gwone import calabi_yau
 from gwone.calabi_yau import (
     Comb,
     LambdaForm,
@@ -40,6 +45,20 @@ OLD_TABULATED_LAMBDA_4 = LambdaForm(Fraction(-17351562078125, 6), Fraction(-3905
 CDGP_N5 = Fraction(229305888887625)
 
 
+def _definitional_term(model, comb, lambdas):
+    """The oracle for cy_term: phi_{d_1} times each form at (h + d_i t, t) from
+    left to right, then t^{-r} / r!."""
+    spec = model.spec
+    out = phi(model, comb.endpoints[0])
+    for position, nxt in pairwise(comb.endpoints):
+        lam = lambdas[nxt - position]
+        out = out * LaurentPoly.linear(spec, lam.alpha, lam.alpha * position + lam.beta)
+    r = comb.tooth_count
+    if r:
+        out = out.shift_t(-r) * Fraction(1, factorial(r))
+    return out
+
+
 def test_enumerate_combs_degree_one():
     assert [c.endpoints for c in enumerate_combs(1)] == [(0, 1), (1,)]
 
@@ -66,7 +85,7 @@ def test_cy_correlator_is_the_plain_comb_sum(n, degrees):
     for d in range(1, 6):
         brute = LaurentPoly.zero(model.spec)
         for comb in enumerate_combs(d):
-            brute = brute + cy_term(model, comb, lambdas)
+            brute = brute + _definitional_term(model, comb, lambdas)
         assert cy_correlator(model, d, lambdas) == brute, (degrees, d)
 
 
@@ -89,8 +108,8 @@ def test_cy_term_toothless_comb_is_phi():
 def test_cy_term_simple_comb():
     lam = QUINTIC_LAMBDAS[2]
     term = cy_term(QUINTIC, Comb((0, 2)), {2: lam})
-    expected = (phi(QUINTIC, 0) * lam.shifted(QUINTIC.spec, 0)).shift_t(-1)
-    assert term == expected
+    assert term == phi(QUINTIC, 0) * lam.tooth(QUINTIC.spec, 0, 1)
+    assert term == _definitional_term(QUINTIC, Comb((0, 2)), {2: lam})
 
 
 def test_cy_term_two_teeth_explicit_product():
@@ -109,22 +128,94 @@ def test_cy_term_two_teeth_explicit_product():
     assert term == expected
 
 
-def test_shifted_forms_are_built_once_per_spec_and_position():
+def test_tooth_forms_are_built_once_per_spec_position_and_count():
     spec = QUINTIC.spec
     alpha, beta = Fraction(-3470312415625, 6), Fraction(-78111025000)
     lam = LambdaForm(alpha, beta)
     fresh = LambdaForm(alpha, beta)
-    form = lam.shifted(spec, 3)
-    assert lam.shifted(spec, 3) is form
-    assert form == LaurentPoly.linear(spec, alpha, alpha * 3 + beta)
-    assert lam.shifted(spec, 0) == LaurentPoly.linear(spec, alpha, beta)
-    # The cache is not part of the value: a form with cached shifts equals,
+    form = lam.tooth(spec, 3, 2)
+    assert lam.tooth(spec, 3, 2) is form
+    for position in range(5):
+        for count in range(1, 5):
+            expected = LaurentPoly.linear(
+                spec, alpha / count, (alpha * position + beta) / count
+            ).shift_t(-1)
+            assert lam.tooth(spec, position, count) == expected
+    assert lam.tooth(classify(5, (3, 3)).spec, 3, 2) != form
+    # The cache is not part of the value: a form with cached teeth equals,
     # hashes and prints as one without.
     assert lam == fresh and hash(lam) == hash(fresh)
     assert repr(lam) == repr(fresh) == f"LambdaForm(alpha={alpha!r}, beta={beta!r})"
     assert str(lam) == str(fresh)
     assert {1: lam} == {1: fresh}
     assert lam != LambdaForm(alpha, beta + 1)
+
+
+ORACLE_DEGREE = 5
+ORACLE_MODELS = (QUINTIC, classify(5, (3, 3)))
+
+
+def _oracle_tables(model):
+    """The solved table and, per degree, a copy with that one form perturbed."""
+    solved = solve_lambdas_up_to(model, ORACLE_DEGREE)
+    perturbed = [
+        {**solved, e: LambdaForm(solved[e].alpha + 1, solved[e].beta - e)}
+        for e in range(1, ORACLE_DEGREE + 1)
+    ]
+    return [solved, *perturbed]
+
+
+ORACLE_TABLES = {model: _oracle_tables(model) for model in ORACLE_MODELS}
+
+combs = st.integers(1, ORACLE_DEGREE).flatmap(
+    lambda d: st.sets(st.integers(0, d - 1)).map(lambda s: Comb((*sorted(s), d)))
+)
+term_calls = st.tuples(
+    st.sampled_from(ORACLE_MODELS), st.integers(0, ORACLE_DEGREE), combs
+)
+
+
+@settings(deadline=None)
+@given(st.lists(term_calls, min_size=1, max_size=8))
+def test_cy_term_equals_the_definitional_product_in_any_order(calls):
+    # Models, tables and combs interleave in no particular order, so a stale
+    # prefix from another model, table or comb would show as a wrong term.
+    for model, table, comb in calls:
+        lambdas = ORACLE_TABLES[model][table]
+        assert cy_term(model, comb, lambdas) == _definitional_term(model, comb, lambdas)
+        assert len(calabi_yau._path.entries) <= comb.tooth_count + 1
+
+
+def test_threads_keep_their_own_paths():
+    quintic, other = ORACLE_MODELS
+    cy_term(quintic, Comb((0, 1, 3)), ORACLE_TABLES[quintic][0])
+    mine = list(calabi_yau._path.entries)
+
+    def in_thread():
+        fresh = list(calabi_yau._path.entries)
+        cy_term(other, Comb((0, 2)), ORACLE_TABLES[other][0])
+        return fresh, [entry[0] for entry in calabi_yau._path.entries]
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fresh, models = pool.submit(in_thread).result()
+    # A new thread starts with no path and does not see or replace this one.
+    assert fresh == [] and models == [other, other]
+    assert len(calabi_yau._path.entries) == len(mine)
+    assert all(held is entry for held, entry in zip(calabi_yau._path.entries, mine))
+
+
+def test_failed_cy_term_leaves_the_path_intact():
+    lambdas = ORACLE_TABLES[QUINTIC][0]
+    cy_term(QUINTIC, Comb((0, 1, 3, 4)), lambdas)
+    before = list(calabi_yau._path.entries)
+    # The comb shares the prefix (0, 1) but has no lambda for its tooth of degree 3.
+    with pytest.raises(ValueError, match="missing lambda for tooth degree 3"):
+        cy_term(QUINTIC, Comb((0, 1, 4)), {1: lambdas[1]})
+    assert len(calabi_yau._path.entries) == len(before)
+    assert all(held is entry for held, entry in zip(calabi_yau._path.entries, before))
+    for comb in (Comb((0, 1, 3, 4)), Comb((0, 1, 2, 4))):
+        assert cy_term(QUINTIC, comb, lambdas) == _definitional_term(QUINTIC, comb, lambdas)
+        assert len(calabi_yau._path.entries) <= comb.tooth_count + 1
 
 
 def test_one_point_invariants_are_fractions():
