@@ -15,6 +15,8 @@ equations degree by degree yields the whole lambda table.
 Each degree sums 2^d combs, at most two ring products each: consecutive
 combs in lexicographic order share all but their last one or two teeth, and
 :func:`cy_term` extends the prefix it shares with the comb it built last.
+The terms stream into :meth:`LaurentPoly.sum`, one pass and one reduction
+per degree, so no more than one comb's prefixes are held at a time.
 """
 
 from __future__ import annotations
@@ -200,13 +202,9 @@ def _require_calabi_yau(model: CIModel) -> None:
 def _partial_comb_sum(
     model: CIModel, d: int, lambdas: Mapping[int, LambdaForm]
 ) -> LaurentPoly:
-    """Sum of all degree-d comb terms except the simple comb (0, d)."""
-    out = LaurentPoly.zero(model.spec)
-    for comb in enumerate_combs(d):
-        if comb.is_simple():
-            continue
-        out = out + cy_term(model, comb, lambdas)
-    return out
+    """Sum of all degree-d comb terms except the simple comb (0, d), in one pass."""
+    terms = (cy_term(model, c, lambdas) for c in enumerate_combs(d) if not c.is_simple())
+    return LaurentPoly.sum(model.spec, terms)
 
 
 def _pure_h_multiple(cls: CohClass, h_exp: int) -> Fraction:

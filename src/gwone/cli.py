@@ -4,6 +4,8 @@ Output is deterministic (sorted keys, no timestamps, no environment
 lookups); rationals serialize as "p/q" strings, never floats.  Exit codes:
 0 success, 1 math-domain error (e.g. a general-type model) or a failed check
 (selftest, the mirror identity), 2 usage error.
+A Calabi-Yau request above degree 12 first prints one ``note:`` line with
+its 2^d comb count to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from . import acceptance
 from .calabi_yau import correlator, cy_correlator, quintic_report, solve_lambdas_up_to
-from .correlators import CIModel, classify, one_point_invariant, phi
+from .correlators import CIModel, Classification, classify, one_point_invariant, phi
 from .laurent import LaurentPoly
 from .mirror import verify_mirror_identity
 from .relative import (
@@ -92,6 +94,21 @@ def _model(args) -> CIModel:
     return classify(args.n, args.degrees)
 
 
+# Calabi-Yau degrees up to this one finish in seconds; each further degree doubles the time.
+_QUIET_MAX_DEGREE = 12
+
+
+def _note_combs(model: CIModel, degree: int) -> None:
+    """Say on stderr, before the work starts, that a Calabi-Yau request of a
+    degree above ``_QUIET_MAX_DEGREE`` sums 2^degree combs; stdout is untouched."""
+    if degree > _QUIET_MAX_DEGREE and model.classification is Classification.CALABI_YAU:
+        print(
+            f"note: degree {degree} sums 2^{degree} = {2**degree} combs; "
+            "the time doubles with each degree",
+            file=sys.stderr,
+        )
+
+
 def cmd_phi(args) -> tuple[dict, str]:
     value = phi(_model(args), args.d)
     return {"phi": laurent_to_json(value)}, str(value)
@@ -99,6 +116,7 @@ def cmd_phi(args) -> tuple[dict, str]:
 
 def cmd_correlator(args) -> tuple[dict, str]:
     model = _model(args)
+    _note_combs(model, args.d)
     value = correlator(model, args.d)
     fields = {
         "classification": model.classification.value,
@@ -108,12 +126,15 @@ def cmd_correlator(args) -> tuple[dict, str]:
 
 
 def cmd_invariant(args) -> tuple[dict, str]:
-    value = one_point_invariant(correlator(_model(args), args.d), args.a, args.b)
+    model = _model(args)
+    _note_combs(model, args.d)
+    value = one_point_invariant(correlator(model, args.d), args.a, args.b)
     return {"value": str(value)}, str(value)
 
 
 def cmd_cy(args) -> tuple[dict, str]:
     model = _model(args)
+    _note_combs(model, args.max_d)
     lambdas = solve_lambdas_up_to(model, args.max_d)
     correlators = {d: cy_correlator(model, d, lambdas) for d in range(args.max_d + 1)}
     fields = {
@@ -129,6 +150,7 @@ def cmd_cy(args) -> tuple[dict, str]:
 
 
 def cmd_quintic(args) -> tuple[dict, str]:
+    _note_combs(classify(4, (5,)), args.max_d)
     report = quintic_report(args.max_d)
     fields = {
         "n": {str(r.degree): str(r.n_d) for r in report.rows},
@@ -147,6 +169,7 @@ def cmd_quintic(args) -> tuple[dict, str]:
 
 def cmd_mirror(args) -> tuple[dict, str]:
     model = _model(args)
+    _note_combs(model, args.max_d)
     report = verify_mirror_identity(model, args.max_d)
     fields = {
         "a": {str(e): str(v) for e, v in sorted(report.mirror.a.items())},

@@ -10,24 +10,30 @@ nonzero t-coefficient (``rings``' numbered basis keys to nonzero ints), over
 one positive denominator shared by the whole polynomial, in lowest terms,
 so equal polynomials store equal data.  Sums, negation, scalar products and
 ``shift_t`` stay on ints; a product is one call of the ring kernel
-(``rings._convolve``) and one gcd.  A class is built only where a
-coefficient leaves the polynomial (``coefficient``, ``items``).
+(``rings._convolve``) and one gcd.  A polynomial prepares its operand lists
+for the kernel once, on its first use as a left or right factor, and keeps
+them while it lives; they depend on the value alone.  :meth:`LaurentPoly.sum`
+adds many polynomials, such as one comb degree's terms, in one pass with
+one reduction.  A class is built only where a coefficient leaves the
+polynomial (``coefficient``, ``items``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .rings import CohClass, NotInvertibleError, Poly, RingSpec, Scalar, SpecMismatchError
-from .rings import _add, _convolve, _geometric_series, _lowest, _scaled, _times
+from .rings import _add, _cols, _convolve, _geometric_series, _lowest, _rows, _scaled, _sum, _times
 
 
 class LaurentPoly:
     """A finite t-Laurent polynomial with truncated-ring coefficients."""
 
-    __slots__ = ("spec", "_num", "_den")
+    # _left and _right are this polynomial prepared as a product operand
+    # (``rings._rows``, ``rings._cols``), built on first use; not part of the value.
+    __slots__ = ("spec", "_num", "_den", "_left", "_right")
 
     def __init__(self, spec: RingSpec, terms: Mapping[int, CohClass]):
         classes: dict[int, CohClass] = {}
@@ -43,6 +49,7 @@ class LaurentPoly:
         self.spec = spec
         self._num = {exp: _scaled(cls._num, den // cls._den) for exp, cls in classes.items()}
         self._den = den
+        self._left = self._right = None
 
     @classmethod
     def _new(cls, spec: RingSpec, num: Poly, den: int) -> LaurentPoly:
@@ -51,6 +58,7 @@ class LaurentPoly:
         out.spec = spec
         out._num = num
         out._den = den
+        out._left = out._right = None
         return out
 
     # -- constructors -----------------------------------------------------
@@ -132,16 +140,31 @@ class LaurentPoly:
         negated = {e: {key: -v for key, v in num.items()} for e, num in self._num.items()}
         return LaurentPoly._new(self.spec, negated, self._den)
 
+    @classmethod
+    def sum(cls, spec: RingSpec, polys: Iterable[LaurentPoly]) -> LaurentPoly:
+        """The sum of ``polys`` (zero when there are none), in one pass over one
+        running denominator; a generator is consumed one polynomial at a time."""
+
+        def operands() -> Iterator[tuple[Poly, int]]:
+            for poly in polys:
+                if poly.spec is not spec and poly.spec != spec:
+                    raise SpecMismatchError("summand from a different ring")
+                yield poly._num, poly._den
+
+        return cls._new(spec, *_sum(operands()))
+
     def __mul__(self, other: LaurentPoly | CohClass | Scalar) -> LaurentPoly:
-        if isinstance(other, LaurentPoly):
-            right = other._num
-        elif isinstance(other, CohClass):
-            right = {0: other._num}
-        else:
+        if not isinstance(other, (LaurentPoly, CohClass)):
             return LaurentPoly._new(self.spec, *_times(self._num, self._den, Fraction(other)))
         self._check(other)
-        product = _convolve(self.spec.basis, self._num, self._den, right, other._den)
-        return LaurentPoly._new(self.spec, *product)
+        basis = self.spec.basis
+        if isinstance(other, CohClass):
+            cols = _cols(basis, {0: other._num})
+        elif (cols := other._right) is None:
+            cols = other._right = _cols(basis, other._num)
+        if (rows := self._left) is None:
+            rows = self._left = _rows(basis, self._num)
+        return LaurentPoly._new(self.spec, *_convolve(basis, rows, self._den, cols, other._den))
 
     def __rmul__(self, other: Scalar) -> LaurentPoly:
         return self.__mul__(other)

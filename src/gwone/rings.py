@@ -15,15 +15,20 @@ built only where a coefficient leaves the class (``coefficient``,
 ``terms``, ``scalar_part``, ``integrate``, ``__str__``).
 
 Sums, scalar products and products act on polynomials in t with class
-numerators as coefficients (``_add``, ``_times``, ``_convolve``); a class is
-the t^0 case, so ``CohClass`` and ``LaurentPoly`` share this arithmetic.
-In a product each pair of basis elements is looked up in the monomial
-product table and its int product is summed per power of t; with an empty
-h-rule the loop over each operand's terms, ordered by power of h, ends at
-the truncation.  Powers of h above n are rewritten through the h-rule,
-whose normal form of each h^k * m_i is built once, as ints over one
-denominator per spec (1 when every rule coefficient is an integer).  Each
-result is reduced once, by one gcd over its denominator and numerators.
+numerators as coefficients (``_add``, ``_sum``, ``_times``, ``_convolve``);
+a class is the t^0 case, so ``CohClass`` and ``LaurentPoly`` share this
+arithmetic.  A product takes each operand prepared as lists of basis terms
+(``_rows`` for the left factor, ``_cols`` for the right, ordered by power
+of h); a ``LaurentPoly`` prepares them once and keeps them.  Each pair of
+basis elements is looked up in the monomial product table and its int
+product is summed per power of t; with an empty h-rule the loop over the
+right operand's terms ends at the truncation, and only zeros are dropped.
+Otherwise powers of h above n are rewritten through the h-rule, whose
+normal form of each h^k * m_i is built once, as ints over one denominator
+per spec (1 when every rule coefficient is an integer).  ``_sum`` adds any
+number of terms, such as one comb degree's, in one pass over a running lcm
+denominator.  Each result is reduced once, by one gcd over its denominator
+and numerators.
 
 Everything is immutable after construction, so values can be shared freely.
 """
@@ -41,6 +46,9 @@ BasePoly = dict[Mono, Fraction]
 # Int numerators of one class, by basis key, and of a polynomial in t, by t-exponent.
 Numerators = dict[int, int]
 Poly = dict[int, Numerators]
+# A polynomial prepared as the left or the right operand of a product (``_rows``, ``_cols``).
+Rows = list[tuple[int, list[tuple[int, list[int], int]]]]
+Cols = list[tuple[int, list[tuple[int, int, int]]]]
 
 Scalar = Fraction | int
 
@@ -197,6 +205,34 @@ def _add(a: Poly, den_a: int, b: Poly, den_b: int) -> tuple[Poly, int]:
     return _lowest(out, den_a * sa)
 
 
+def _sum(terms: Iterable[tuple[Poly, int]]) -> tuple[Poly, int]:
+    """The sum of num/den over ``terms`` in lowest terms, in one pass.
+
+    The running sum is kept over the lcm of the denominators seen so far, is
+    rescaled in place only when a new denominator does not divide that lcm,
+    and is reduced once at the end.  Only dicts built here are mutated.
+    """
+    acc: Poly = {}
+    den = 1
+    for num, d in terms:
+        if den % d:
+            scale = d // gcd(den, d)
+            den *= scale
+            for cls in acc.values():
+                for key in cls:
+                    cls[key] *= scale
+        f = den // d
+        for e, cls in num.items():
+            total = acc.get(e)
+            if total is None:
+                acc[e] = {key: v * f for key, v in cls.items()}
+            else:
+                for key, v in cls.items():
+                    total[key] = total.get(key, 0) + v * f
+    out = {e: nonzero for e, cls in acc.items() if (nonzero := {k: v for k, v in cls.items() if v})}
+    return _lowest(out, den)
+
+
 def _times(num: Poly, den: int, r: Fraction) -> tuple[Poly, int]:
     """num/den times the rational r, in lowest terms."""
     if not r:
@@ -328,25 +364,38 @@ def _geometric_series(x, failure: str):
     return acc
 
 
-def _convolve(basis: Basis, left: Poly, den_l: int, right: Poly, den_r: int) -> tuple[Poly, int]:
-    """(left/den_l) * (right/den_r) in lowest terms, for polynomials in t of class numerators.
+def _rows(basis: Basis, poly: Poly) -> Rows:
+    """``poly`` as the left operand of :func:`_convolve`: per t-exponent, the
+    (h_offset, product-table row, numerator) of each basis term."""
+    h_offset, products, mono_of = basis.h_offset, basis.products, basis.mono_of
+    return [
+        (e, [(h_offset[a], products[mono_of[a]], na) for a, na in num.items()])
+        for e, num in poly.items()
+    ]
+
+
+def _cols(basis: Basis, poly: Poly) -> Cols:
+    """``poly`` as the right operand of :func:`_convolve`: per t-exponent, the
+    (h_offset, monomial index, numerator) of each basis term, in h-order."""
+    h_offset, mono_of = basis.h_offset, basis.mono_of
+    return [
+        (e, [(h_offset[b], mono_of[b], nb) for b, nb in sorted(num.items())])
+        for e, num in poly.items()
+    ]
+
+
+def _convolve(basis: Basis, rows: Rows, den_l: int, cols: Cols, den_r: int) -> tuple[Poly, int]:
+    """(left/den_l) * (right/den_r) in lowest terms, for polynomials in t of class numerators
+    given as prepared operands (``_rows`` of left, ``_cols`` of right).
 
     Every basis-pair product is one int product summed into its output
-    t-exponent, and each output exponent is rewritten through the h-rule
-    once (``Basis.fold``, over ``tail_den``).  With an empty h-rule each
-    right operand's terms are visited in h-order and the loop ends at the
-    first key >= ``top``.  The result is reduced with one gcd.
+    t-exponent.  With an empty h-rule each right operand's terms are visited
+    in h-order and the loop ends at the first key >= ``top``, so nothing
+    spills and only zeros are dropped; otherwise each output exponent is
+    rewritten through the h-rule once (``Basis.fold``, over ``tail_den``).
+    The result is reduced with one gcd.
     """
-    top, products, h_offset, mono_of = basis.top, basis.products, basis.h_offset, basis.mono_of
-    truncates = not basis._rule  # h^{n+1} = 0: every key >= top vanishes
-    rows = [
-        (ea, [(h_offset[a], products[mono_of[a]], na) for a, na in num.items()])
-        for ea, num in left.items()
-    ]
-    cols = [
-        (eb, [(h_offset[b], mono_of[b], nb) for b, nb in sorted(num.items())])
-        for eb, num in right.items()
-    ]
+    top, truncates = basis.top, not basis._rule  # h^{n+1} = 0: every key >= top vanishes
     sums: dict[int, tuple[Numerators, Numerators]] = {}
     for ea, row_terms in rows:
         for eb, col_terms in cols:
@@ -366,6 +415,14 @@ def _convolve(basis: Basis, left: Poly, den_l: int, right: Poly, den_r: int) -> 
                         break
                     else:
                         spill[key] = spill.get(key, 0) + na * nb
+    if truncates:
+        product = {}
+        for e, (acc, _) in sums.items():
+            if 0 in acc.values():  # a cancellation; rare, so the copy is too
+                acc = {k: v for k, v in acc.items() if v}
+            if acc:
+                product[e] = acc
+        return _lowest(product, den_l * den_r)
     product = {e: num for e, (acc, spill) in sums.items() if (num := basis.fold(acc, spill))}
     return _lowest(product, den_l * den_r * basis.tail_den)
 
@@ -502,7 +559,9 @@ class CohClass:
         if isinstance(other, (int, Fraction)):
             return CohClass._of(self.spec, *_times({0: self._num}, self._den, Fraction(other)))
         self._check(other)
-        product = _convolve(self.spec.basis, {0: self._num}, self._den, {0: other._num}, other._den)
+        basis = self.spec.basis
+        rows, cols = _rows(basis, {0: self._num}), _cols(basis, {0: other._num})
+        product = _convolve(basis, rows, self._den, cols, other._den)
         return CohClass._of(self.spec, *product)
 
     def __rmul__(self, other: Scalar) -> CohClass:

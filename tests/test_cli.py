@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from gwone import acceptance, cli
-from gwone.calabi_yau import cy_correlator
+from gwone.calabi_yau import LambdaForm, cy_correlator, quintic_report
 from gwone.cli import laurent_from_json, laurent_to_json, main
 from gwone.correlators import classify, phi
+from gwone.laurent import LaurentPoly
 from gwone.mirror import MirrorData, MirrorReport
 from gwone.relative import RelativeModel, relative_phi
 
@@ -425,3 +426,51 @@ def test_readme_cli_example(capsys, line):
 
 def test_readme_cli_block_is_found():
     assert len(_readme_cli_lines()) >= 10
+
+
+def test_degree_12_runs_without_a_note(capsys):
+    code, _, err = run_cli(capsys, "quintic", "--max-d", "12", "--format", "json")
+    assert code == 0
+    assert err == ""
+
+
+def _stub_comb_sums(monkeypatch):
+    """Stand-ins for the 2^d comb sums, so a degree-25 request returns at once."""
+
+    def lambdas(model, d):
+        return {e: LambdaForm(Fraction(0), Fraction(0)) for e in range(1, d + 1)}
+
+    monkeypatch.setattr(cli, "quintic_report", lambda d: quintic_report(1))
+    monkeypatch.setattr(cli, "solve_lambdas_up_to", lambdas)
+    monkeypatch.setattr(cli, "cy_correlator", lambda m, d, lambdas: LaurentPoly.zero(m.spec))
+    monkeypatch.setattr(cli, "correlator", lambda m, d: LaurentPoly.zero(m.spec))
+    monkeypatch.setattr(cli, "verify_mirror_identity", _failing_mirror_report)
+
+
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (("quintic", "--max-d", "13"), 13),
+        (("cy", "--n", "4", "--l", "5", "--max-d", "14"), 14),
+        (("mirror", "--n", "4", "--l", "5", "--max-d", "25"), 25),
+        (("correlator", "--n", "5", "--l", "3", "--l", "3", "--d", "13"), 13),
+        (("invariant", "--n", "4", "--l", "5", "--d", "13", "--a", "0", "--b", "1"), 13),
+        (("correlator", "--n", "4", "--l", "2", "--d", "13"), None),
+    ],
+    ids=["quintic", "cy", "mirror", "correlator", "invariant", "fano"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exponential_request_notes_its_comb_count(monkeypatch, capsys, argv, degree, fmt):
+    _stub_comb_sums(monkeypatch)
+    noted = run_cli(capsys, *argv, "--format", fmt)
+    if degree is None:
+        assert noted[2] == ""
+    else:
+        assert noted[2] == (
+            f"note: degree {degree} sums 2^{degree} = {2**degree} combs; "
+            "the time doubles with each degree\n"
+        )
+    monkeypatch.setattr(cli, "_QUIET_MAX_DEGREE", 99)
+    quiet = run_cli(capsys, *argv, "--format", fmt)
+    assert quiet[2] == ""
+    assert quiet[:2] == noted[:2]

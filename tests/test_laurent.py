@@ -1,12 +1,15 @@
+import copy
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gwone.laurent import LaurentPoly
-from gwone.rings import CohClass, NotInvertibleError, RingSpec
+from gwone.rings import CohClass, NotInvertibleError, RingSpec, SpecMismatchError
 
 from strategies import (
     SPECS,
@@ -171,6 +174,7 @@ def test_every_operation_stores_canonical_numerators(spec, data):
     polys = [p, p + q, p - q, -p, p * q, p * p, p * a, p * c, c * p, p.shift_t(k)]
     polys += [unit, unit.inverse(), linear, linear * p, LaurentPoly.single(spec, k, a)]
     polys += [LaurentPoly.single(spec, k, c), LaurentPoly.zero(spec), LaurentPoly.one(spec)]
+    polys += [LaurentPoly.sum(spec, [p, q, -p]), LaurentPoly.sum(spec, [p, -p])]
     for value in classes + polys:
         assert_canonical(value)
 
@@ -190,3 +194,55 @@ def test_linear_rewrites_h_when_n_is_zero():
     # h = 3u/2 there, so 2h = 3u.
     three_u = CohClass.generator(RELATIVE_N0, 0) * 3
     assert LaurentPoly.linear(RELATIVE_N0, 2, 0) == LaurentPoly.single(RELATIVE_N0, 0, three_u)
+
+
+def _stored(polys):
+    return [(copy.deepcopy(p._num), p._den) for p in polys]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@given(st.data())
+def test_sum_matches_a_left_fold_of_add(spec, data):
+    polys = data.draw(st.lists(laurent_polys(spec), max_size=6))
+    zero = LaurentPoly.zero(spec)
+    expected = reduce(add, polys, zero)
+    if data.draw(st.booleans()):
+        # the last summand cancels all the others
+        polys.append(-expected)
+        expected = zero
+    before = _stored(polys)
+    assert LaurentPoly.sum(spec, polys) == expected
+    assert LaurentPoly.sum(spec, (p for p in polys)) == expected
+    assert _stored(polys) == before
+
+
+def test_sum_of_nothing_is_zero():
+    spec = RingSpec.absolute(2)
+    assert LaurentPoly.sum(spec, []) == LaurentPoly.zero(spec)
+    assert LaurentPoly.sum(spec, iter(())) == LaurentPoly.zero(spec)
+
+
+def test_sum_rescales_only_its_own_running_total():
+    spec = RingSpec.absolute(3)
+    # Denominators 2, 4, 3, 5: the running lcm grows at the third and fourth summand.
+    polys = [
+        LaurentPoly.single(spec, 0, Fraction(1, 2)),
+        LaurentPoly.single(spec, 0, Fraction(1, 4)) + t_power(spec, -1, Fraction(3, 4)),
+        LaurentPoly.single(spec, 1, h_class(spec) * Fraction(2, 3)),
+        LaurentPoly.single(spec, 0, Fraction(-3, 4)) + t_power(spec, -1, Fraction(1, 5)),
+    ]
+    before = _stored(polys)
+    total = LaurentPoly.sum(spec, iter(polys))
+    assert total == reduce(add, polys)
+    h_term = t_power(spec, 1, h_class(spec) * Fraction(2, 3))
+    assert total == t_power(spec, -1, Fraction(19, 20)) + h_term
+    assert _stored(polys) == before
+    # A lone summand is copied, not shared, and cancelling summands store nothing.
+    assert LaurentPoly.sum(spec, polys[1:2])._num is not polys[1]._num
+    assert LaurentPoly.sum(spec, [polys[1], -polys[1]]).support() == []
+
+
+def test_sum_rejects_a_summand_from_another_ring():
+    p, q = t_power(RingSpec.absolute(2), 1), t_power(RingSpec.absolute(3), 1)
+    with pytest.raises(SpecMismatchError):
+        LaurentPoly.sum(RingSpec.absolute(2), [p, q])

@@ -24,7 +24,15 @@ from hypothesis import strategies as st
 from gwone.laurent import LaurentPoly
 from gwone.rings import BasePoly, CohClass, RingSpec, _strip, mono_mul
 
-from strategies import SPECS, coh_units_for, fractions, laurent_polys, raw_parts, raw_terms
+from strategies import (
+    SPECS,
+    coh_classes,
+    coh_units_for,
+    fractions,
+    laurent_polys,
+    raw_parts,
+    raw_terms,
+)
 
 Slots = tuple[BasePoly, ...]
 
@@ -161,6 +169,35 @@ def test_laurent_product_matches_the_pairwise_oracle(spec, data):
     product = p * q
     assert {e: slots(c) for e, c in product.items()} == laurent_mul(spec, p, q)
     assert product == q * p
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+@given(st.data())
+def test_prepared_operands_match_the_pairwise_oracle(spec, data):
+    """A polynomial prepares its left and right operand lists once and keeps
+    them; every product, before and after, agrees with the oracle."""
+    p = data.draw(laurent_polys(spec, max_terms=4))
+    q = data.draw(laurent_polys(spec, max_terms=4))
+    a = data.draw(coh_classes(spec))
+    fresh = LaurentPoly(spec, dict(p.items()))  # p's value with nothing prepared
+    text = repr(p)
+    expected = {
+        "p*q": laurent_mul(spec, p, q),
+        "q*p": laurent_mul(spec, q, p),
+        "p*p": laurent_mul(spec, p, p),
+        "p*a": laurent_mul(spec, p, LaurentPoly.single(spec, 0, a)),
+    }
+    for _ in range(2):  # the first pass prepares p and q, the second reuses them
+        products = {"p*q": p * q, "q*p": q * p, "p*p": p * p, "p*a": p * a}
+        for label, value in products.items():
+            assert {e: slots(c) for e, c in value.items()} == expected[label]
+        assert p == fresh and fresh == p
+        assert repr(p) == repr(fresh) == text
+    assert p._left is not None and p._right is not None
+    assert fresh._left is None and fresh._right is None
+    assert LaurentPoly.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(p)
 
 
 def test_laurent_products_that_cancel_store_nothing():
