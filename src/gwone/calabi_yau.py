@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, pairwise
+from itertools import pairwise
 from math import factorial
 from operator import add
 from typing import Callable, Mapping, TypeVar
@@ -82,13 +82,19 @@ class Comb:
 
 
 def enumerate_combs(d: int) -> list[Comb]:
-    """All 2^d combs of degree d, ordered lexicographically by endpoints."""
+    """All 2^d combs of degree d, ordered lexicographically by endpoints: a
+    depth-first walk, where the combs extending a prefix by x < d come first."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    subsets = chain.from_iterable(combinations(range(d), k) for k in range(d + 1))
-    return sorted(
-        (Comb(tuple(s) + (d,)) for s in subsets), key=lambda c: c.endpoints
-    )
+    combs: list[Comb] = []
+
+    def walk(prefix: tuple[int, ...], start: int) -> None:
+        for x in range(start, d):
+            walk(prefix + (x,), x + 1)
+        combs.append(Comb(prefix + (d,)))
+
+    walk((), 0)
+    return combs
 
 
 def _chain_sums(order: int, weight: Callable[[int, int], V]) -> dict[int, V]:

@@ -49,9 +49,9 @@ def coh_to_json(cls: CohClass) -> dict:
 
 def laurent_to_json(poly: LaurentPoly) -> list[dict]:
     out = []
-    for exp in sorted(poly.support(), reverse=True):
+    for exp, cls in reversed(list(poly.items())):
         entry: dict = {"t": exp}
-        entry.update(coh_to_json(poly.coefficient(exp)))
+        entry.update(coh_to_json(cls))
         out.append(entry)
     return out
 

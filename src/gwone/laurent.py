@@ -5,11 +5,13 @@ may be negative.  The coefficient of t^{-2-a} is where correlators store
 the a-th cotangent-power invariant, so extraction by exponent is the main
 read API.
 
-A polynomial is stored as the int numerators of its classes, one dict per
-nonzero t-coefficient (``rings``' numbered basis keys to nonzero ints), over
-one positive denominator shared by the whole polynomial, in lowest terms,
-so equal polynomials store equal data.  Sums, negation, scalar products and
-``shift_t`` stay on ints; a product is one call of the ring kernel
+A polynomial is stored as one dict of int numerators keyed by combined
+key e*stride + key (``rings``' numbered basis key of the term's class part,
+offset by its power of t; see ``rings.Basis.stride``), over one positive
+denominator, in lowest terms, so equal polynomials store equal data.  A
+class stores the same dict for t^0, so a class is a polynomial's
+coefficient without a copy of the layout.  Sums, negation, scalar products
+and ``shift_t`` stay on ints; a product is one call of the ring kernel
 (``rings._convolve``) and one gcd.  A polynomial prepares its operand lists
 for the kernel once, on its first use as a left or right factor, and keeps
 them while it lives; they depend on the value alone.  :meth:`LaurentPoly.sum`
@@ -24,8 +26,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping
 
-from .rings import CohClass, NotInvertibleError, Poly, RingSpec, Scalar, SpecMismatchError
-from .rings import _add, _cols, _convolve, _geometric_series, _lowest, _rows, _scaled, _sum, _times
+from .rings import CohClass, NotInvertibleError, Numerators, RingSpec, Scalar, SpecMismatchError
+from .rings import _add, _cols, _convolve, _geometric_series, _lowest, _rows, _sum, _times
 
 
 class LaurentPoly:
@@ -36,24 +38,20 @@ class LaurentPoly:
     __slots__ = ("spec", "_num", "_den", "_left", "_right")
 
     def __init__(self, spec: RingSpec, terms: Mapping[int, CohClass]):
-        classes: dict[int, CohClass] = {}
-        for exp, cls in terms.items():
+        stride = spec.basis.stride
+        for cls in terms.values():
             if cls.spec is not spec and cls.spec != spec:
                 raise SpecMismatchError("coefficient from a different ring")
-            if not cls.is_zero():
-                classes[exp] = cls
-        # Over the lcm of lowest-terms denominators the numerators stay in lowest terms.
-        den = 1
-        for cls in classes.values():
-            den = lcm(den, cls._den)
         self.spec = spec
-        self._num = {exp: _scaled(cls._num, den // cls._den) for exp, cls in classes.items()}
-        self._den = den
+        self._num, self._den = _sum(
+            ({exp * stride + key: v for key, v in cls._num.items()}, cls._den)
+            for exp, cls in terms.items()
+        )
         self._left = self._right = None
 
     @classmethod
-    def _new(cls, spec: RingSpec, num: Poly, den: int) -> LaurentPoly:
-        """A polynomial from nonempty class numerators of ``spec``, in lowest terms over den."""
+    def _new(cls, spec: RingSpec, num: Numerators, den: int) -> LaurentPoly:
+        """A polynomial from nonzero numerators by combined key, in lowest terms over den."""
         out = object.__new__(cls)
         out.spec = spec
         out._num = num
@@ -69,7 +67,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, spec: RingSpec) -> LaurentPoly:
-        return cls._new(spec, {0: {0: 1}}, 1)
+        return cls._new(spec, {0: 1}, 1)
 
     @classmethod
     def single(cls, spec: RingSpec, t_exp: int, coeff: CohClass | Scalar) -> LaurentPoly:
@@ -83,45 +81,47 @@ class LaurentPoly:
         basis = spec.basis
         h, t = Fraction(h_coeff), Fraction(t_coeff)
         den = lcm(h.denominator, t.denominator)
-        h_num = {basis.size: h.numerator * (den // h.denominator)}
-        # h * m_0 is basis key ``size``; when n = 0 that is h^{n+1}, which ``fold`` rewrites.
-        h_part = basis.fold({}, h_num) if spec.n == 0 else basis.fold(h_num, {})
-        num = {}
-        if h_part:
-            num[0] = h_part
+        h_num = h.numerator * (den // h.denominator)
+        # h * m_0 is basis key ``size``; when n = 0 that is h^{n+1}, which ``normal`` rewrites.
+        num = {key: h_num * v for key, v in basis.normal(basis.size).items()} if h_num else {}
         if t:
-            num[1] = {0: t.numerator * (den // t.denominator) * basis.tail_den}
+            num[basis.stride] = t.numerator * (den // t.denominator) * basis.tail_den
         return cls._new(spec, *_lowest(num, den * basis.tail_den))
 
     # -- inspection -------------------------------------------------------
 
     def coefficient(self, t_exp: int) -> CohClass:
-        num = self._num.get(t_exp)
-        if num is None:
-            return CohClass.zero(self.spec)
+        stride = self.spec.basis.stride
+        low = t_exp * stride
+        num = {c - low: v for c, v in self._num.items() if low <= c < low + stride}
         return CohClass._reduced(self.spec, num, self._den)
 
     def support(self) -> list[int]:
-        return sorted(self._num)
+        stride = self.spec.basis.stride
+        return sorted({c // stride for c in self._num})
 
     def t_min(self) -> int:
-        return min(self._num)
+        return min(self._num) // self.spec.basis.stride
 
     def t_max(self) -> int:
-        return max(self._num)
+        return max(self._num) // self.spec.basis.stride
 
     def is_zero(self) -> bool:
         return not self._num
 
     def items(self) -> Iterator[tuple[int, CohClass]]:
-        return iter([(exp, self.coefficient(exp)) for exp in sorted(self._num)])
+        """(t-exponent, coefficient) for each nonzero coefficient, ascending, in one pass."""
+        stride, spec, den = self.spec.basis.stride, self.spec, self._den
+        groups: dict[int, Numerators] = {}
+        for c, v in self._num.items():
+            e, key = divmod(c, stride)
+            groups.setdefault(e, {})[key] = v
+        return iter([(e, CohClass._reduced(spec, groups[e], den)) for e in sorted(groups)])
 
     def is_homogeneous(self, total_degree: int) -> bool:
         """True when the t^j coefficient is concentrated in degree total-j."""
-        degree = self.spec.basis.degree
-        return all(
-            degree[key] == total_degree - exp for exp, num in self._num.items() for key in num
-        )
+        degree, stride = self.spec.basis.degree, self.spec.basis.stride
+        return all(degree[c % stride] == total_degree - c // stride for c in self._num)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -137,15 +137,14 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> LaurentPoly:
-        negated = {e: {key: -v for key, v in num.items()} for e, num in self._num.items()}
-        return LaurentPoly._new(self.spec, negated, self._den)
+        return LaurentPoly._new(self.spec, {c: -v for c, v in self._num.items()}, self._den)
 
     @classmethod
     def sum(cls, spec: RingSpec, polys: Iterable[LaurentPoly]) -> LaurentPoly:
         """The sum of ``polys`` (zero when there are none), in one pass over one
         running denominator; a generator is consumed one polynomial at a time."""
 
-        def operands() -> Iterator[tuple[Poly, int]]:
+        def operands() -> Iterator[tuple[Numerators, int]]:
             for poly in polys:
                 if poly.spec is not spec and poly.spec != spec:
                     raise SpecMismatchError("summand from a different ring")
@@ -159,7 +158,7 @@ class LaurentPoly:
         self._check(other)
         basis = self.spec.basis
         if isinstance(other, CohClass):
-            cols = _cols(basis, {0: other._num})
+            cols = _cols(basis, other._num)
         elif (cols := other._right) is None:
             cols = other._right = _cols(basis, other._num)
         if (rows := self._left) is None:
@@ -179,7 +178,8 @@ class LaurentPoly:
 
     def shift_t(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
-        return LaurentPoly._new(self.spec, {e + k: num for e, num in self._num.items()}, self._den)
+        shift = k * self.spec.basis.stride
+        return LaurentPoly._new(self.spec, {c + shift: v for c, v in self._num.items()}, self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -210,11 +210,12 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         pieces = []
-        for exp in sorted(self._num, reverse=True):
-            body = str(self.coefficient(exp))
-            multi = len(self._num[exp]) > 1
+        coefficients = list(self.items())
+        for exp, cls in reversed(coefficients):
+            body = str(cls)
+            multi = len(cls._num) > 1
             if exp == 0:
-                pieces.append(f"({body})" if multi and len(self._num) > 1 else body)
+                pieces.append(f"({body})" if multi and len(coefficients) > 1 else body)
                 continue
             tpart = "t" if exp == 1 else f"t^{exp}"
             if body == "1":

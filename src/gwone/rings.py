@@ -7,28 +7,32 @@ through a configurable rule.  Nothing here ever rounds.
 Each :class:`RingSpec` numbers its ring's basis once (its ``basis``): with
 the base monomials of degree <= cutoff listed as m_0 = 1, m_1, ..., m_{M-1}
 (``RingSpec.monomials``), the element h^k * m_i is the int k*M + i for
-0 <= k <= n.  A class is int numerators, one dict from these ints to
-nonzero ints, over one positive denominator, in lowest terms: the gcd of
-the denominator and every numerator is 1, and zero is ({}, 1).  Equal
-classes therefore store equal data.  ``fractions.Fraction`` values are
+0 <= k <= n.  A polynomial in t with class coefficients is one dict from
+combined keys c = e*stride + key (the term t^e * h^k * m_i, with key
+= k*M + i) to nonzero int numerators, over one positive denominator, in
+lowest terms: the gcd of the denominator and every numerator is 1, and zero
+is ({}, 1).  ``Basis.stride`` = (2n+1)*M exceeds every basis key and every
+product of two, so ``c // stride`` and ``c % stride`` recover (e, key) for
+negative e too.  A class is the t^0 case, the same dict with c = key.
+Equal values therefore store equal data.  ``fractions.Fraction`` values are
 built only where a coefficient leaves the class (``coefficient``,
 ``terms``, ``scalar_part``, ``integrate``, ``__str__``).
 
-Sums, scalar products and products act on polynomials in t with class
-numerators as coefficients (``_add``, ``_sum``, ``_times``, ``_convolve``);
-a class is the t^0 case, so ``CohClass`` and ``LaurentPoly`` share this
-arithmetic.  A product takes each operand prepared as lists of basis terms
-(``_rows`` for the left factor, ``_cols`` for the right, ordered by power
-of h); a ``LaurentPoly`` prepares them once and keeps them.  Each pair of
-basis elements is looked up in the monomial product table and its int
-product is summed per power of t; with an empty h-rule the loop over the
-right operand's terms ends at the truncation, and only zeros are dropped.
-Otherwise powers of h above n are rewritten through the h-rule, whose
-normal form of each h^k * m_i is built once, as ints over one denominator
-per spec (1 when every rule coefficient is an integer).  ``_sum`` adds any
-number of terms, such as one comb degree's, in one pass over a running lcm
-denominator.  Each result is reduced once, by one gcd over its denominator
-and numerators.
+Sums, scalar products and products act on these dicts (``_add``, ``_sum``,
+``_times``, ``_convolve``), so ``CohClass`` and ``LaurentPoly`` share one
+arithmetic.  A product takes each operand prepared as one list of terms
+(``_rows`` for the left factor, ``_cols`` for the right, ordered by rank
+across all powers of t); a ``LaurentPoly`` prepares them once and keeps
+them.  Each pair of terms is looked up in the monomial product table and
+its int product is summed into one accumulator keyed by combined key.  The
+loop over the right operand's terms ends at the first one whose product
+must vanish: past h^n with an empty h-rule, where only zeros are then
+dropped, and past the base cutoff otherwise.  With an h-rule, powers of h
+above n are rewritten through it, once per product; the normal form of
+each h^k * m_i is built once, as ints over one denominator per spec (1 when
+every rule coefficient is an integer).  ``_sum`` adds any number of terms,
+such as one comb degree's, in one pass over a running lcm denominator.
+Each result is reduced once, by one gcd over its denominator and numerators.
 
 Everything is immutable after construction, so values can be shared freely.
 """
@@ -43,12 +47,11 @@ from typing import Iterable, Iterator, Mapping
 
 Mono = tuple[int, ...]
 BasePoly = dict[Mono, Fraction]
-# Int numerators of one class, by basis key, and of a polynomial in t, by t-exponent.
+# Int numerators by combined key e*stride + key (by basis key alone for a class).
 Numerators = dict[int, int]
-Poly = dict[int, Numerators]
 # A polynomial prepared as the left or the right operand of a product (``_rows``, ``_cols``).
-Rows = list[tuple[int, list[tuple[int, list[int], int]]]]
-Cols = list[tuple[int, list[tuple[int, int, int]]]]
+Rows = list[tuple[int, int, list[int], int]]
+Cols = list[tuple[int, int, int, int]]
 
 Scalar = Fraction | int
 
@@ -168,87 +171,73 @@ class RingSpec:
         return Basis(self)
 
 
-def _lowest(num: Poly, den: int) -> tuple[Poly, int]:
+def _lowest(num: Numerators, den: int) -> tuple[Numerators, int]:
     """``num`` over ``den`` > 0 divided by the gcd of ``den`` and every numerator."""
-    g = den
-    for cls in num.values():
-        if g == 1:
-            return num, den
-        g = gcd(g, *cls.values())
+    g = gcd(den, *num.values())
     if g == 1:
         return num, den
-    return {e: {key: v // g for key, v in cls.items()} for e, cls in num.items()}, den // g
+    return {c: v // g for c, v in num.items()}, den // g
 
 
-def _scaled(num: Numerators, factor: int) -> Numerators:
-    """``num`` times ``factor``; ``num`` itself for 1, since numerators are never mutated."""
-    return {key: v * factor for key, v in num.items()} if factor != 1 else num
-
-
-def _add(a: Poly, den_a: int, b: Poly, den_b: int) -> tuple[Poly, int]:
-    """a/den_a + b/den_b in lowest terms, with no zero numerator and no empty class."""
+def _add(a: Numerators, den_a: int, b: Numerators, den_b: int) -> tuple[Numerators, int]:
+    """a/den_a + b/den_b in lowest terms, with no zero numerator."""
     g = gcd(den_a, den_b)
     sa, sb = den_b // g, den_a // g
-    out = {e: _scaled(cls, sa) for e, cls in a.items()}
-    for e, cls in b.items():
-        total = dict(out.get(e, {}))
-        for key, v in cls.items():
-            v = v * sb + total.get(key, 0)
-            if v:
-                total[key] = v
-            else:
-                del total[key]
-        if total:
-            out[e] = total
+    out = {c: v * sa for c, v in a.items()}
+    for c, v in b.items():
+        v = v * sb + out.get(c, 0)
+        if v:
+            out[c] = v
         else:
-            out.pop(e, None)
+            del out[c]
     return _lowest(out, den_a * sa)
 
 
-def _sum(terms: Iterable[tuple[Poly, int]]) -> tuple[Poly, int]:
+def _sum(terms: Iterable[tuple[Numerators, int]]) -> tuple[Numerators, int]:
     """The sum of num/den over ``terms`` in lowest terms, in one pass.
 
     The running sum is kept over the lcm of the denominators seen so far, is
     rescaled in place only when a new denominator does not divide that lcm,
-    and is reduced once at the end.  Only dicts built here are mutated.
+    and is reduced once at the end.  Only the dict built here is mutated.
     """
-    acc: Poly = {}
+    acc: Numerators = {}
     den = 1
     for num, d in terms:
         if den % d:
             scale = d // gcd(den, d)
             den *= scale
-            for cls in acc.values():
-                for key in cls:
-                    cls[key] *= scale
+            for c in acc:
+                acc[c] *= scale
         f = den // d
-        for e, cls in num.items():
-            total = acc.get(e)
-            if total is None:
-                acc[e] = {key: v * f for key, v in cls.items()}
-            else:
-                for key, v in cls.items():
-                    total[key] = total.get(key, 0) + v * f
-    out = {e: nonzero for e, cls in acc.items() if (nonzero := {k: v for k, v in cls.items() if v})}
-    return _lowest(out, den)
+        for c, v in num.items():
+            acc[c] = acc.get(c, 0) + v * f
+    return _lowest({c: v for c, v in acc.items() if v}, den)
 
 
-def _times(num: Poly, den: int, r: Fraction) -> tuple[Poly, int]:
+def _times(num: Numerators, den: int, r: Fraction) -> tuple[Numerators, int]:
     """num/den times the rational r, in lowest terms."""
     if not r:
         return {}, 1
-    return _lowest({e: _scaled(cls, r.numerator) for e, cls in num.items()}, den * r.denominator)
+    if r.numerator != 1:  # numerators are never mutated, so 1/q can share them
+        num = {c: v * r.numerator for c, v in num.items()}
+    return _lowest(num, den * r.denominator)
 
 
 class Basis:
     """The numbered basis of a spec's ring, with its product tables.
 
-    Element b = k*M + i stands for h^k * m_i (0 <= k <= n).  ``h_offset[b]``
-    is k*M, ``mono_of[b]`` is i and ``degree[b]`` is k + deg(m_i);
+    Element b = k*M + i stands for h^k * m_i (0 <= k <= n).  ``mono_of[b]``
+    is i and ``degree[b]`` is k + deg(m_i);
     ``products[i][j]`` is the index of m_i * m_j, or -1 above the cutoff.
     An int b >= ``top`` = (n+1)*M numbers h^k * m_i with k > n the same
     way; ``tail(b)`` is its normal form, rewritten through the h-rule, as
-    int numerators over ``tail_den``.
+    int numerators over ``tail_den``.  The term t^e * b of a polynomial is
+    the combined key e*``stride`` + b; ``stride`` = (2n+1)*M exceeds the
+    key of any product of two basis elements.
+
+    The product of a and b is zero when ``rank[b]`` >= ``room[a]``: ranked
+    by power of h, past h^n with an empty h-rule; ranked by base degree,
+    past the cutoff otherwise, since the rule rewrites powers of h above n.
 
     Each rule term raises the base degree by at least 1, so a tail takes at
     most base_cutoff rewrites, each by one rule coefficient: with R the lcm
@@ -257,8 +246,8 @@ class Basis:
     """
 
     __slots__ = (
-        "n", "size", "top", "monos", "index", "generators", "products",
-        "h_offset", "mono_of", "degree", "tail_den", "_rule", "_rule_den", "_tails",
+        "n", "size", "top", "stride", "monos", "index", "generators", "products",
+        "mono_of", "degree", "rank", "room", "tail_den", "_rule", "_rule_den", "_tails",
     )
 
     def __init__(self, spec: RingSpec):
@@ -269,20 +258,31 @@ class Basis:
         self.n = spec.n
         self.size = size
         self.top = (spec.n + 1) * size
+        self.stride = (2 * spec.n + 1) * size
         self.monos = monos
         self.index = index
         self.generators = len(spec.base)
-        self.products = [[index.get(mono_mul(a, b), -1) for b in monos] for a in monos]
-        self.h_offset = [k * size for k in powers for _ in monos]
+        degrees = [spec.mono_degree(mono) for mono in monos]
+        cutoff = spec.base_cutoff
+        self.products = [
+            [index[mono_mul(a, b)] if da + db <= cutoff else -1 for b, db in zip(monos, degrees)]
+            for a, da in zip(monos, degrees)
+        ]
         self.mono_of = [i for _ in powers for i in range(size)]
-        self.degree = [k + spec.mono_degree(mono) for k in powers for mono in monos]
+        self.degree = [k + g for k in powers for g in degrees]
         # Rule terms whose monomial is above the cutoff vanish.  The others
         # are kept as int numerators over the lcm of their denominators.
         rule = [(j, index.get(_strip(mono)), Fraction(c)) for j, mono, c in spec.h_rule]
         rule = [(j, r, c) for j, r, c in rule if r is not None]
         self._rule_den = lcm(*(c.denominator for _, _, c in rule))
         self._rule = [(j, r, c.numerator * (self._rule_den // c.denominator)) for j, r, c in rule]
-        self.tail_den = self._rule_den**spec.base_cutoff
+        self.tail_den = self._rule_den**cutoff
+        if self._rule:
+            self.rank = [g for _ in powers for g in degrees]
+            self.room = [cutoff + 1 - g for g in self.rank]
+        else:
+            self.rank = [k * size for k in powers for _ in monos]
+            self.room = [self.top - k for k in self.rank]
         self._tails: list[Numerators] = []
 
     def mono_index(self, mono: Mono) -> int:
@@ -307,6 +307,10 @@ class Basis:
             )
         return -1
 
+    def normal(self, key: int) -> Numerators:
+        """The normal form of h^k * m_i for any k >= 0, over ``tail_den``."""
+        return {key: self.tail_den} if key < self.top else self.tail(key)
+
     def tail(self, key: int) -> Numerators:
         """The normal form of h^k * m_i for k > n (``key`` >= ``top``), over ``tail_den``.
 
@@ -318,29 +322,30 @@ class Basis:
             k, i = divmod(top + len(tails), size)
             row = self.products[i]
             acc: Numerators = {}
-            spill: Numerators = {}
             for j, r, c in self._rule:
                 m = row[r]
                 if m < 0:
                     continue
-                target = (k - self.n - 1 + j) * size + m
-                into = acc if target < top else spill
-                into[target] = into.get(target, 0) + c
+                for t, v in self.normal((k - self.n - 1 + j) * size + m).items():
+                    acc[t] = acc.get(t, 0) + c * v
             # The rule's ints are R times its coefficients, and the tail is integral over tail_den.
-            tails.append({t: v // self._rule_den for t, v in self.fold(acc, spill).items()})
+            tails.append({t: v // self._rule_den for t, v in acc.items() if v})
         return tails[key - top]
 
-    def fold(self, acc: Numerators, spill: Mapping[int, int]) -> Numerators:
-        """The nonzero numerators over ``tail_den`` of ``acc`` plus ``spill`` (keys >= top).
-
-        ``spill`` is rewritten through ``tail``; ``acc`` is consumed.
-        """
-        acc = _scaled(acc, self.tail_den)
-        for key, c in spill.items():
-            for t, v in self.tail(key).items():
-                old = acc.get(t)
-                acc[t] = c * v if old is None else old + c * v
-        return {key: c for key, c in acc.items() if c}
+    def fold(self, num: Numerators) -> Numerators:
+        """The nonzero numerators over ``tail_den`` of ``num``, by combined key, with each
+        term t^e * h^k * m_i for k > n rewritten through ``tail``."""
+        stride, top, tail_den = self.stride, self.top, self.tail_den
+        out: Numerators = {}
+        for c, v in num.items():
+            key = c % stride
+            if key < top:
+                out[c] = out.get(c, 0) + v * tail_den
+                continue
+            base = c - key
+            for t, w in self.tail(key).items():
+                out[base + t] = out.get(base + t, 0) + v * w
+        return {c: v for c, v in out.items() if v}
 
 
 def _geometric_series(x, failure: str):
@@ -364,67 +369,59 @@ def _geometric_series(x, failure: str):
     return acc
 
 
-def _rows(basis: Basis, poly: Poly) -> Rows:
-    """``poly`` as the left operand of :func:`_convolve`: per t-exponent, the
-    (h_offset, product-table row, numerator) of each basis term."""
-    h_offset, products, mono_of = basis.h_offset, basis.products, basis.mono_of
-    return [
-        (e, [(h_offset[a], products[mono_of[a]], na) for a, na in num.items()])
-        for e, num in poly.items()
-    ]
+def _rows(basis: Basis, num: Numerators) -> Rows:
+    """``num`` as the left operand of :func:`_convolve`: per term, its combined key
+    without the monomial, its ``Basis.room``, its product-table row and its numerator."""
+    room, products, mono_of, stride = basis.room, basis.products, basis.mono_of, basis.stride
+    rows = []
+    for c, v in num.items():
+        key = c % stride
+        i = mono_of[key]
+        rows.append((c - i, room[key], products[i], v))
+    return rows
 
 
-def _cols(basis: Basis, poly: Poly) -> Cols:
-    """``poly`` as the right operand of :func:`_convolve`: per t-exponent, the
-    (h_offset, monomial index, numerator) of each basis term, in h-order."""
-    h_offset, mono_of = basis.h_offset, basis.mono_of
-    return [
-        (e, [(h_offset[b], mono_of[b], nb) for b, nb in sorted(num.items())])
-        for e, num in poly.items()
-    ]
+def _cols(basis: Basis, num: Numerators) -> Cols:
+    """``num`` as the right operand of :func:`_convolve`: per term, its combined key
+    without the monomial, its ``Basis.rank``, its monomial index and its numerator,
+    ordered by rank across all powers of t."""
+    rank, mono_of, stride = basis.rank, basis.mono_of, basis.stride
+    cols = []
+    for c, v in num.items():
+        key = c % stride
+        i = mono_of[key]
+        cols.append((c - i, rank[key], i, v))
+    cols.sort(key=lambda col: col[1])
+    return cols
 
 
-def _convolve(basis: Basis, rows: Rows, den_l: int, cols: Cols, den_r: int) -> tuple[Poly, int]:
-    """(left/den_l) * (right/den_r) in lowest terms, for polynomials in t of class numerators
-    given as prepared operands (``_rows`` of left, ``_cols`` of right).
+def _convolve(
+    basis: Basis, rows: Rows, den_l: int, cols: Cols, den_r: int
+) -> tuple[Numerators, int]:
+    """(left/den_l) * (right/den_r) in lowest terms, for polynomials in t given as
+    prepared operands (``_rows`` of left, ``_cols`` of right).
 
-    Every basis-pair product is one int product summed into its output
-    t-exponent.  With an empty h-rule each right operand's terms are visited
-    in h-order and the loop ends at the first key >= ``top``, so nothing
-    spills and only zeros are dropped; otherwise each output exponent is
-    rewritten through the h-rule once (``Basis.fold``, over ``tail_den``).
-    The result is reduced with one gcd.
+    Every pair of terms is one int product summed into one accumulator by
+    combined key.  The right operand's terms are visited by rank and the
+    loop ends at the first pair that ``Basis.room`` rules out.  With an
+    empty h-rule nothing lands above h^n and only zeros are dropped;
+    otherwise those terms are rewritten through the h-rule once
+    (``Basis.fold``, over ``tail_den``).  The result is reduced with one gcd.
     """
-    top, truncates = basis.top, not basis._rule  # h^{n+1} = 0: every key >= top vanishes
-    sums: dict[int, tuple[Numerators, Numerators]] = {}
-    for ea, row_terms in rows:
-        for eb, col_terms in cols:
-            slot = sums.get(ea + eb)
-            if slot is None:
-                slot = sums[ea + eb] = ({}, {})
-            acc, spill = slot
-            for ka, row, na in row_terms:
-                for kb, ib, nb in col_terms:
-                    m = row[ib]
-                    if m < 0:
-                        continue
-                    key = ka + kb + m
-                    if key < top:
-                        acc[key] = acc.get(key, 0) + na * nb
-                    elif truncates:
-                        break
-                    else:
-                        spill[key] = spill.get(key, 0) + na * nb
-    if truncates:
-        product = {}
-        for e, (acc, _) in sums.items():
-            if 0 in acc.values():  # a cancellation; rare, so the copy is too
-                acc = {k: v for k, v in acc.items() if v}
-            if acc:
-                product[e] = acc
-        return _lowest(product, den_l * den_r)
-    product = {e: num for e, (acc, spill) in sums.items() if (num := basis.fold(acc, spill))}
-    return _lowest(product, den_l * den_r * basis.tail_den)
+    acc: Numerators = {}
+    for ca, room, row, na in rows:
+        for cb, rank, ib, nb in cols:
+            if rank >= room:
+                break
+            m = row[ib]
+            if m >= 0:
+                c = ca + cb + m
+                acc[c] = acc.get(c, 0) + na * nb
+    if basis._rule:
+        return _lowest(basis.fold(acc), den_l * den_r * basis.tail_den)
+    if 0 in acc.values():  # a cancellation; rare, so the copy is too
+        acc = {c: v for c, v in acc.items() if v}
+    return _lowest(acc, den_l * den_r)
 
 
 class CohClass:
@@ -435,7 +432,7 @@ class CohClass:
     def __init__(self, spec: RingSpec, parts: Iterable[Mapping[Mono, Scalar]]):
         """Coerce caller input, one dict per power of h (any number of them)."""
         basis = spec.basis
-        size, top, mono_index = basis.size, basis.top, basis.mono_index
+        size, mono_index = basis.size, basis.mono_index
         terms: dict[int, Fraction] = {}
         for k, poly in enumerate(parts):
             for mono, c in poly.items():
@@ -444,14 +441,13 @@ class CohClass:
                     key = k * size + i
                     terms[key] = terms.get(key, 0) + Fraction(c)
         den = lcm(*(c.denominator for c in terms.values()))
-        acc: Numerators = {}
-        spill: Numerators = {}
+        num: Numerators = {}
         for key, c in terms.items():
-            into = acc if key < top else spill
-            into[key] = c.numerator * (den // c.denominator)
-        poly, den = _lowest({0: basis.fold(acc, spill)}, den * basis.tail_den)
+            v = c.numerator * (den // c.denominator)
+            for t, w in basis.normal(key).items():
+                num[t] = num.get(t, 0) + v * w
         self.spec = spec
-        self._num, self._den = poly[0], den
+        self._num, self._den = _lowest({t: v for t, v in num.items() if v}, den * basis.tail_den)
 
     @classmethod
     def _new(cls, spec: RingSpec, num: Numerators, den: int) -> CohClass:
@@ -463,14 +459,9 @@ class CohClass:
         return out
 
     @classmethod
-    def _of(cls, spec: RingSpec, poly: Poly, den: int) -> CohClass:
-        """The class of a polynomial result that has at most a t^0 term."""
-        return cls._new(spec, poly.get(0, {}), den)
-
-    @classmethod
     def _reduced(cls, spec: RingSpec, num: Numerators, den: int) -> CohClass:
         """A class from numerators below top over den > 0, not yet in lowest terms."""
-        return cls._of(spec, *_lowest({0: num}, den))
+        return cls._new(spec, *_lowest(num, den))
 
     # -- constructors -----------------------------------------------------
 
@@ -546,8 +537,7 @@ class CohClass:
 
     def __add__(self, other: CohClass) -> CohClass:
         self._check(other)
-        total = _add({0: self._num}, self._den, {0: other._num}, other._den)
-        return CohClass._of(self.spec, *total)
+        return CohClass._new(self.spec, *_add(self._num, self._den, other._num, other._den))
 
     def __sub__(self, other: CohClass) -> CohClass:
         return self + (-other)
@@ -557,12 +547,11 @@ class CohClass:
 
     def __mul__(self, other: CohClass | Scalar) -> CohClass:
         if isinstance(other, (int, Fraction)):
-            return CohClass._of(self.spec, *_times({0: self._num}, self._den, Fraction(other)))
+            return CohClass._new(self.spec, *_times(self._num, self._den, Fraction(other)))
         self._check(other)
         basis = self.spec.basis
-        rows, cols = _rows(basis, {0: self._num}), _cols(basis, {0: other._num})
-        product = _convolve(basis, rows, self._den, cols, other._den)
-        return CohClass._of(self.spec, *product)
+        rows, cols = _rows(basis, self._num), _cols(basis, other._num)
+        return CohClass._new(self.spec, *_convolve(basis, rows, self._den, cols, other._den))
 
     def __rmul__(self, other: Scalar) -> CohClass:
         return self.__mul__(other)

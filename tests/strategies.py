@@ -21,6 +21,10 @@ SPECS = [
     RingSpec.relative(2, (("u", 1),), 3, [(2, (1,), Fraction(1, 2)), (0, (3,), Fraction(-2, 3))]),
 ]
 
+# n = 0 rings, where h * m_0 is already h^{n+1}: in RELATIVE_N0 every h rewrites to 3u/2.
+RELATIVE_N0 = RingSpec.relative(0, (("u", 1),), 2, [(0, (1,), Fraction(3, 2))])
+CANONICAL_SPECS = [*SPECS, RingSpec.absolute(0), RELATIVE_N0]
+
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 nonzero_fractions = fractions.filter(lambda x: x != 0)
 specs = st.sampled_from(SPECS)

@@ -76,6 +76,15 @@ def test_comb_count_is_two_to_the_d():
     assert len(enumerate_combs(5)) == 32
 
 
+@pytest.mark.parametrize("d", range(1, 11))
+def test_enumerate_combs_is_strictly_lexicographic(d):
+    # cy_term's prefix reuse depends on this order.
+    ends = [c.endpoints for c in enumerate_combs(d)]
+    assert len(ends) == 2**d
+    assert all(a < b for a, b in pairwise(ends))
+    assert all(e[-1] == d for e in ends)
+
+
 @pytest.mark.parametrize(
     "n, degrees", [(4, (5,)), (5, (3, 3)), (5, (2, 4))], ids=["quintic", "3,3", "2,4"]
 )

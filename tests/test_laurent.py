@@ -12,6 +12,8 @@ from gwone.laurent import LaurentPoly
 from gwone.rings import CohClass, NotInvertibleError, RingSpec, SpecMismatchError
 
 from strategies import (
+    CANONICAL_SPECS,
+    RELATIVE_N0,
     SPECS,
     coh_classes,
     fractions,
@@ -123,30 +125,25 @@ def test_str_rendering():
 
 
 def assert_canonical(value: CohClass | LaurentPoly):
-    """Int numerators of basis keys below top over one positive int denominator, in lowest terms.
+    """Int numerators by int key over one positive int denominator, in lowest terms.
 
-    No stored numerator is zero and a polynomial stores no empty class, so
-    zero is ({}, 1) and equal values store equal data.
+    A polynomial's key is e*stride + key with a basis key below top; a
+    class stores basis keys below top alone.  No stored numerator is zero,
+    so zero is ({}, 1) and equal values store equal data.
     """
-    if isinstance(value, CohClass):
-        classes = [value._num] if value._num else []
-    else:
-        assert all(type(e) is int for e in value._num)
-        classes = list(value._num.values())
-        assert all(classes), "empty class stored"
-    den, top = value._den, value.spec.basis.top
+    num, den, basis = value._num, value._den, value.spec.basis
     assert type(den) is int and den > 0
-    for num in classes:
-        for key, v in num.items():
-            assert type(key) is int and 0 <= key < top
-            assert type(v) is int and v != 0
-    assert gcd(den, *(v for num in classes for v in num.values())) == 1
+    for c, v in num.items():
+        assert type(c) is int and c % basis.stride < basis.top
+        assert type(v) is int and v != 0
+    if isinstance(value, CohClass):
+        assert all(0 <= c < basis.top for c in num)
+    assert gcd(den, *num.values()) == 1
+    if not num:
+        assert den == 1
 
 
 scalars = st.one_of(fractions, st.integers(-3, 3))
-
-RELATIVE_N0 = RingSpec.relative(0, (("u", 1),), 2, [(0, (1,), Fraction(3, 2))])
-CANONICAL_SPECS = [*SPECS, RingSpec.absolute(0), RELATIVE_N0]
 
 
 @pytest.mark.parametrize("spec", CANONICAL_SPECS)

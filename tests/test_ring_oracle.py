@@ -25,6 +25,7 @@ from gwone.laurent import LaurentPoly
 from gwone.rings import BasePoly, CohClass, RingSpec, _strip, mono_mul
 
 from strategies import (
+    CANONICAL_SPECS,
     SPECS,
     coh_classes,
     coh_units_for,
@@ -32,6 +33,7 @@ from strategies import (
     laurent_polys,
     raw_parts,
     raw_terms,
+    strip_scalar,
 )
 
 Slots = tuple[BasePoly, ...]
@@ -150,15 +152,50 @@ def test_kernel_matches_the_slot_dict_oracle(spec, data):
         assert top == pa[spec.n].get((), Fraction(0))
 
 
-def laurent_mul(spec: RingSpec, p: LaurentPoly, q: LaurentPoly) -> dict[int, Slots]:
-    """The nonzero t-coefficients of p * q, one class product per pair of t-coefficients."""
-    out: dict[int, Slots] = {}
+SlotPoly = dict[int, Slots]
+
+
+def poly_slots(p: LaurentPoly) -> SlotPoly:
+    """A kernel polynomial in the oracle's form: its nonzero t-coefficients as slots."""
+    return {e: slots(c) for e, c in p.items()}
+
+
+def poly_add(spec: RingSpec, p: SlotPoly, q: SlotPoly) -> SlotPoly:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = add(spec, out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if any(c)}
+
+
+def poly_mul(spec: RingSpec, p: SlotPoly, q: SlotPoly) -> SlotPoly:
+    """One class product per pair of t-coefficients, summed per exponent."""
+    out: SlotPoly = {}
     for ea, ca in p.items():
         for eb, cb in q.items():
-            prod = mul(spec, slots(ca), slots(cb))
+            prod = mul(spec, ca, cb)
             e = ea + eb
             out[e] = add(spec, out[e], prod) if e in out else prod
     return {e: c for e, c in out.items() if any(c)}
+
+
+def poly_inverse(spec: RingSpec, p: SlotPoly) -> SlotPoly:
+    """The seed t^-top / c_top times the geometric series in 1 - p * seed."""
+    top = max(p)
+    seed = {-top: inverse(spec, p[top])}
+    one = {0: coerce(spec, [{(): 1}])}
+    minus = {e: scale(spec, c, Fraction(-1)) for e, c in poly_mul(spec, p, seed).items()}
+    x = poly_add(spec, one, minus)
+    acc, power = one, x
+    for _ in range(spec.n + spec.base_cutoff + 1):
+        acc = poly_add(spec, acc, power)
+        power = poly_mul(spec, power, x)
+    assert not power
+    return poly_mul(spec, acc, seed)
+
+
+def laurent_mul(spec: RingSpec, p: LaurentPoly, q: LaurentPoly) -> SlotPoly:
+    """The nonzero t-coefficients of p * q, one class product per pair of t-coefficients."""
+    return poly_mul(spec, poly_slots(p), poly_slots(q))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
@@ -210,3 +247,50 @@ def test_laurent_products_that_cancel_store_nothing():
     q = LaurentPoly.linear(spec, Fraction(1, 2), Fraction(-1, 3))
     assert (p * q).support() == [0, 2]
     assert laurent_mul(spec, p, q).keys() == {0, 2}
+
+
+def spread_inputs(spec: RingSpec):
+    """p, q, a class, a shift and a t-unit whose top exponent is in [-4, 6]."""
+    polys = laurent_polys(spec, -6, 6, max_terms=4)
+    lower = coh_classes(spec, 2).map(strip_scalar)
+    return st.tuples(
+        polys, polys, coh_classes(spec), st.integers(-6, 6),
+        st.integers(-4, 6), coh_units_for(spec), lower, lower,
+    )
+
+
+SPREAD_INPUTS = {spec_id(spec): spread_inputs(spec) for spec in CANONICAL_SPECS}
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=spec_id)
+@given(st.data())
+def test_combined_keys_do_not_alias_across_powers_of_t(spec, data):
+    """Each term is stored under e*stride + basis key.  With exponents spread
+    over [-6, 6], products reaching [-12, 12] and, in the n = 0 rings, h
+    already at h^{n+1}, every operation agrees with the oracle exponent by
+    exponent, read through ``items`` and through ``coefficient``."""
+    p, q, a, k, top, lead, low1, low2 = data.draw(SPREAD_INPUTS[spec_id(spec)])
+    unit = LaurentPoly(spec, {top: lead, top - 1: low1, top - 2: low2})
+    sp, sq = poly_slots(p), poly_slots(q)
+    expected = {
+        "p*q": poly_mul(spec, sp, sq),
+        "p*a": poly_mul(spec, sp, {0: slots(a)}),
+        "p+q": poly_add(spec, sp, sq),
+        "sum": poly_add(spec, poly_add(spec, sp, sq), sp),
+        "shift_t": {e + k: c for e, c in sp.items()},
+        "inverse": poly_inverse(spec, poly_slots(unit)),
+    }
+    values = {
+        "p*q": p * q,
+        "p*a": p * a,
+        "p+q": p + q,
+        "sum": LaurentPoly.sum(spec, [p, q, p]),
+        "shift_t": p.shift_t(k),
+        "inverse": unit.inverse(),
+    }
+    empty = coerce(spec, [])
+    for label, value in values.items():
+        assert poly_slots(value) == expected[label], label
+        assert value.support() == sorted(expected[label]), label
+        for e in range(-14, 15):
+            assert slots(value.coefficient(e)) == expected[label].get(e, empty), (label, e)
