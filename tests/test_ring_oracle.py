@@ -250,16 +250,21 @@ def test_laurent_products_that_cancel_store_nothing():
 
 
 def spread_inputs(spec: RingSpec):
-    """p, q, a class, a shift and a t-unit whose top exponent is in [-4, 6]."""
-    polys = laurent_polys(spec, -6, 6, max_terms=4)
+    """Coefficients of p and q, a class, a shift and a t-unit's top exponent and coefficients."""
+    terms = st.dictionaries(st.integers(-6, 6), coh_classes(spec, 2), max_size=4)
     lower = coh_classes(spec, 2).map(strip_scalar)
     return st.tuples(
-        polys, polys, coh_classes(spec), st.integers(-6, 6),
+        terms, terms, coh_classes(spec), st.integers(-6, 6),
         st.integers(-4, 6), coh_units_for(spec), lower, lower,
     )
 
 
 SPREAD_INPUTS = {spec_id(spec): spread_inputs(spec) for spec in CANONICAL_SPECS}
+
+
+def given_slots(terms) -> SlotPoly:
+    """The oracle's form of the polynomial built from ``terms``, without reading it back."""
+    return {e: slots(c) for e, c in terms.items() if not c.is_zero()}
 
 
 @pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=spec_id)
@@ -269,18 +274,21 @@ def test_combined_keys_do_not_alias_across_powers_of_t(spec, data):
     over [-6, 6], products reaching [-12, 12] and, in the n = 0 rings, h
     already at h^{n+1}, every operation agrees with the oracle exponent by
     exponent, read through ``items`` and through ``coefficient``."""
-    p, q, a, k, top, lead, low1, low2 = data.draw(SPREAD_INPUTS[spec_id(spec)])
-    unit = LaurentPoly(spec, {top: lead, top - 1: low1, top - 2: low2})
-    sp, sq = poly_slots(p), poly_slots(q)
+    p_terms, q_terms, a, k, top, lead, low1, low2 = data.draw(SPREAD_INPUTS[spec_id(spec)])
+    u_terms = {top: lead, top - 1: low1, top - 2: low2}
+    p, q, unit = (LaurentPoly(spec, t) for t in (p_terms, q_terms, u_terms))
+    sp, sq = given_slots(p_terms), given_slots(q_terms)
     expected = {
+        "p": sp,
         "p*q": poly_mul(spec, sp, sq),
         "p*a": poly_mul(spec, sp, {0: slots(a)}),
         "p+q": poly_add(spec, sp, sq),
         "sum": poly_add(spec, poly_add(spec, sp, sq), sp),
         "shift_t": {e + k: c for e, c in sp.items()},
-        "inverse": poly_inverse(spec, poly_slots(unit)),
+        "inverse": poly_inverse(spec, given_slots(u_terms)),
     }
     values = {
+        "p": p,
         "p*q": p * q,
         "p*a": p * a,
         "p+q": p + q,
