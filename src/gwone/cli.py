@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from . import acceptance
@@ -35,10 +36,17 @@ from .rings import CohClass, RingSpec
 # -- serialization ----------------------------------------------------------
 
 
+def _ratio(v: int, den: int) -> str:
+    """str(Fraction(v, den)) for den > 0, with one gcd and no Fraction."""
+    g = gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
 def coh_to_json(cls: CohClass) -> dict:
     spec = cls.spec
-    if not spec.is_relative:
-        return {"h": [str(cls.coefficient(k)) for k in range(spec.n + 1)]}
+    if not spec.is_relative:  # one basis element per power of h: key k is h^k
+        num, den = cls._num, cls._den
+        return {"h": [_ratio(num.get(k, 0), den) for k in range(spec.n + 1)]}
     names = spec.generator_names()
     terms = []
     for k, mono, c in sorted(cls.terms()):

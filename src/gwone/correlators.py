@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec
@@ -116,12 +116,23 @@ def degree_vectors(n: int) -> list[tuple[int, ...]]:
 
 
 def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
-    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t), the numerator of phi_d."""
-    out = LaurentPoly.one(spec)
+    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t), the numerator of phi_d.
+
+    Each factor is built in closed form: prod_{k=0}^{D} (l*h + k*t) is
+    sum_j c(D+1, j) * l^j * h^j * t^{D+1-j}, with c the unsigned Stirling
+    numbers of the first kind, so m factors cost m - 1 ring products.
+    """
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    top = spec.n + spec.base_cutoff  # h^j vanishes by degree for j > top
+    out = None
     for l in degrees:
-        for k in range(d * l + 1):
-            out = out * LaurentPoly.linear(spec, l, k)
-    return out
+        row = [1] + [0] * top  # c(0, j) for j <= top
+        for k in range(d * l + 1):  # c(k+1, j) = k*c(k, j) + c(k, j-1)
+            row = [k * row[0]] + [k * row[j] + row[j - 1] for j in range(1, top + 1)]
+        factor = LaurentPoly._form(spec, d * l + 1, [c * l**j for j, c in enumerate(row)])
+        out = factor if out is None else out * factor
+    return LaurentPoly.one(spec) if out is None else out
 
 
 def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentPoly:
@@ -129,16 +140,23 @@ def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentP
 
     ``chern`` is c_1..c_{n+1} or a prefix of it (c_0 = 1); zero classes are
     skipped, and with none this is prod_k (h + k*t)^{n+1}, the Euler class on P^n.
+    Each power (h + k*t)^p is built in closed form from the binomial
+    coefficients C(p, i) * k^{p-i}.
     """
-    out, top = LaurentPoly.one(spec), spec.n + 1
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    top, last = spec.n + 1, spec.n + spec.base_cutoff
+
+    def power(k: int, p: int) -> LaurentPoly:  # (h + k*t)^p
+        coeffs = [comb(p, i) * k ** (p - i) for i in range(min(p, last) + 1)]
+        return LaurentPoly._form(spec, p, coeffs)
+
+    out = LaurentPoly.one(spec)
     for k in range(1, d + 1):
-        base, powers = LaurentPoly.linear(spec, 1, k), [LaurentPoly.one(spec)]
-        for _ in range(top):
-            powers.append(powers[-1] * base)
-        factor = powers[top]
+        factor = power(k, top)
         for j, cj in enumerate(chern, start=1):
             if not cj.is_zero():
-                factor = factor + powers[top - j] * cj
+                factor = factor + power(k, top - j) * cj
         out = out * factor
     return out
 

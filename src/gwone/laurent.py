@@ -78,14 +78,27 @@ class LaurentPoly:
     @classmethod
     def linear(cls, spec: RingSpec, h_coeff: Scalar, t_coeff: Scalar) -> LaurentPoly:
         """The linear form h_coeff*h + t_coeff*t."""
-        basis = spec.basis
         h, t = Fraction(h_coeff), Fraction(t_coeff)
         den = lcm(h.denominator, t.denominator)
-        h_num = h.numerator * (den // h.denominator)
-        # h * m_0 is basis key ``size``; when n = 0 that is h^{n+1}, which ``normal`` rewrites.
-        num = {key: h_num * v for key, v in basis.normal(basis.size).items()} if h_num else {}
-        if t:
-            num[basis.stride] = t.numerator * (den // t.denominator) * basis.tail_den
+        coeffs = [t.numerator * (den // t.denominator), h.numerator * (den // h.denominator)]
+        return cls._form(spec, 1, coeffs, den)
+
+    @classmethod
+    def _form(cls, spec: RingSpec, degree: int, coeffs: Iterable[int], den: int = 1) -> LaurentPoly:
+        """The form sum_j coeffs[j] * h^j * t^{degree-j} / den, for int coefficients.
+
+        Each h^j * m_0 (basis key j*size) goes through ``Basis.normal``, so a
+        power of h above n follows the h-rule; one above n + base_cutoff
+        vanishes by degree, so callers may stop the coefficients there.
+        """
+        basis = spec.basis
+        size, stride = basis.size, basis.stride
+        num: Numerators = {}
+        for j, a in enumerate(coeffs):
+            if a:
+                low = (degree - j) * stride
+                for key, w in basis.normal(j * size).items():
+                    num[low + key] = a * w
         return cls._new(spec, *_lowest(num, den * basis.tail_den))
 
     # -- inspection -------------------------------------------------------

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
@@ -123,8 +123,9 @@ class RingSpec:
                 )
 
     @classmethod
+    @lru_cache(maxsize=None)
     def absolute(cls, n: int) -> RingSpec:
-        """The ring Q[h]/(h^{n+1})."""
+        """The ring Q[h]/(h^{n+1}); one instance per n, so its ``basis`` is built once."""
         return cls(n=n)
 
     @classmethod

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gwone import acceptance, cli
 from gwone.calabi_yau import LambdaForm, cy_correlator, quintic_report
@@ -15,6 +17,9 @@ from gwone.correlators import classify, phi
 from gwone.laurent import LaurentPoly
 from gwone.mirror import MirrorData, MirrorReport
 from gwone.relative import RelativeModel, relative_phi
+from gwone.rings import RingSpec
+
+from strategies import coh_classes
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +149,23 @@ def test_round_trip_preserves_negative_rationals():
     model = classify(4, (5,))
     value = cy_correlator(model, 2)
     assert laurent_from_json(model.spec, laurent_to_json(value)) == value
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+@example(0, 7)
+@example(0, 1)
+@example(-12, 1)
+@example(-4, 6)
+@example(9, 3)
+def test_ratio_is_the_fraction_string(v, den):
+    assert cli._ratio(v, den) == str(Fraction(v, den))
+
+
+@given(st.sampled_from([RingSpec.absolute(n) for n in (0, 2, 4)]), st.data())
+def test_absolute_class_json_is_each_coefficient_string(spec, data):
+    cls = data.draw(coh_classes(spec))
+    expected = [str(cls.coefficient(k)) for k in range(spec.n + 1)]
+    assert cli.coh_to_json(cls) == {"h": expected}
 
 
 def test_relative_porteous_output(capsys):
