@@ -9,6 +9,11 @@ Fano targets of index >= 2 the degree-d one-point correlator equals phi_d
 on the nose; for index one it acquires an explicit finite correction sum.
 Individual invariants are read off as rationals from the t^{-2-a}
 coefficient paired against powers of the hyperplane class.
+
+Products of linear forms in phi are built in closed form (Stirling numbers
+of the first kind in ``phi_numerator``, binomial coefficients in
+``euler_class``), cut at h^{n + base_cutoff}, beyond which every power of h
+vanishes by degree; ring products only join these factors.
 """
 
 from __future__ import annotations
