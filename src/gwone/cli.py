@@ -42,26 +42,33 @@ def _ratio(v: int, den: int) -> str:
     return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
-def coh_to_json(cls: CohClass) -> dict:
-    spec = cls.spec
+def _class_json(spec: RingSpec, num: dict[int, int], den: int) -> dict:
+    """The JSON of the class with numerators ``num`` by basis key over ``den`` > 0,
+    which need not be in lowest terms: each coefficient is reduced once, by ``_ratio``."""
     if not spec.is_relative:  # one basis element per power of h: key k is h^k
-        num, den = cls._num, cls._den
         return {"h": [_ratio(num.get(k, 0), den) for k in range(spec.n + 1)]}
-    names = spec.generator_names()
+    names, basis = spec.generator_names(), spec.basis
     terms = []
-    for k, mono, c in sorted(cls.terms()):
+    # Sorted by (h-exponent, monomial tuple), which is not basis order.
+    order = sorted((key // basis.size, basis.monos[key % basis.size], key) for key in num)
+    for k, mono, key in order:
         base = {names[i]: e for i, e in enumerate(mono) if e}
-        terms.append({"h": k, "base": base, "c": str(c)})
+        terms.append({"h": k, "base": base, "c": _ratio(num[key], den)})
     return {"terms": terms}
 
 
+def coh_to_json(cls: CohClass) -> dict:
+    return _class_json(cls.spec, cls._num, cls._den)
+
+
 def laurent_to_json(poly: LaurentPoly) -> list[dict]:
-    out = []
-    for exp, cls in reversed(list(poly.items())):
-        entry: dict = {"t": exp}
-        entry.update(coh_to_json(cls))
-        out.append(entry)
-    return out
+    """One entry per nonzero t-coefficient, highest exponent first, each formatted
+    against the polynomial's own denominator."""
+    groups = poly._groups()
+    return [
+        {"t": e, **_class_json(poly.spec, groups[e], poly._den)}
+        for e in sorted(groups, reverse=True)
+    ]
 
 
 def coh_from_json(spec: RingSpec, data: dict) -> CohClass:

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec
@@ -145,23 +145,17 @@ def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentP
 
     ``chern`` is c_1..c_{n+1} or a prefix of it (c_0 = 1); zero classes are
     skipped, and with none this is prod_k (h + k*t)^{n+1}, the Euler class on P^n.
-    Each power (h + k*t)^p is built in closed form from the binomial
-    coefficients C(p, i) * k^{p-i}.
+    Each power (h + k*t)^p is built in closed form by ``LaurentPoly.linear_power``.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    top, last = spec.n + 1, spec.n + spec.base_cutoff
-
-    def power(k: int, p: int) -> LaurentPoly:  # (h + k*t)^p
-        coeffs = [comb(p, i) * k ** (p - i) for i in range(min(p, last) + 1)]
-        return LaurentPoly._form(spec, p, coeffs)
-
+    top = spec.n + 1
     out = LaurentPoly.one(spec)
     for k in range(1, d + 1):
-        factor = power(k, top)
+        factor = LaurentPoly.linear_power(spec, k, top)
         for j, cj in enumerate(chern, start=1):
             if not cj.is_zero():
-                factor = factor + power(k, top - j) * cj
+                factor = factor + LaurentPoly.linear_power(spec, k, top - j) * cj
         out = out * factor
     return out
 

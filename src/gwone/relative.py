@@ -148,10 +148,9 @@ class SchubertInput:
     def evaluate(self, spec: RingSpec) -> LaurentPoly:
         """sigma(h, h + t) as a Laurent polynomial."""
         out = LaurentPoly.zero(spec)
-        h_plus_t = LaurentPoly.linear(spec, 1, 1)
         for (i, j), c in self.coefficients:
             term = LaurentPoly.single(spec, 0, CohClass.h_power(spec, i) * c)
-            out = out + term * h_plus_t**j
+            out = out + term * LaurentPoly.linear_power(spec, 1, j)
         return out
 
 
@@ -217,7 +216,7 @@ def _unit_factors(model: RelativeModel, order: int) -> QSeries:
     values = {}
     for e in range(order + 1):
         if e:
-            absolute_part = absolute_part * LaurentPoly.linear(spec, 1, e) ** (model.n + 1)
+            absolute_part = absolute_part * LaurentPoly.linear_power(spec, e, model.n + 1)
         values[e] = absolute_part * relative_phi(bundle, e)
     return QSeries.from_coefficients(spec, order, values)
 

@@ -19,11 +19,14 @@ built only where a coefficient leaves the class (``coefficient``,
 ``terms``, ``scalar_part``, ``integrate``, ``__str__``).
 
 Sums, scalar products and products act on these dicts (``_add``, ``_sum``,
-``_times``, ``_convolve``), so ``CohClass`` and ``LaurentPoly`` share one
-arithmetic.  A product takes each operand prepared as one list of terms
+``_times``, ``_convolve``).  ``CohClass`` and ``LaurentPoly`` share one value
+core, ``_Value``: its storage and every member that reads only the storage
+(arithmetic, equality, homogeneity, the inverse's geometric series) are
+defined once, and a sum or product with a polynomial operand is a
+polynomial.  A product takes each operand prepared as one list of terms
 (``_rows`` for the left factor, ``_cols`` for the right, ordered by rank
-across all powers of t); a ``LaurentPoly`` prepares them once and keeps
-them.  Each pair of terms is looked up in the monomial product table and
+across all powers of t); every value prepares them once and keeps them.
+Each pair of terms is looked up in the monomial product table and
 its int product is summed into one accumulator keyed by combined key.  The
 loop over the right operand's terms ends at the first one whose product
 must vanish: past h^n with an empty h-rule, where only zeros are then
@@ -349,27 +352,6 @@ class Basis:
         return {c: v for c, v in out.items() if v}
 
 
-def _geometric_series(x, failure: str):
-    """1 + x + x^2 + ... for a nilpotent ``CohClass`` or ``LaurentPoly`` x.
-
-    Products and the h-rule preserve degree (h-exponent plus base degree),
-    since ``RingSpec`` admits only rule terms of degree n + 1.  Classes
-    without scalar part therefore span degrees 1..n + base_cutoff, and any
-    x whose coefficients have no scalar part has x^k = 0 by k = n + base_cutoff + 1.
-    If x^k does not vanish by then, raises :class:`NotInvertibleError` with
-    the message ``failure``.
-    """
-    acc, power = type(x).one(x.spec), x
-    for _ in range(x.spec.n + x.spec.base_cutoff + 1):
-        if power.is_zero():
-            break
-        acc = acc + power
-        power = power * x
-    if not power.is_zero():
-        raise NotInvertibleError(failure)
-    return acc
-
-
 def _rows(basis: Basis, num: Numerators) -> Rows:
     """``num`` as the left operand of :func:`_convolve`: per term, its combined key
     without the monomial, its ``Basis.room``, its product-table row and its numerator."""
@@ -425,10 +407,139 @@ def _convolve(
     return _lowest(acc, den_l * den_r)
 
 
-class CohClass:
+def _join(pieces: list[str]) -> str:
+    """Rendered terms joined by " + ", or by " - " before a negative one; "0" for none."""
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
+
+
+class _Value:
+    """The exact-value core of :class:`CohClass` and :class:`~gwone.laurent.LaurentPoly`.
+
+    A value is the flat dict ``_num`` over ``_den`` of the module docstring,
+    in lowest terms; a class is the t^0 case.  Everything here reads only
+    that storage, so each method serves both types; each type keeps its own
+    construction, read API and the seed of its inverse.  A sum or product
+    with a polynomial operand is a polynomial.
+    """
+
+    # _left and _right are this value prepared as a product operand (``_rows``,
+    # ``_cols``), built on first use; not part of the value.
+    __slots__ = ("spec", "_num", "_den", "_left", "_right")
+
+    @classmethod
+    def _new(cls, spec: RingSpec, num: Numerators, den: int) -> _Value:
+        """A value from nonzero numerators by combined key, in lowest terms over den."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out._num = num
+        out._den = den
+        out._left = out._right = None
+        return out
+
+    @classmethod
+    def zero(cls, spec: RingSpec) -> _Value:
+        return cls._new(spec, {}, 1)
+
+    @classmethod
+    def one(cls, spec: RingSpec) -> _Value:
+        return cls._new(spec, {0: 1}, 1)
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def is_homogeneous(self, total_degree: int) -> bool:
+        """True when the t^j coefficient is concentrated in degree total_degree - j,
+        grading h by 1 and generator i by deg(i); a class is the case j = 0."""
+        degree, stride = self.spec.basis.degree, self.spec.basis.stride
+        return all(degree[c % stride] == total_degree - c // stride for c in self._num)
+
+    # -- arithmetic -------------------------------------------------------
+
+    def _check(self, other: _Value) -> None:
+        if self.spec is not other.spec and self.spec != other.spec:
+            raise SpecMismatchError("operands live in different rings")
+
+    def __add__(self, other: _Value) -> _Value:
+        self._check(other)
+        kind = type(self) if isinstance(other, CohClass) else type(other)
+        return kind._new(self.spec, *_add(self._num, self._den, other._num, other._den))
+
+    def __sub__(self, other: _Value) -> _Value:
+        return self + (-other)
+
+    def __neg__(self) -> _Value:
+        return self._new(self.spec, {c: -v for c, v in self._num.items()}, self._den)
+
+    def __mul__(self, other: _Value | Scalar) -> _Value:
+        if not isinstance(other, _Value):
+            return self._new(self.spec, *_times(self._num, self._den, Fraction(other)))
+        self._check(other)
+        basis = self.spec.basis
+        if (rows := self._left) is None:
+            rows = self._left = _rows(basis, self._num)
+        if (cols := other._right) is None:
+            cols = other._right = _cols(basis, other._num)
+        kind = type(self) if isinstance(other, CohClass) else type(other)
+        return kind._new(self.spec, *_convolve(basis, rows, self._den, cols, other._den))
+
+    def __rmul__(self, other: Scalar) -> _Value:
+        return self.__mul__(other)
+
+    def __pow__(self, exponent: int) -> _Value:
+        if exponent < 0:
+            raise ValueError("negative powers are not defined; use inverse()")
+        out = self.one(self.spec)
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        same_spec = self.spec is other.spec or self.spec == other.spec
+        return same_spec and self._den == other._den and self._num == other._num
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _inverse_from(self, seed: _Value | Fraction, failure: str) -> _Value:
+        """The inverse, given a seed s for which x = 1 - self * s is nilpotent:
+        (1 + x + x^2 + ...) * s.
+
+        Products and the h-rule preserve degree (h-exponent plus base degree),
+        since ``RingSpec`` admits only rule terms of degree n + 1.  Classes
+        without scalar part therefore span degrees 1..n + base_cutoff, and any
+        x whose coefficients have no scalar part has x^k = 0 by k = n + base_cutoff + 1.
+        If x^k does not vanish by then, raises :class:`NotInvertibleError` with
+        the message ``failure``.
+        """
+        one = self.one(self.spec)
+        x = one - self * seed
+        acc, power = one, x
+        for _ in range(self.spec.n + self.spec.base_cutoff + 1):
+            if power.is_zero():
+                break
+            acc = acc + power
+            power = power * x
+        if not power.is_zero():
+            raise NotInvertibleError(failure)
+        return acc * seed
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class CohClass(_Value):
     """An element of the truncated ring described by a :class:`RingSpec`."""
 
-    __slots__ = ("spec", "_num", "_den")
+    __slots__ = ()
 
     def __init__(self, spec: RingSpec, parts: Iterable[Mapping[Mono, Scalar]]):
         """Coerce caller input, one dict per power of h (any number of them)."""
@@ -449,15 +560,7 @@ class CohClass:
                 num[t] = num.get(t, 0) + v * w
         self.spec = spec
         self._num, self._den = _lowest({t: v for t, v in num.items() if v}, den * basis.tail_den)
-
-    @classmethod
-    def _new(cls, spec: RingSpec, num: Numerators, den: int) -> CohClass:
-        """A class from nonzero numerators of basis keys below top, in lowest terms over den."""
-        out = object.__new__(cls)
-        out.spec = spec
-        out._num = num
-        out._den = den
-        return out
+        self._left = self._right = None
 
     @classmethod
     def _reduced(cls, spec: RingSpec, num: Numerators, den: int) -> CohClass:
@@ -465,14 +568,6 @@ class CohClass:
         return cls._new(spec, *_lowest(num, den))
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, spec: RingSpec) -> CohClass:
-        return cls._new(spec, {}, 1)
-
-    @classmethod
-    def one(cls, spec: RingSpec) -> CohClass:
-        return cls._new(spec, {0: 1}, 1)
 
     @classmethod
     def scalar(cls, spec: RingSpec, value: Scalar) -> CohClass:
@@ -500,9 +595,6 @@ class CohClass:
 
     # -- inspection -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     @property
     def scalar_part(self) -> Fraction:
         return Fraction(self._num.get(0, 0), self._den)
@@ -521,66 +613,19 @@ class CohClass:
             k, i = divmod(key, basis.size)
             yield k, basis.monos[i], Fraction(self._num[key], self._den)
 
-    def degrees(self) -> set[int]:
-        """Total degrees present, grading h by 1 and generator i by deg(i)."""
-        degree = self.spec.basis.degree
-        return {degree[key] for key in self._num}
-
-    def is_homogeneous(self, degree: int) -> bool:
-        degs = self.degrees()
-        return not degs or degs == {degree}
-
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other: CohClass) -> None:
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise SpecMismatchError("operands live in different rings")
-
-    def __add__(self, other: CohClass) -> CohClass:
-        self._check(other)
-        return CohClass._new(self.spec, *_add(self._num, self._den, other._num, other._den))
-
-    def __sub__(self, other: CohClass) -> CohClass:
-        return self + (-other)
-
-    def __neg__(self) -> CohClass:
-        return CohClass._new(self.spec, {key: -v for key, v in self._num.items()}, self._den)
-
-    def __mul__(self, other: CohClass | Scalar) -> CohClass:
-        if isinstance(other, (int, Fraction)):
-            return CohClass._new(self.spec, *_times(self._num, self._den, Fraction(other)))
-        self._check(other)
-        basis = self.spec.basis
-        rows, cols = _rows(basis, self._num), _cols(basis, other._num)
-        return CohClass._new(self.spec, *_convolve(basis, rows, self._den, cols, other._den))
-
-    def __rmul__(self, other: Scalar) -> CohClass:
-        return self.__mul__(other)
-
-    def __pow__(self, exponent: int) -> CohClass:
-        if exponent < 0:
-            raise ValueError("negative powers are not defined; use inverse()")
-        out = CohClass.one(self.spec)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        same_spec = self.spec is other.spec or self.spec == other.spec
-        return same_spec and self._den == other._den and self._num == other._num
-
-    __hash__ = None  # type: ignore[assignment]
+    # The shared arithmetic, bound here too so that each value type carries
+    # its own entry points (``perfbench/tracer.py`` wraps a type's own methods).
+    __add__ = _Value.__add__
+    __mul__ = _Value.__mul__
 
     def inverse(self) -> CohClass:
         """Invert a unit: nonzero scalar part plus a nilpotent remainder."""
         c0 = self.scalar_part
         if not c0:
             raise NotInvertibleError("degree-0 part is zero")
-        scale = Fraction(1) / c0
-        x = CohClass.one(self.spec) - self * scale
-        return _geometric_series(x, "remainder is not nilpotent") * scale
+        return self._inverse_from(Fraction(1) / c0, "remainder is not nilpotent")
 
     def integrate(self) -> Fraction | CohClass:
         """Fiber integration: the coefficient of h^n.
@@ -619,16 +664,4 @@ class CohClass:
 
     def __str__(self) -> str:
         items = sorted(self.terms(), key=lambda t: (t[0], t[1]))
-        if not items:
-            return "0"
-        out = self._term_str(*items[0])
-        for h_exp, mono, c in items[1:]:
-            piece = self._term_str(h_exp, mono, c)
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
-
-    def __repr__(self) -> str:
-        return f"CohClass({self})"
+        return _join([self._term_str(*item) for item in items])

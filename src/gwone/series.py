@@ -75,11 +75,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self._coeffs)
 
-    def truncate(self, order: int) -> QSeries:
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.spec, order, self._coeffs[: order + 1])
-
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: QSeries) -> None:

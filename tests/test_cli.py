@@ -19,7 +19,7 @@ from gwone.mirror import MirrorData, MirrorReport
 from gwone.relative import RelativeModel, relative_phi
 from gwone.rings import RingSpec
 
-from strategies import coh_classes
+from strategies import CANONICAL_SPECS, coh_classes, fractions, laurent_polys
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +166,34 @@ def test_absolute_class_json_is_each_coefficient_string(spec, data):
     cls = data.draw(coh_classes(spec))
     expected = [str(cls.coefficient(k)) for k in range(spec.n + 1)]
     assert cli.coh_to_json(cls) == {"h": expected}
+
+
+def laurent_json_oracle(poly: LaurentPoly) -> list[dict]:
+    """The serialiser's former route: one reduced class per t-exponent from
+    ``items()``, each coefficient rendered by ``str(Fraction)``."""
+    spec, out = poly.spec, []
+    names = spec.generator_names()
+    for exp, cls in reversed(list(poly.items())):
+        if not spec.is_relative:
+            out.append({"t": exp, "h": [str(cls.coefficient(k)) for k in range(spec.n + 1)]})
+            continue
+        terms = [
+            {"h": k, "base": {names[i]: e for i, e in enumerate(mono) if e}, "c": str(c)}
+            for k, mono, c in sorted(cls.terms())
+        ]
+        out.append({"t": exp, "terms": terms})
+    return out
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS)
+@given(st.data())
+def test_laurent_json_matches_the_per_class_route(spec, data):
+    poly = data.draw(laurent_polys(spec)) * data.draw(fractions.filter(bool))
+    text = json.dumps(laurent_to_json(poly))
+    assert text == json.dumps(laurent_json_oracle(poly))
+    assert laurent_from_json(spec, json.loads(text)) == poly
+    for entry, (_, cls) in zip(json.loads(text), reversed(list(poly.items()))):
+        assert {"t": entry["t"], **cli.coh_to_json(cls)} == entry
 
 
 def test_relative_porteous_output(capsys):

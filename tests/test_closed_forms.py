@@ -3,7 +3,8 @@
 The oracles below are the former ``correlators.phi_numerator`` and
 ``correlators.euler_class``: every linear form is built by
 ``LaurentPoly.linear`` and multiplied in one ring product at a time, and
-each power (h + k*t)^p is p repeated products.  They use no Stirling or
+each power (h + k*t)^p, ``LaurentPoly.linear_power`` in closed form, is p
+repeated products.  They use no Stirling or
 binomial coefficients, so the closed forms must agree with them exactly, in
 absolute rings and through the h-rule of relative ones.  ``pn_one_point``
 (tested in ``test_correlators``) stays the independent route for phi of P^n.
@@ -68,6 +69,15 @@ def test_euler_class_matches_repeated_products(spec, data, d):
     size = data.draw(st.integers(0, spec.n + 1), label="size")
     chern = tuple(data.draw(coh_classes(spec, 2), label="c") for _ in range(size))
     assert euler_class(spec, chern, d) == euler_oracle(spec, chern, d)
+
+
+@given(st.sampled_from(FORM_SPECS), st.integers(-4, 6), st.integers(0, 12))
+def test_linear_power_matches_repeated_products(spec, k, p):
+    # (h + k*t)^p, the power behind euler_class, relative._unit_factors and SchubertInput
+    expected = LaurentPoly.one(spec)
+    for _ in range(p):
+        expected = expected * LaurentPoly.linear(spec, 1, k)
+    assert LaurentPoly.linear_power(spec, k, p) == expected
 
 
 @pytest.mark.parametrize("spec", FORM_SPECS, ids=str)

@@ -96,7 +96,30 @@ def test_shift_and_coefficient():
     assert shifted.coefficient(-2) == h_class(spec)
     assert shifted.coefficient(1) == CohClass.one(spec)
     assert shifted.coefficient(5).is_zero()
-    assert shifted.t_min() == -2 and shifted.t_max() == 1
+    assert shifted.support() == [-2, 1] and shifted.t_max() == 1
+
+
+def test_class_plus_or_times_polynomial_is_a_polynomial():
+    # With the class on the left, the polynomial's t-keys must not be read as basis
+    # keys above h^n (which gives the class 2*h + h^7 for h + p).
+    spec = RingSpec.absolute(3)
+    h, p = h_class(spec), LaurentPoly.linear(spec, 1, 1)
+    for left, right, text in ((h + p, p + h, "t + 2*h"), (h * p, p * h, "h*t + h^2")):
+        assert type(left) is LaurentPoly and type(right) is LaurentPoly
+        assert left == right and str(left) == text
+    assert h - p == -(p - h) == LaurentPoly.single(spec, 1, -1)
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS)
+@given(st.data())
+def test_mixed_class_and_polynomial_arithmetic_commutes(spec, data):
+    a, p = data.draw(coh_classes(spec)), data.draw(laurent_polys(spec))
+    for left, right in ((a + p, p + a), (a * p, p * a)):
+        assert type(left) is LaurentPoly and type(right) is LaurentPoly
+        assert left == right
+        assert_canonical(left)
+    assert a + p == LaurentPoly.single(spec, 0, a) + p
+    assert a * p == LaurentPoly.single(spec, 0, a) * p
 
 
 def test_homogeneity_check():

@@ -89,9 +89,8 @@ def test_truncation_orders_must_match():
         QSeries.one(SPEC, 3) + QSeries.one(SPEC, 4)
 
 
-def test_truncate_and_shift():
+def test_shift():
     p = scalar_series(4, {0: 1, 1: 2, 3: 4})
-    assert p.truncate(2) == scalar_series(2, {0: 1, 1: 2})
     shifted = p.shift(2)
     assert shifted == scalar_series(4, {2: 1, 3: 2})
 
