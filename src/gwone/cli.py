@@ -206,7 +206,7 @@ def cmd_relative_euler(args) -> tuple[dict, str]:
 
 
 def cmd_relative_phi(args) -> tuple[dict, str]:
-    model = RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=tuple(args.degrees))
+    model = RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=args.degrees)
     value = relative_phi(model, args.d)
     return {"phi": laurent_to_json(value)}, str(value)
 

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec
@@ -39,12 +39,23 @@ class ClassificationError(ValueError):
     """A correlator formula was requested for the wrong positivity class."""
 
 
+def _degree_tuple(degrees: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """``degrees`` as the tuple of ints a model stores; each must be >= 1."""
+    degs = tuple(map(int, degrees))
+    if degs and min(degs) < 1:
+        raise ValueError("all degrees must be >= 1")
+    return degs
+
+
 @dataclass(frozen=True)
 class CIModel:
     """A complete intersection of type ``degrees`` in P^n (m = 0 is P^n)."""
 
     n: int
     degrees: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "degrees", _degree_tuple(self.degrees))
 
     @property
     def m(self) -> int:
@@ -56,17 +67,11 @@ class CIModel:
 
     @property
     def degree_product(self) -> int:
-        out = 1
-        for l in self.degrees:
-            out *= l
-        return out
+        return prod(self.degrees)
 
     @property
     def factorial_product(self) -> int:
-        out = 1
-        for l in self.degrees:
-            out *= factorial(l)
-        return out
+        return prod(factorial(l) for l in self.degrees)
 
     @property
     def classification(self) -> Classification:
@@ -97,10 +102,7 @@ def classify(n: int, degrees: tuple[int, ...] | list[int] = ()) -> CIModel:
     """Build a model and classify it by the total degree versus n."""
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
-    degs = tuple(int(l) for l in degrees)
-    if any(l < 1 for l in degs):
-        raise ValueError("all degrees must be >= 1")
-    return CIModel(n=n, degrees=degs)
+    return CIModel(n=n, degrees=degrees)
 
 
 def degree_vectors(n: int) -> list[tuple[int, ...]]:
@@ -168,6 +170,8 @@ def phi(model: CIModel, d: int) -> LaurentPoly:
     (prod l_i) * h^m, the class of the complete intersection itself.  The
     denominator is inverted once per (n, d), by P^n's own cached phi.
     """
+    if model.spec.is_relative:
+        raise ValueError(f"phi ignores the bundle's Chern classes; use relative_phi for {model}")
     if d < 0:
         raise ValueError("degree must be >= 0")
     if d == 0:
@@ -208,13 +212,9 @@ def fano_index1_correlator(model: CIModel, d: int) -> LaurentPoly:
     """
     if model.classification is not Classification.FANO_INDEX_ONE:
         raise ClassificationError(f"not Fano of index one: l_1+...+l_m != n for {model}")
-    spec = model.spec
-    sign_factor = -model.factorial_product
-    out = LaurentPoly.zero(spec)
-    for r in range(d + 1):
-        weight = Fraction(sign_factor**r, factorial(r))
-        out = out + phi(model, d - r).shift_t(-r) * weight
-    return out
+    sign = -model.factorial_product
+    terms = (phi(model, d - r).shift_t(-r) * Fraction(sign**r, factorial(r)) for r in range(d + 1))
+    return LaurentPoly.sum(model.spec, terms)
 
 
 def one_point_invariant(correlator: LaurentPoly, a: int, b: int) -> Fraction | CohClass:

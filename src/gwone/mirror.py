@@ -88,6 +88,9 @@ def mirror_coefficients(
     """
     if order is None:
         order = max(lambdas, default=0)
+    for e in range(1, order + 1):
+        if e not in lambdas:
+            raise ValueError(f"missing lambda for degree {e}")
     alphas = {e: lambdas[e].alpha for e in range(1, order + 1)}
     betas = {e: lambdas[e].beta for e in range(1, order + 1)}
     return MirrorData(

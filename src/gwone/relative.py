@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .correlators import euler_class, phi_numerator
+from .correlators import _degree_tuple, euler_class, phi_numerator
 from .laurent import LaurentPoly
 from .rings import BasePoly, CohClass, RingSpec, generator_mono, mono_mul
 from .series import QSeries
@@ -69,8 +69,7 @@ class RelativeModel:
             raise ValueError("fiber dimension must be >= 1")
         if self.base_cutoff < 0:
             raise ValueError("base cutoff must be >= 0")
-        if any(l < 1 for l in self.degrees):
-            raise ValueError("all degrees must be >= 1")
+        object.__setattr__(self, "degrees", _degree_tuple(self.degrees))
 
     @property
     def m(self) -> int:

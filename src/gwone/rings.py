@@ -287,7 +287,7 @@ class Basis:
         else:
             self.rank = [k * size for k in powers for _ in monos]
             self.room = [self.top - k for k in self.rank]
-        self._tails: list[Numerators] = []
+        self._tails: dict[int, Numerators] = {}
 
     def mono_index(self, mono: Mono) -> int:
         """The index of a caller's monomial, or -1 when it is above the cutoff.
@@ -318,23 +318,23 @@ class Basis:
     def tail(self, key: int) -> Numerators:
         """The normal form of h^k * m_i for k > n (``key`` >= ``top``), over ``tail_den``.
 
-        Tails are built in key order on first use, so each rewrite through
-        the h-rule reads only tails already built.
+        Each tail is built on first use and kept; its rewrite through the h-rule
+        reads only lower powers of h, so it builds just the tails it reaches.
         """
-        tails, top, size = self._tails, self.top, self.size
-        while len(tails) <= key - top:
-            k, i = divmod(top + len(tails), size)
+        tail = self._tails.get(key)
+        if tail is None:
+            k, i = divmod(key, self.size)
             row = self.products[i]
             acc: Numerators = {}
             for j, r, c in self._rule:
                 m = row[r]
                 if m < 0:
                     continue
-                for t, v in self.normal((k - self.n - 1 + j) * size + m).items():
+                for t, v in self.normal((k - self.n - 1 + j) * self.size + m).items():
                     acc[t] = acc.get(t, 0) + c * v
             # The rule's ints are R times its coefficients, and the tail is integral over tail_den.
-            tails.append({t: v // self._rule_den for t, v in acc.items() if v})
-        return tails[key - top]
+            tail = self._tails[key] = {t: v // self._rule_den for t, v in acc.items() if v}
+        return tail
 
     def fold(self, num: Numerators) -> Numerators:
         """The nonzero numerators over ``tail_den`` of ``num``, by combined key, with each
@@ -418,6 +418,27 @@ def _join(pieces: list[str]) -> str:
         else:
             out += " + " + piece
     return out
+
+
+def _power_sum(one, x, coefficients):
+    """(sum_k c_k * x^k, x^K) over ``coefficients`` c_0, c_1, ..., stopping at the first
+    power x^K that vanishes or after the last coefficient; x^K is not summed.
+
+    Every x summed here is nilpotent (h and the base classes in a truncated
+    ring, q modulo q^{order+1}).  ``one`` and ``x`` share a type (``_Value``
+    or ``QSeries``); a zero coefficient is skipped, and one equal to 1 costs
+    no product.
+    """
+    total = None
+    power = one
+    for c in coefficients:
+        if power.is_zero():
+            break
+        if not (c.is_zero() if isinstance(c, _Value) else c == 0):
+            term = power if c == 1 else power * c
+            total = term if total is None else total + term
+        power = x if power is one else power * x
+    return (one * 0 if total is None else total), power
 
 
 class _Value:
@@ -521,16 +542,11 @@ class _Value:
         the message ``failure``.
         """
         one = self.one(self.spec)
-        x = one - self * seed
-        acc, power = one, x
-        for _ in range(self.spec.n + self.spec.base_cutoff + 1):
-            if power.is_zero():
-                break
-            acc = acc + power
-            power = power * x
+        bound = self.spec.n + self.spec.base_cutoff + 1
+        total, power = _power_sum(one, one - self * seed, [1] * (bound + 1))
         if not power.is_zero():
             raise NotInvertibleError(failure)
-        return acc * seed
+        return total * seed
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"

@@ -1,18 +1,20 @@
 """Power series in q, truncated at a caller-supplied order.
 
 Coefficients are :class:`~gwone.laurent.LaurentPoly` values and every
-operation is exact modulo q^{order+1}.  Exponential, logarithm and the
-substitution q -> q*e^{f(q)} are finite computations at fixed truncation,
-so no analytic limits are involved anywhere.
+operation is exact modulo q^{order+1}; a product adds each q-degree in one
+pass (``LaurentPoly.sum``).  Exponential, logarithm and the substitution
+q -> q*e^{f(q)} are each one power sum (``rings._power_sum``) in a series
+without constant term, whose powers vanish past q^order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Mapping, Sequence
 
 from .laurent import LaurentPoly
-from .rings import CohClass, RingSpec, Scalar, SpecMismatchError
+from .rings import CohClass, RingSpec, Scalar, SpecMismatchError, _power_sum
 
 
 class QSeries:
@@ -101,15 +103,12 @@ class QSeries:
         if not isinstance(other, QSeries):
             return self.scale(other)
         self._check(other)
-        out = [LaurentPoly.zero(self.spec) for _ in range(self.order + 1)]
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order - i + 1):
-                b = other._coeffs[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
+        left = [(i, a) for i, a in enumerate(self._coeffs) if not a.is_zero()]
+        right = {j: b for j, b in enumerate(other._coeffs) if not b.is_zero()}
+        out = [
+            LaurentPoly.sum(self.spec, (a * right[d - i] for i, a in left if d - i in right))
+            for d in range(self.order + 1)
+        ]
         return QSeries(self.spec, self.order, out)
 
     def __rmul__(self, other: Scalar) -> QSeries:
@@ -145,46 +144,28 @@ class QSeries:
         """exp(f) as the finite Taylor sum; f must have zero constant term."""
         if not self.coefficient(0).is_zero():
             raise ValueError("exp requires a zero constant term")
-        out = QSeries.one(self.spec, self.order)
-        term = QSeries.one(self.spec, self.order)
-        for k in range(1, self.order + 1):
-            term = term * self * Fraction(1, k)
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+        one = QSeries.one(self.spec, self.order)
+        return _power_sum(one, self, [Fraction(1, factorial(k)) for k in range(self.order + 1)])[0]
 
     def log(self) -> QSeries:
         """log(f) as the finite Taylor sum; f must have constant term 1."""
         if self.coefficient(0) != LaurentPoly.one(self.spec):
             raise ValueError("log requires constant term 1")
-        u = self - QSeries.one(self.spec, self.order)
-        out = QSeries.zero(self.spec, self.order)
-        power = u
-        for k in range(1, self.order + 1):
-            if power.is_zero():
-                break
-            out = out + power * Fraction((-1) ** (k + 1), k)
-            power = power * u
-        return out
+        one = QSeries.one(self.spec, self.order)
+        coefficients = [Fraction((-1) ** (k + 1), k) if k else 0 for k in range(self.order + 1)]
+        return _power_sum(one, self - one, coefficients)[0]
 
     def substitute(self, inner: QSeries) -> QSeries:
-        """Evaluate the series at q * e^{inner(q)}.
+        """Evaluate the series at y = q * e^{inner(q)}, as sum_d c_d * y^d.
 
-        ``inner`` must have zero constant term, so the substitution maps
-        q-adic order to itself and the result is exact modulo q^{order+1}.
+        ``inner`` must have zero constant term, so y^d starts at q^d and the
+        result is exact modulo q^{order+1}.
         """
         self._check(inner)
         if not inner.coefficient(0).is_zero():
             raise ValueError("substitution requires a zero constant term")
-        growth = inner.exp()
-        out = QSeries.from_coefficients(self.spec, self.order, {0: self.coefficient(0)})
-        power = QSeries.one(self.spec, self.order)
-        for d in range(1, self.order + 1):
-            power = power * growth
-            contribution = power.shift(d).scale(self.coefficient(d))
-            out = out + contribution
-        return out
+        y = inner.exp().shift(1)
+        return _power_sum(QSeries.one(self.spec, self.order), y, self._coeffs)[0]
 
     def __str__(self) -> str:
         pieces = [f"({c}) q^{d}" for d, c in enumerate(self._coeffs) if not c.is_zero()]

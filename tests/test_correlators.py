@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from gwone.correlators import (
+    CIModel,
     Classification,
     ClassificationError,
     classify,
@@ -38,6 +39,21 @@ def test_classify_validates_input():
         classify(0, (1,))
     with pytest.raises(ValueError):
         classify(3, (0,))
+
+
+def test_a_model_from_a_list_of_degrees_is_the_model_from_the_tuple():
+    from_list, from_tuple = CIModel(3, [1]), CIModel(3, (1,))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert from_list.degrees == (1,)
+    assert phi(from_list, 1) == phi(from_tuple, 1)
+    assert classify(5, [2, 3]) == CIModel(5, (2, 3))
+
+
+def test_model_validates_its_degrees():
+    with pytest.raises(ValueError, match="all degrees must be >= 1"):
+        CIModel(3, [0])
+    with pytest.raises(ValueError, match="all degrees must be >= 1"):
+        classify(3, [2, -1])
 
 
 def test_phi_degree_zero_is_class_of_target():

@@ -16,6 +16,7 @@ from strategies import (
     RELATIVE_N0,
     SPECS,
     coh_classes,
+    coh_units,
     fractions,
     laurent_polys,
     laurent_triples,
@@ -79,6 +80,45 @@ def test_invert_rejects_non_nilpotent_lower_terms():
 @given(laurent_units())
 def test_unit_times_inverse_is_one(unit):
     assert unit * unit.inverse() == LaurentPoly.one(unit.spec)
+
+
+def geometric_inverse(value, seed):
+    """The former ``_Value._inverse_from`` loop: (1 + x + x^2 + ...) * seed with
+    x = 1 - value * seed, stopped at the first power of x that vanishes."""
+    one = value.one(value.spec)
+    x = one - value * seed
+    acc, power = one, x
+    for _ in range(value.spec.n + value.spec.base_cutoff + 1):
+        if power.is_zero():
+            break
+        acc = acc + power
+        power = power * x
+    if not power.is_zero():
+        raise NotInvertibleError("not nilpotent")
+    return acc * seed
+
+
+@given(coh_units())
+def test_class_inverse_matches_the_geometric_oracle(unit):
+    assert unit.inverse() == geometric_inverse(unit, 1 / unit.scalar_part)
+
+
+@given(laurent_units())
+def test_inverse_matches_the_geometric_oracle(unit):
+    top = unit.t_max()
+    lead = unit.coefficient(top)
+    seed = LaurentPoly.single(unit.spec, -top, geometric_inverse(lead, 1 / lead.scalar_part))
+    assert unit.inverse() == geometric_inverse(unit, seed)
+
+
+def test_both_inverses_reject_what_the_geometric_oracle_rejects():
+    spec = RingSpec.absolute(2)
+    p = LaurentPoly(spec, {1: CohClass.one(spec), 0: CohClass.one(spec)})
+    seed = LaurentPoly.single(spec, -1, 1)
+    with pytest.raises(NotInvertibleError):
+        geometric_inverse(p, seed)
+    with pytest.raises(NotInvertibleError, match="lower-order terms are not nilpotent"):
+        p.inverse()
 
 
 @given(laurent_triples())

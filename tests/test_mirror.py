@@ -25,6 +25,13 @@ QUINTIC = classify(4, (5,))
 SCALARS = RingSpec.absolute(0)
 
 
+def test_mirror_coefficients_name_a_missing_lambda():
+    from gwone.calabi_yau import LambdaForm
+
+    with pytest.raises(ValueError, match="missing lambda for degree 2"):
+        mirror_coefficients({1: LambdaForm(Fraction(1), Fraction(1))}, 3)
+
+
 def test_transform_degree_one_is_identity():
     x = {1: Fraction(3)}
     y = {1: Fraction(7, 2)}

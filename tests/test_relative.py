@@ -79,6 +79,28 @@ def test_relative_phi_trivial_bundle_matches_absolute():
     absolute = classify(4, (2,))
     for d in (0, 1, 2):
         assert relative_phi(model, d) == phi(absolute, d)
+        assert phi(model, d) == relative_phi(model, d)
+
+
+def test_phi_rejects_a_bundle_model():
+    # phi would divide by P^n's Euler class: its t^-3 coefficient would read
+    # -2*h^2 where the bundle's is h*s1 - 2*h^2.
+    model = RelativeModel(n=2, base_cutoff=3, degrees=(1,))
+    with pytest.raises(ValueError, match="relative_phi"):
+        phi(model, 1)
+    spec = model.spec
+    h, s1 = CohClass.h_power(spec, 1), model.segre_class(1)
+    assert relative_phi(model, 1).coefficient(-3) == h * s1 - h * h * 2
+
+
+def test_a_bundle_model_from_a_list_of_degrees_is_the_model_from_the_tuple():
+    from_list = RelativeModel(2, 3, [1, 1])
+    from_tuple = RelativeModel(2, 3, (1, 1))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert from_list.degrees == (1, 1)
+    assert relative_phi(from_list, 1) == relative_phi(from_tuple, 1)
+    with pytest.raises(ValueError, match="all degrees must be >= 1"):
+        RelativeModel(2, 3, [1, 0])
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,17 @@ def h(spec, k=1):
     return CohClass.h_power(spec, k)
 
 
+def test_a_tail_builds_only_the_tails_it_reaches():
+    # h^2 = -u*h over one base generator u of degree 1, so h^3 = -u*h^2 = u^2*h:
+    # the normal form of h^3 reads that of u*h^2 and nothing else above h^1.
+    spec = RingSpec.relative(1, (("u", 1),), 3, [(1, (1,), -1)])
+    basis = spec.basis
+    assert basis.tail(3 * basis.size) == {basis.size + basis.index[(2,)]: 1}
+    assert len(basis._tails) == 2
+    assert h(spec, 3) == CohClass.from_terms(spec, {(1, (2,)): 1})
+    assert len(basis._tails) == 2
+
+
 def test_truncation_kills_h_top():
     assert (h(N4, 4) * h(N4)).is_zero()
 

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwone.laurent import LaurentPoly
-from gwone.rings import RingSpec
+from gwone.relative import relative_ring
+from gwone.rings import CohClass, RingSpec, _power_sum
 from gwone.series import QSeries
 
 from strategies import fractions, q_series
@@ -101,3 +103,130 @@ def test_scale_by_laurent():
     scaled = p.scale(t_inverse)
     assert scaled.coefficient(0) == t_inverse
     assert scaled.coefficient(1) == t_inverse
+
+
+# -- the loops the shared power sum replaced, kept as oracles ------------------
+#
+# Each is the former method body, on the former pairwise product, so every
+# property below compares the new code with code that shares none of it.
+
+
+def pairwise_mul(a, b):
+    """The former ``QSeries.__mul__``: each pair of coefficients added in turn."""
+    out = [LaurentPoly.zero(a.spec) for _ in range(a.order + 1)]
+    for i in range(a.order + 1):
+        x = a.coefficient(i)
+        if x.is_zero():
+            continue
+        for j in range(a.order - i + 1):
+            y = b.coefficient(j)
+            if y.is_zero():
+                continue
+            out[i + j] = out[i + j] + x * y
+    return QSeries(a.spec, a.order, out)
+
+
+def taylor_exp(f):
+    """The former ``QSeries.exp``: term_k = term_{k-1} * f / k."""
+    out = QSeries.one(f.spec, f.order)
+    term = QSeries.one(f.spec, f.order)
+    for k in range(1, f.order + 1):
+        term = pairwise_mul(term, f) * Fraction(1, k)
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
+def taylor_log(f):
+    """The former ``QSeries.log``: sum_k (-1)^{k+1} u^k / k with u = f - 1."""
+    u = f - QSeries.one(f.spec, f.order)
+    out = QSeries.zero(f.spec, f.order)
+    power = u
+    for k in range(1, f.order + 1):
+        if power.is_zero():
+            break
+        out = out + power * Fraction((-1) ** (k + 1), k)
+        power = pairwise_mul(power, u)
+    return out
+
+
+def dense_substitute(p, inner):
+    """The former ``QSeries.substitute``: sum_d c_d * q^d * growth^d, each power of
+    growth = e^{inner} formed in full before it is shifted."""
+    growth = taylor_exp(inner)
+    out = QSeries.from_coefficients(p.spec, p.order, {0: p.coefficient(0)})
+    power = QSeries.one(p.spec, p.order)
+    for d in range(1, p.order + 1):
+        power = pairwise_mul(power, growth)
+        out = out + power.shift(d).scale(p.coefficient(d))
+    return out
+
+
+ORACLE_SPECS = [SPEC, relative_ring(2, 2)]
+
+
+def spec_id(spec):
+    return f"n{spec.n}-cutoff{spec.base_cutoff}"
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+@given(st.data())
+def test_product_matches_the_pairwise_oracle(spec, data):
+    p = data.draw(q_series(spec))
+    q = data.draw(q_series(spec))
+    assert p * q == pairwise_mul(p, q)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+@given(st.data())
+def test_exp_matches_the_taylor_oracle(spec, data):
+    f = data.draw(q_series(spec, zero_constant=True))
+    assert f.exp() == taylor_exp(f)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+@given(st.data())
+def test_log_matches_the_taylor_oracle(spec, data):
+    f = QSeries.one(spec, 4) + data.draw(q_series(spec, zero_constant=True))
+    assert f.log() == taylor_log(f)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+@given(st.data())
+def test_substitute_matches_the_dense_oracle(spec, data):
+    p = data.draw(q_series(spec))
+    inner = data.draw(q_series(spec, zero_constant=True))
+    assert p.substitute(inner) == dense_substitute(p, inner)
+
+
+def test_power_sum_stops_at_the_first_vanishing_power(monkeypatch):
+    spec = RingSpec.absolute(3)
+    h = CohClass.h_power(spec, 1)
+    products = []
+    multiply = CohClass.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(CohClass, "__mul__", counted)
+    total, power = _power_sum(CohClass.one(spec), h, [1, 1, 2, 0, 5, 7])
+    # x^1 is x itself; x^2, x^3 and x^4 = 0 take one product each, and the
+    # coefficient 2 one more; 1 is not multiplied by, 0 is skipped, and
+    # nothing after x^4 is formed.
+    assert len(products) == 4
+    assert power.is_zero()
+    assert total == multiply(h, h) * 2 + h + CohClass.one(spec)
+    products.clear()
+    total, power = _power_sum(CohClass.one(spec), h, [1, 1])
+    assert len(products) == 1
+    assert total == h + CohClass.one(spec) and power == multiply(h, h)
+
+
+def test_power_sum_skips_a_zero_polynomial_coefficient():
+    q = scalar_series(3, {1: 1})
+    coefficients = [LaurentPoly.zero(SPEC), LaurentPoly.single(SPEC, -1, 2)]
+    total, power = _power_sum(QSeries.one(SPEC, 3), q, coefficients)
+    assert total == scalar_series(3, {1: 1}).scale(LaurentPoly.single(SPEC, -1, 2))
+    assert power == scalar_series(3, {2: 1})
