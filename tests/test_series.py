@@ -107,8 +107,9 @@ def test_scale_by_laurent():
 
 # -- the loops the shared power sum replaced, kept as oracles ------------------
 #
-# Each is the former method body, on the former pairwise product, so every
-# property below compares the new code with code that shares none of it.
+# Each is the former method body, on the former pairwise product, so the
+# properties below compare the new code with loops that use neither
+# ``_power_sum`` nor the one-pass product.
 
 
 def pairwise_mul(a, b):
