@@ -245,7 +245,7 @@ def _random_coh(rng: random.Random, spec: RingSpec, max_terms: int = 3) -> CohCl
     for _ in range(rng.randint(0, max_terms)):
         key = (rng.randint(0, spec.n), rng.choice(monos))
         terms[key] = _random_fraction(rng)
-    return CohClass.from_terms(spec, terms)
+    return CohClass(spec, terms)
 
 
 def _strip_scalar(cls: CohClass) -> CohClass:
@@ -293,19 +293,11 @@ def algebra_kernel() -> str:
     spec = RingSpec.absolute(2)
     order = 4
     for _ in range(100):
-        f = QSeries.from_coefficients(
-            spec, order, {d: _random_laurent(rng, spec, 2) for d in range(1, order + 1)}
-        )
-        g = QSeries.from_coefficients(
-            spec, order, {d: _random_laurent(rng, spec, 2) for d in range(1, order + 1)}
-        )
+        f = QSeries(spec, order, {d: _random_laurent(rng, spec, 2) for d in range(1, order + 1)})
+        g = QSeries(spec, order, {d: _random_laurent(rng, spec, 2) for d in range(1, order + 1)})
         assert (f + g).exp() == f.exp() * g.exp(), "exp(f+g) != exp(f)exp(g)"
-        p = QSeries.from_coefficients(
-            spec, order, {d: _random_laurent(rng, spec, 2) for d in range(order + 1)}
-        )
-        q = QSeries.from_coefficients(
-            spec, order, {d: _random_laurent(rng, spec, 2) for d in range(order + 1)}
-        )
+        p = QSeries(spec, order, {d: _random_laurent(rng, spec, 2) for d in range(order + 1)})
+        q = QSeries(spec, order, {d: _random_laurent(rng, spec, 2) for d in range(order + 1)})
         zero = QSeries.zero(spec, order)
         assert p.substitute(zero) == p, "substitute(P, 0) != P"
         assert (p * q).substitute(f) == p.substitute(f) * q.substitute(f), (

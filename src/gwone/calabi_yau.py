@@ -300,6 +300,8 @@ def cy_correlator(
 ) -> LaurentPoly:
     """The degree-d Calabi-Yau correlator: 2^d combs, at most two ring products each."""
     _require_calabi_yau(model)
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     if d == 0:
         return phi(model, 0)
     if lambdas is None:

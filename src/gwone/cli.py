@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -69,29 +68,6 @@ def laurent_to_json(poly: LaurentPoly) -> list[dict]:
         {"t": e, **_class_json(poly.spec, groups[e], poly._den)}
         for e in sorted(groups, reverse=True)
     ]
-
-
-def coh_from_json(spec: RingSpec, data: dict) -> CohClass:
-    if "h" in data:
-        return CohClass(spec, [{(): Fraction(v)} for v in data["h"]])
-    names = list(spec.generator_names())
-    terms: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for item in data["terms"]:
-        mono = [0] * len(names)
-        for name, e in item.get("base", {}).items():
-            mono[names.index(name)] = e
-        terms[(item["h"], tuple(mono))] = Fraction(item["c"])
-    return CohClass.from_terms(spec, terms)
-
-
-def laurent_from_json(spec: RingSpec, data: list[dict]) -> LaurentPoly:
-    return LaurentPoly(
-        spec,
-        {
-            item["t"]: coh_from_json(spec, {k: v for k, v in item.items() if k != "t"})
-            for item in data
-        },
-    )
 
 
 def _lambda_json(lambdas) -> dict:

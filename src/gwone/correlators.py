@@ -19,6 +19,7 @@ vanishes by degree; ring products only join these factors.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -39,9 +40,16 @@ class ClassificationError(ValueError):
     """A correlator formula was requested for the wrong positivity class."""
 
 
+def _degree(l: int) -> int:
+    try:
+        return operator.index(l)
+    except TypeError:
+        raise ValueError(f"degree {l!r} is not an integer") from None
+
+
 def _degree_tuple(degrees: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """``degrees`` as the tuple of ints a model stores; each must be >= 1."""
-    degs = tuple(map(int, degrees))
+    """``degrees`` as the tuple of ints a model stores; each must be an integer >= 1."""
+    degs = tuple(map(_degree, degrees))
     if degs and min(degs) < 1:
         raise ValueError("all degrees must be >= 1")
     return degs
@@ -212,6 +220,8 @@ def fano_index1_correlator(model: CIModel, d: int) -> LaurentPoly:
     """
     if model.classification is not Classification.FANO_INDEX_ONE:
         raise ClassificationError(f"not Fano of index one: l_1+...+l_m != n for {model}")
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     sign = -model.factorial_product
     terms = (phi(model, d - r).shift_t(-r) * Fraction(sign**r, factorial(r)) for r in range(d + 1))
     return LaurentPoly.sum(model.spec, terms)

@@ -120,7 +120,7 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
         chains = _chain_sums(order - d1, lambda delta, start: forms[delta])
         for q, chain in chains.items():
             values[d1 + q] = values[d1 + q] + phi(model, d1) * chain
-    return QSeries.from_coefficients(spec, order, values)
+    return QSeries(spec, order, values)
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,8 @@ def verify_mirror_identity(
     spec = model.spec
     if lambdas is None:
         lambdas = solve_lambdas_up_to(model, order)
-    sigma = QSeries.from_coefficients(
-        spec,
-        order,
-        {d: cy_correlator(model, d, lambdas) for d in range(order + 1)},
-    )
-    phi_series = QSeries.from_coefficients(
-        spec, order, {d: phi(model, d) for d in range(order + 1)}
-    )
+    sigma = QSeries(spec, order, {d: cy_correlator(model, d, lambdas) for d in range(order + 1)})
+    phi_series = QSeries(spec, order, {d: phi(model, d) for d in range(order + 1)})
     mirror = mirror_coefficients(lambdas, order)
     f = mirror.f_series(spec)
     g = mirror.g_series(spec)

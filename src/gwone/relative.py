@@ -96,7 +96,8 @@ class RelativeModel:
         spec = self.spec
         if j < 0 or j > self.base_cutoff:
             return CohClass.zero(spec)
-        return CohClass(spec, [_chern_from_segre(self.base_cutoff)[j]])
+        chern = _chern_from_segre(self.base_cutoff)[j]
+        return CohClass(spec, {(0, mono): c for mono, c in chern.items()})
 
 
 def linear_cy_model(n: int, base_cutoff: int) -> RelativeModel:
@@ -217,7 +218,7 @@ def _unit_factors(model: RelativeModel, order: int) -> QSeries:
         if e:
             absolute_part = absolute_part * LaurentPoly.linear_power(spec, e, model.n + 1)
         values[e] = absolute_part * relative_phi(bundle, e)
-    return QSeries.from_coefficients(spec, order, values)
+    return QSeries(spec, order, values)
 
 
 def derive_linear_cy_lambdas(
@@ -249,7 +250,7 @@ def derive_linear_cy_lambdas(
                 f"expected ({expected_a}, {expected_b})"
             )
         lam_over_t = LaurentPoly(spec, {0: CohClass.scalar(spec, a_e), -1: b_e})
-        known = known * QSeries.from_coefficients(spec, max_degree, {e: lam_over_t}).exp()
+        known = known * QSeries(spec, max_degree, {e: lam_over_t}).exp()
         out.append((a_e, b_e))
     return out
 
@@ -264,9 +265,7 @@ def linear_cy_series(model: RelativeModel, order: int) -> QSeries:
     if not model.is_linear_cy:
         raise ValueError("model is not a linear Calabi-Yau")
     spec = model.spec
-    phis = QSeries.from_coefficients(
-        spec, order, {e: relative_phi(model, e) for e in range(order + 1)}
-    )
+    phis = QSeries(spec, order, {e: relative_phi(model, e) for e in range(order + 1)})
     one_minus_q = QSeries.from_scalars(spec, order, {0: 1, 1: -1})
     s1_over_t = LaurentPoly.single(spec, -1, model.segre_class(1))
     multiplier = one_minus_q * one_minus_q.log().scale(s1_over_t).exp()
@@ -291,5 +290,5 @@ def linear_cy_expected(model: RelativeModel, d: int) -> CohClass:
     """(1/d^2) * h^{n+1} * (s_2 - s_1*h), reduced in the bundle ring."""
     spec = model.spec
     h = CohClass.h_power(spec, 1)
-    top = CohClass.from_terms(spec, {(model.n + 1, ()): Fraction(1)})
+    top = CohClass(spec, {(model.n + 1, ()): 1})
     return top * (model.segre_class(2) - model.segre_class(1) * h) * Fraction(1, d * d)

@@ -2,7 +2,9 @@
 
 Values are elements of Q[h]/(h^{n+1}) or, when base generators are present,
 of (Q[s_1,...,s_g]/(degree > cutoff))[h] with powers of h above n rewritten
-through a configurable rule.  Nothing here ever rounds.
+through a configurable rule.  Nothing here ever rounds.  A class is built
+from one map, (h-exponent, base monomial) -> coefficient, as a Laurent
+polynomial is from t-exponent -> class.
 
 Each :class:`RingSpec` numbers its ring's basis once (its ``basis``): with
 the base monomials of degree <= cutoff listed as m_0 = 1, m_1, ..., m_{M-1}
@@ -557,20 +559,23 @@ class CohClass(_Value):
 
     __slots__ = ()
 
-    def __init__(self, spec: RingSpec, parts: Iterable[Mapping[Mono, Scalar]]):
-        """Coerce caller input, one dict per power of h (any number of them)."""
+    def __init__(self, spec: RingSpec, terms: Mapping[tuple[int, Mono], Scalar]):
+        """The class sum c * h^k * mono over caller terms (k, mono) -> c: powers of h
+        above n follow the h-rule and monomials above the cutoff vanish.  Raises
+        ValueError for k < 0 and for a malformed monomial (``Basis.mono_index``)."""
         basis = spec.basis
         size, mono_index = basis.size, basis.mono_index
-        terms: dict[int, Fraction] = {}
-        for k, poly in enumerate(parts):
-            for mono, c in poly.items():
-                i = mono_index(mono)
-                if i >= 0:
-                    key = k * size + i
-                    terms[key] = terms.get(key, 0) + Fraction(c)
-        den = lcm(*(c.denominator for c in terms.values()))
+        coeffs: dict[int, Fraction] = {}
+        for (k, mono), c in terms.items():
+            if k < 0:
+                raise ValueError("negative h-exponent")
+            i = mono_index(mono)
+            if i >= 0:
+                key = k * size + i
+                coeffs[key] = coeffs.get(key, 0) + Fraction(c)
+        den = lcm(*(c.denominator for c in coeffs.values()))
         num: Numerators = {}
-        for key, c in terms.items():
+        for key, c in coeffs.items():
             v = c.numerator * (den // c.denominator)
             for t, w in basis.normal(key).items():
                 num[t] = num.get(t, 0) + v * w
@@ -587,27 +592,16 @@ class CohClass(_Value):
 
     @classmethod
     def scalar(cls, spec: RingSpec, value: Scalar) -> CohClass:
-        return cls(spec, [{(): value}])
+        return cls(spec, {(0, ()): value})
 
     @classmethod
     def h_power(cls, spec: RingSpec, k: int) -> CohClass:
         """h^k, rewritten through the h-rule when k exceeds n."""
-        return cls.from_terms(spec, {(k, ()): 1})
+        return cls(spec, {(k, ()): 1})
 
     @classmethod
     def generator(cls, spec: RingSpec, index: int) -> CohClass:
-        return cls(spec, [{generator_mono(index): 1}])
-
-    @classmethod
-    def from_terms(cls, spec: RingSpec, terms: Mapping[tuple[int, Mono], Scalar]) -> CohClass:
-        """Build a class from (h-exponent, base-monomial) -> coefficient."""
-        top = max((k for (k, _) in terms), default=0)
-        slots: list[dict[Mono, Scalar]] = [{} for _ in range(top + 1)]
-        for (k, mono), c in terms.items():
-            if k < 0:
-                raise ValueError("negative h-exponent")
-            slots[k][mono] = c
-        return cls(spec, slots)
+        return cls(spec, {(0, generator_mono(index)): 1})
 
     # -- inspection -------------------------------------------------------
 

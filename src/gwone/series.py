@@ -1,17 +1,18 @@
 """Power series in q, truncated at a caller-supplied order.
 
-Coefficients are :class:`~gwone.laurent.LaurentPoly` values and every
-operation is exact modulo q^{order+1}; a product adds each q-degree in one
-pass (``LaurentPoly.sum``).  Exponential, logarithm and the substitution
-q -> q*e^{f(q)} are each one power sum (``rings._power_sum``) in a series
-without constant term, whose powers vanish past q^order.
+Coefficients are :class:`~gwone.laurent.LaurentPoly` values, given as one
+map q-degree -> coefficient, and every operation is exact modulo
+q^{order+1}; a product adds each q-degree in one pass (``LaurentPoly.sum``).
+Exponential, logarithm and the substitution q -> q*e^{f(q)} are each one
+power sum (``rings._power_sum``) in a series without constant term, whose
+powers vanish past q^order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec, Scalar, SpecMismatchError, _power_sum
@@ -22,50 +23,36 @@ class QSeries:
 
     __slots__ = ("spec", "order", "_coeffs")
 
-    def __init__(self, spec: RingSpec, order: int, coeffs: Sequence[LaurentPoly]):
+    def __init__(self, spec: RingSpec, order: int, coeffs: Mapping[int, LaurentPoly]):
+        """The series sum_d coeffs[d] * q^d; degrees above ``order`` are dropped."""
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        coeffs = list(coeffs)
-        if len(coeffs) > order + 1:
-            raise ValueError("more coefficients than the truncation allows")
-        for c in coeffs:
+        dense = [LaurentPoly.zero(spec)] * (order + 1)
+        for d, c in coeffs.items():
+            if d < 0:
+                raise ValueError(f"negative q-degree {d}")
             if c.spec is not spec and c.spec != spec:
                 raise SpecMismatchError("coefficient from a different ring")
-        while len(coeffs) < order + 1:
-            coeffs.append(LaurentPoly.zero(spec))
+            if d <= order:
+                dense[d] = c
         self.spec = spec
         self.order = order
-        self._coeffs = tuple(coeffs)
+        self._coeffs = tuple(dense)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, spec: RingSpec, order: int) -> QSeries:
-        return cls(spec, order, ())
+        return cls(spec, order, {})
 
     @classmethod
     def one(cls, spec: RingSpec, order: int) -> QSeries:
-        return cls(spec, order, [LaurentPoly.one(spec)])
+        return cls(spec, order, {0: LaurentPoly.one(spec)})
 
     @classmethod
-    def from_coefficients(
-        cls, spec: RingSpec, order: int, values: Mapping[int, LaurentPoly]
-    ) -> QSeries:
-        coeffs = [LaurentPoly.zero(spec)] * (order + 1)
-        for d, val in values.items():
-            if 0 <= d <= order:
-                coeffs[d] = val
-        return cls(spec, order, coeffs)
-
-    @classmethod
-    def from_scalars(
-        cls, spec: RingSpec, order: int, values: Mapping[int, Scalar]
-    ) -> QSeries:
-        return cls.from_coefficients(
-            spec,
-            order,
-            {d: LaurentPoly.single(spec, 0, Fraction(v)) for d, v in values.items()},
-        )
+    def from_scalars(cls, spec: RingSpec, order: int, values: Mapping[int, Scalar]) -> QSeries:
+        scalars = {d: LaurentPoly.single(spec, 0, Fraction(v)) for d, v in values.items()}
+        return cls(spec, order, scalars)
 
     # -- inspection -------------------------------------------------------
 
@@ -87,17 +74,14 @@ class QSeries:
 
     def __add__(self, other: QSeries) -> QSeries:
         self._check(other)
-        return QSeries(
-            self.spec,
-            self.order,
-            [a + b for a, b in zip(self._coeffs, other._coeffs)],
-        )
+        pairs = enumerate(zip(self._coeffs, other._coeffs))
+        return QSeries(self.spec, self.order, {d: a + b for d, (a, b) in pairs})
 
     def __sub__(self, other: QSeries) -> QSeries:
         return self + (-other)
 
     def __neg__(self) -> QSeries:
-        return QSeries(self.spec, self.order, [-c for c in self._coeffs])
+        return QSeries(self.spec, self.order, {d: -c for d, c in enumerate(self._coeffs)})
 
     def __mul__(self, other: QSeries | LaurentPoly | CohClass | Scalar) -> QSeries:
         if not isinstance(other, QSeries):
@@ -105,27 +89,23 @@ class QSeries:
         self._check(other)
         left = [(i, a) for i, a in enumerate(self._coeffs) if not a.is_zero()]
         right = {j: b for j, b in enumerate(other._coeffs) if not b.is_zero()}
-        out = [
-            LaurentPoly.sum(self.spec, (a * right[d - i] for i, a in left if d - i in right))
+        out = {
+            d: LaurentPoly.sum(self.spec, (a * right[d - i] for i, a in left if d - i in right))
             for d in range(self.order + 1)
-        ]
+        }
         return QSeries(self.spec, self.order, out)
 
     def __rmul__(self, other: Scalar) -> QSeries:
         return self.scale(other)
 
     def scale(self, factor: LaurentPoly | CohClass | Scalar) -> QSeries:
-        return QSeries(self.spec, self.order, [c * factor for c in self._coeffs])
+        return QSeries(self.spec, self.order, {d: c * factor for d, c in enumerate(self._coeffs)})
 
     def shift(self, k: int) -> QSeries:
         """Multiply by q^k, truncating at the series order."""
         if k < 0:
             raise ValueError("negative q-shift")
-        out = [LaurentPoly.zero(self.spec)] * (self.order + 1)
-        for d, c in enumerate(self._coeffs):
-            if d + k <= self.order:
-                out[d + k] = c
-        return QSeries(self.spec, self.order, out)
+        return QSeries(self.spec, self.order, {d + k: c for d, c in enumerate(self._coeffs)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):

@@ -33,7 +33,7 @@ specs = st.sampled_from(SPECS)
 def coh_classes(spec: RingSpec, max_terms: int = 4):
     keys = st.tuples(st.integers(0, spec.n), st.sampled_from(spec.monomials()))
     return st.dictionaries(keys, fractions, max_size=max_terms).map(
-        lambda terms: CohClass.from_terms(spec, terms)
+        lambda terms: CohClass(spec, terms)
     )
 
 
@@ -47,14 +47,8 @@ def raw_coefficients():
     return st.one_of(fractions, st.integers(-3, 3))
 
 
-def raw_parts(spec):
-    """Constructor input with up to 2n+2 h-slots."""
-    return st.lists(
-        st.dictionaries(raw_monos(spec), raw_coefficients(), max_size=3), max_size=2 * spec.n + 2
-    )
-
-
 def raw_terms(spec):
+    """Constructor input with h-exponents up to 2n+1."""
     keys = st.tuples(st.integers(0, 2 * spec.n + 1), raw_monos(spec))
     return st.dictionaries(keys, raw_coefficients(), max_size=4)
 
@@ -110,4 +104,4 @@ def q_series(draw, spec: RingSpec | None = None, order: int = 4, zero_constant: 
         spec = RingSpec.absolute(2)
     start = 1 if zero_constant else 0
     values = {d: draw(laurent_polys(spec, -2, 2, 2)) for d in range(start, order + 1)}
-    return QSeries.from_coefficients(spec, order, values)
+    return QSeries(spec, order, values)

@@ -313,6 +313,17 @@ def test_cy_correlator_degree_zero():
     assert cy_correlator(QUINTIC, 0) == phi(QUINTIC, 0)
 
 
+def test_a_negative_degree_is_rejected_before_any_solve(monkeypatch):
+    def fail(*args):
+        raise AssertionError("called for a negative degree")
+
+    monkeypatch.setattr(calabi_yau, "solve_lambdas_up_to", fail)
+    monkeypatch.setattr(calabi_yau, "cy_term", fail)
+    for call in (lambda: cy_correlator(QUINTIC, -1), lambda: correlator(QUINTIC, -1)):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            call()
+
+
 def test_all_zero_lambdas_collapse_to_phi():
     zero = {d: LambdaForm(Fraction(0), Fraction(0)) for d in range(1, 4)}
     total = LaurentPoly.zero(QUINTIC.spec)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gwone import acceptance, cli
 from gwone.calabi_yau import LambdaForm, cy_correlator, quintic_report
-from gwone.cli import laurent_from_json, laurent_to_json, main
+from gwone.cli import laurent_to_json, main
 from gwone.correlators import classify, phi
 from gwone.laurent import LaurentPoly
 from gwone.mirror import MirrorData, MirrorReport
@@ -111,18 +111,17 @@ def test_mirror_command_reports_verdict(capsys):
     assert data["b"]["2"] == "-13800"
 
 
-def test_json_round_trip_absolute(capsys):
+def test_json_output_is_the_library_value_absolute(capsys):
     model = classify(4, (5,))
     code, out, _ = run_cli(
         capsys, "correlator", "--n", "4", "--l", "5", "--d", "2", "--format", "json"
     )
     assert code == 0
     data = json.loads(out)
-    parsed = laurent_from_json(model.spec, data["correlator"])
-    assert parsed == cy_correlator(model, 2)
+    assert data["correlator"] == laurent_to_json(cy_correlator(model, 2))
 
 
-def test_json_round_trip_relative(capsys):
+def test_json_output_is_the_library_value_relative(capsys):
     model = RelativeModel(n=2, base_cutoff=2, degrees=(1,))
     code, out, _ = run_cli(
         capsys,
@@ -141,14 +140,7 @@ def test_json_round_trip_relative(capsys):
     )
     assert code == 0
     data = json.loads(out)
-    parsed = laurent_from_json(model.spec, data["phi"])
-    assert parsed == relative_phi(model, 1)
-
-
-def test_round_trip_preserves_negative_rationals():
-    model = classify(4, (5,))
-    value = cy_correlator(model, 2)
-    assert laurent_from_json(model.spec, laurent_to_json(value)) == value
+    assert data["phi"] == laurent_to_json(relative_phi(model, 1))
 
 
 @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
@@ -191,7 +183,6 @@ def test_laurent_json_matches_the_per_class_route(spec, data):
     poly = data.draw(laurent_polys(spec)) * data.draw(fractions.filter(bool))
     text = json.dumps(laurent_to_json(poly))
     assert text == json.dumps(laurent_json_oracle(poly))
-    assert laurent_from_json(spec, json.loads(text)) == poly
     for entry, (_, cls) in zip(json.loads(text), reversed(list(poly.items()))):
         assert {"t": entry["t"], **cli.coh_to_json(cls)} == entry
 

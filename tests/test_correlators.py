@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from gwone.calabi_yau import correlator
 from gwone.correlators import (
     CIModel,
     Classification,
@@ -54,6 +56,14 @@ def test_model_validates_its_degrees():
         CIModel(3, [0])
     with pytest.raises(ValueError, match="all degrees must be >= 1"):
         classify(3, [2, -1])
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", Fraction(2)])
+def test_a_degree_that_is_not_an_integer_is_rejected(bad):
+    message = f"degree {bad!r} is not an integer"
+    for build in (lambda: classify(3, [bad]), lambda: CIModel(3, (1, bad))):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def test_phi_degree_zero_is_class_of_target():
@@ -141,6 +151,12 @@ def test_index1_two_quadrics_in_p4():
 def test_index1_degree_zero_is_phi_zero():
     model = classify(4, (2, 2))
     assert fano_index1_correlator(model, 0) == phi(model, 0)
+
+
+def test_index1_rejects_a_negative_degree():
+    for call in (fano_index1_correlator, correlator):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            call(classify(3, (3,)), -1)
 
 
 def test_index1_rejects_other_classes():

@@ -211,8 +211,8 @@ def test_every_operation_stores_canonical_numerators(spec, data):
     unit = LaurentPoly.single(spec, k, coh_unit) + LaurentPoly.single(spec, k - 1, strip_scalar(a))
     linear = LaurentPoly.linear(spec, c, d)
     built = [
-        CohClass.from_terms(spec, data.draw(raw_terms(spec))),
-        CohClass(spec, [{(): c}, {(): d}] * (spec.n + 1)),
+        CohClass(spec, data.draw(raw_terms(spec))),
+        CohClass(spec, {(j, ()): d if j % 2 else c for j in range(2 * spec.n + 2)}),
         CohClass.h_power(spec, 2 * spec.n + 1),
         CohClass.scalar(spec, c),
         CohClass.zero(spec),
@@ -236,7 +236,7 @@ def test_every_operation_stores_canonical_numerators(spec, data):
 def test_linear_matches_the_general_constructor(spec, h_coeff, t_coeff):
     expected = LaurentPoly(
         spec,
-        {0: CohClass.from_terms(spec, {(1, ()): h_coeff}), 1: CohClass.scalar(spec, t_coeff)},
+        {0: CohClass(spec, {(1, ()): h_coeff}), 1: CohClass.scalar(spec, t_coeff)},
     )
     assert LaurentPoly.linear(spec, h_coeff, t_coeff) == expected
 

@@ -101,6 +101,8 @@ def test_a_bundle_model_from_a_list_of_degrees_is_the_model_from_the_tuple():
     assert relative_phi(from_list, 1) == relative_phi(from_tuple, 1)
     with pytest.raises(ValueError, match="all degrees must be >= 1"):
         RelativeModel(2, 3, [1, 0])
+    with pytest.raises(ValueError, match=r"degree 1\.5 is not an integer"):
+        RelativeModel(2, 3, [1, 1.5])
 
 
 @pytest.mark.parametrize(
@@ -144,7 +146,7 @@ def test_linear_cy_pipeline_inverts_each_euler_class_once(monkeypatch):
 def test_linear_cy_phi_rows():
     model = linear_cy_model(2, 3)
     spec = model.spec
-    top = CohClass.from_terms(spec, {(model.n + 1, ()): Fraction(1)})
+    top = CohClass(spec, {(model.n + 1, ()): 1})
     s1 = model.segre_class(1)
     s2 = model.segre_class(2)
     h = CohClass.h_power(spec, 1)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gwone.laurent import LaurentPoly
 from gwone.relative import relative_ring
-from gwone.rings import CohClass, RingSpec, _power_sum
+from gwone.rings import CohClass, RingSpec, SpecMismatchError, _power_sum
 from gwone.series import QSeries
 
 from strategies import fractions, q_series
@@ -91,6 +91,25 @@ def test_truncation_orders_must_match():
         QSeries.one(SPEC, 3) + QSeries.one(SPEC, 4)
 
 
+def test_constructor_drops_degrees_above_the_order():
+    one = LaurentPoly.one(SPEC)
+    p = QSeries(SPEC, 2, {1: one, 3: one, 7: one})
+    assert p == QSeries(SPEC, 2, {1: one})
+    assert [p.coefficient(d) for d in range(3)] == [LaurentPoly.zero(SPEC), one, LaurentPoly.zero(SPEC)]
+
+
+def test_constructor_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="negative q-degree -1"):
+        QSeries(SPEC, 2, {-1: LaurentPoly.one(SPEC), 0: LaurentPoly.one(SPEC)})
+
+
+def test_constructor_rejects_a_coefficient_from_another_ring():
+    other = LaurentPoly.one(RingSpec.absolute(3))
+    for d in (0, 5):
+        with pytest.raises(SpecMismatchError):
+            QSeries(SPEC, 2, {d: other})
+
+
 def test_shift():
     p = scalar_series(4, {0: 1, 1: 2, 3: 4})
     shifted = p.shift(2)
@@ -114,7 +133,7 @@ def test_scale_by_laurent():
 
 def pairwise_mul(a, b):
     """The former ``QSeries.__mul__``: each pair of coefficients added in turn."""
-    out = [LaurentPoly.zero(a.spec) for _ in range(a.order + 1)]
+    out = {d: LaurentPoly.zero(a.spec) for d in range(a.order + 1)}
     for i in range(a.order + 1):
         x = a.coefficient(i)
         if x.is_zero():
@@ -156,7 +175,7 @@ def dense_substitute(p, inner):
     """The former ``QSeries.substitute``: sum_d c_d * q^d * growth^d, each power of
     growth = e^{inner} formed in full before it is shifted."""
     growth = taylor_exp(inner)
-    out = QSeries.from_coefficients(p.spec, p.order, {0: p.coefficient(0)})
+    out = QSeries(p.spec, p.order, {0: p.coefficient(0)})
     power = QSeries.one(p.spec, p.order)
     for d in range(1, p.order + 1):
         power = pairwise_mul(power, growth)
