@@ -13,7 +13,11 @@ coefficient paired against powers of the hyperplane class.
 Products of linear forms in phi are built in closed form (Stirling numbers
 of the first kind in ``phi_numerator``, binomial coefficients in
 ``euler_class``), cut at h^{n + base_cutoff}, beyond which every power of h
-vanishes by degree; ring products only join these factors.
+vanishes by degree; ring products only join these factors.  The inverse
+Euler class is never found by inverting a Laurent polynomial: each degree-k
+factor's inverse is a closed form in negative powers of h + k*t
+(``inverse_euler_factor``), and the degree-d inverse is the cached
+degree-(d-1) one times that factor, one ring product per degree.
 """
 
 from __future__ import annotations
@@ -170,13 +174,52 @@ def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentP
     return out
 
 
+def inverse_euler_factor(spec: RingSpec, sigma: tuple[CohClass, ...], k: int) -> LaurentPoly:
+    """1 / sum_j c_j * (h + k*t)^{n+1-j}, the inverse of ``euler_class``'s degree-k factor.
+
+    With x = h + k*t that factor is x^{n+1} * c(1/x), c(u) = sum_{j<=n+1} c_j*u^j,
+    so its inverse is sum_i sigma_i * x^{-(n+1)-i} with sigma(u) = 1/c(u).
+    ``sigma`` is sigma_1, sigma_2, ... (sigma_0 = 1), empty on P^n; sigma_i has
+    base degree i, so callers stop it at base_cutoff.  Each x^{-p} is built in
+    closed form by ``LaurentPoly.linear_power``.
+    """
+    top = spec.n + 1
+    terms = [LaurentPoly.linear_power(spec, k, -top)]
+    for i, s in enumerate(sigma, start=1):
+        if not s.is_zero():
+            terms.append(LaurentPoly.linear_power(spec, k, -top - i) * s)
+    return LaurentPoly.sum(spec, terms)
+
+
+# A cold chain caches every _CHAIN_STEP-th degree bottom-up first, so it
+# recurses at most _CHAIN_STEP degrees deep, whatever d is.
+_CHAIN_STEP = 64
+
+
+def _inverse_euler_class(cached, model, sigma: tuple[CohClass, ...], d: int) -> LaurentPoly:
+    """1 / prod_{k=1}^d sum_j c_j * (h + k*t)^{n+1-j} on ``model``'s ring, where
+    ``cached(model, e)`` is this inverse at degree e, cached: the cached degree-(d-1)
+    inverse times ``inverse_euler_factor`` at k = d, one ring product."""
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    if d == 0:
+        return LaurentPoly.one(model.spec)
+    factor = inverse_euler_factor(model.spec, sigma, d)
+    if d == 1:
+        return factor
+    for lower in range(_CHAIN_STEP, d - 1, _CHAIN_STEP):
+        cached(model, lower)
+    return cached(model, d - 1) * factor
+
+
 @lru_cache(maxsize=None)
 def phi(model: CIModel, d: int) -> LaurentPoly:
     """The degree-d hypergeometric Laurent polynomial of the model.
 
     For d = 0 the products are empty apart from the k = 0 factors, leaving
     (prod l_i) * h^m, the class of the complete intersection itself.  The
-    denominator is inverted once per (n, d), by P^n's own cached phi.
+    denominator's inverse is P^n's own cached phi, built degree by degree:
+    phi(P^n, d) is phi(P^n, d - 1) times ``inverse_euler_factor`` at k = d.
     """
     if model.spec.is_relative:
         raise ValueError(f"phi ignores the bundle's Chern classes; use relative_phi for {model}")
@@ -185,7 +228,7 @@ def phi(model: CIModel, d: int) -> LaurentPoly:
     if d == 0:
         return phi_numerator(model.spec, model.degrees, d)
     if not model.degrees:
-        return euler_class(model.spec, (), d).inverse()
+        return _inverse_euler_class(phi, model, (), d)
     return phi_numerator(model.spec, model.degrees, d) * phi(replace(model, degrees=()), d)
 
 
@@ -196,6 +239,8 @@ def pn_one_point(n: int, d: int) -> LaurentPoly:
     Computed factor by factor (each linear term inverted on its own), which
     keeps the code path independent from :func:`phi`.
     """
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     spec = RingSpec.absolute(n)
     out = LaurentPoly.one(spec)
     for k in range(1, d + 1):

@@ -69,9 +69,22 @@ class LaurentPoly(_Value):
 
     @classmethod
     def linear_power(cls, spec: RingSpec, k: int, p: int) -> LaurentPoly:
-        """(h + k*t)^p in closed form, from the binomial coefficients C(p, j) * k^{p-j}."""
+        """(h + k*t)^p in closed form: sum_j C(p, j) * k^{p-j} * h^j * t^{p-j}.
+
+        For p >= 0 the sum ends at j = p.  For p < 0 it is the inverse power,
+        with C(p, j) = (-1)^j * C(j-p-1, j); it is finite because h^j vanishes
+        for j > n + base_cutoff, and it needs k != 0.
+        """
         last = spec.n + spec.base_cutoff
-        return cls._form(spec, p, [comb(p, j) * k ** (p - j) for j in range(min(p, last) + 1)])
+        if p >= 0:
+            return cls._form(spec, p, [comb(p, j) * k ** (p - j) for j in range(min(p, last) + 1)])
+        if not k:
+            raise NotInvertibleError(f"h is nilpotent, so (h + 0*t)^{p} is not defined")
+        # k^{p-j} = k^{last-j} / k^{last-p}, over a positive denominator
+        den = k ** (last - p)
+        sign = -1 if den < 0 else 1
+        coeffs = [sign * (-1) ** j * comb(j - p - 1, j) * k ** (last - j) for j in range(last + 1)]
+        return cls._form(spec, p, coeffs, sign * den)
 
     @classmethod
     def _form(cls, spec: RingSpec, degree: int, coeffs: Iterable[int], den: int = 1) -> LaurentPoly:

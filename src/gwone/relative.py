@@ -19,29 +19,40 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .correlators import _degree_tuple, euler_class, phi_numerator
+from .correlators import _degree_tuple, _inverse_euler_class, euler_class, phi_numerator
 from .laurent import LaurentPoly
 from .rings import BasePoly, CohClass, RingSpec, generator_mono, mono_mul
 from .series import QSeries
+
+
+def _inverse_series(a: tuple[BasePoly, ...], cutoff: int) -> tuple[BasePoly, ...]:
+    """b_0..b_cutoff with (sum_k b_k*u^k) * (1 + sum_{i>=1} a_i*u^i) = 1 + O(u^{cutoff+1}).
+
+    ``a`` is a_1, a_2, ... as base polynomials, a_i of base degree i (a_i = 0
+    past its end); the recursion is b_k = -sum_{i=1}^{min(k, len(a))} a_i * b_{k-i},
+    so b_k has base degree k.
+    """
+    b: list[BasePoly] = [{(): Fraction(1)}]
+    for k in range(1, cutoff + 1):
+        acc: BasePoly = {}
+        for i, a_i in enumerate(a[:k], start=1):
+            for mono_a, coeff_a in a_i.items():
+                for mono_b, coeff_b in b[k - i].items():
+                    mono = mono_mul(mono_a, mono_b)
+                    acc[mono] = acc.get(mono, Fraction(0)) - coeff_a * coeff_b
+        b.append({m: c for m, c in acc.items() if c})
+    return tuple(b)
 
 
 @lru_cache(maxsize=None)
 def _chern_from_segre(cutoff: int) -> tuple[BasePoly, ...]:
     """c_0..c_cutoff as base polynomials, from s(V) * c(V) = 1.
 
-    Generator i (0-based index i-1) is s_i with degree i; the recursion is
-    c_k = -sum_{i=1}^{k} s_i * c_{k-i}.  Cached: callers must not mutate.
+    Generator i (0-based index i-1) is s_i with degree i.  Cached: callers
+    must not mutate.
     """
-    chern: list[BasePoly] = [{(): Fraction(1)}]
-    for k in range(1, cutoff + 1):
-        acc: BasePoly = {}
-        for i in range(1, k + 1):
-            s_mono = generator_mono(i - 1)
-            for mono, coeff in chern[k - i].items():
-                prod = mono_mul(mono, s_mono)
-                acc[prod] = acc.get(prod, Fraction(0)) - coeff
-        chern.append({m: c for m, c in acc.items() if c})
-    return tuple(chern)
+    segre = tuple({generator_mono(i): Fraction(1)} for i in range(cutoff))
+    return _inverse_series(segre, cutoff)
 
 
 @lru_cache(maxsize=None)
@@ -100,6 +111,19 @@ class RelativeModel:
         return CohClass(spec, {(0, mono): c for mono, c in chern.items()})
 
 
+@lru_cache(maxsize=None)
+def _euler_sigma(n: int, base_cutoff: int) -> tuple[CohClass, ...]:
+    """sigma_1..sigma_cutoff, with sigma(u) = 1 / sum_{j<=n+1} c_j*u^j, as classes
+    of the bundle's ring: the ``sigma`` of ``correlators.inverse_euler_factor``.
+
+    These are the Segre classes only when base_cutoff <= n + 1; above that,
+    c_j for j > n + 1 is left out of the Euler class, so they differ.
+    """
+    spec = relative_ring(n, base_cutoff)
+    sigma = _inverse_series(_chern_from_segre(base_cutoff)[1 : n + 2], base_cutoff)
+    return tuple(CohClass(spec, {(0, mono): c for mono, c in s.items()}) for s in sigma[1:])
+
+
 def linear_cy_model(n: int, base_cutoff: int) -> RelativeModel:
     """The linear Calabi-Yau: n+1 transverse sections of O(1) on P(V)."""
     return RelativeModel(n=n, base_cutoff=base_cutoff, degrees=(1,) * (n + 1))
@@ -118,11 +142,13 @@ def relative_euler(model: RelativeModel, d: int) -> LaurentPoly:
 def relative_phi(model: RelativeModel, d: int) -> LaurentPoly:
     """phi_d with the relative Euler class in the denominator.
 
-    The denominator depends only on the bundle, so it is inverted once, by the
-    section-free model of the same bundle, and cached there.
+    The denominator depends only on the bundle, so its inverse is the
+    section-free model's phi, cached there and built degree by degree: the
+    degree-(d-1) inverse times ``inverse_euler_factor`` at k = d, with the
+    bundle's sigma.  No Laurent polynomial is inverted.
     """
     if not model.degrees:
-        return relative_euler(model, d).inverse()
+        return _inverse_euler_class(relative_phi, model, _euler_sigma(model.n, model.base_cutoff), d)
     return phi_numerator(model.spec, model.degrees, d) * relative_phi(replace(model, degrees=()), d)
 
 

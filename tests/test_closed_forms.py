@@ -8,6 +8,10 @@ repeated products.  They use no Stirling or
 binomial coefficients, so the closed forms must agree with them exactly, in
 absolute rings and through the h-rule of relative ones.  ``pn_one_point``
 (tested in ``test_correlators``) stays the independent route for phi of P^n.
+
+Negative powers (h + k*t)^{-p} and the inverse Euler classes built from them
+are checked against ``LaurentPoly.inverse`` and against the Euler classes they
+invert.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from hypothesis import strategies as st
 
 from gwone.correlators import classify, euler_class, phi_numerator
 from gwone.laurent import LaurentPoly
-from gwone.rings import RingSpec
+from gwone.relative import RelativeModel, relative_euler, relative_phi
+from gwone.rings import CohClass, NotInvertibleError, RingSpec
 
-from strategies import CANONICAL_SPECS, coh_classes
+from strategies import CANONICAL_SPECS, SPECS, coh_classes
 
 # CANONICAL_SPECS holds absolute(0), (2) and (4); these fill in absolute n <= 6.
 FORM_SPECS = [*CANONICAL_SPECS, *(RingSpec.absolute(n) for n in (1, 3, 5, 6))]
@@ -78,6 +83,35 @@ def test_linear_power_matches_repeated_products(spec, k, p):
     for _ in range(p):
         expected = expected * LaurentPoly.linear(spec, 1, k)
     assert LaurentPoly.linear_power(spec, k, p) == expected
+
+
+nonzero_k = st.integers(-4, 6).filter(bool)
+
+
+@given(st.sampled_from(SPECS), nonzero_k, st.integers(0, 12))
+def test_negative_linear_power_inverts_the_positive_one(spec, k, p):
+    product = LaurentPoly.linear_power(spec, k, p) * LaurentPoly.linear_power(spec, k, -p)
+    assert product == LaurentPoly.one(spec)
+
+
+@given(st.sampled_from(SPECS), nonzero_k, st.integers(1, 6))
+def test_negative_linear_power_is_a_power_of_the_inverse(spec, k, p):
+    expected = LaurentPoly.linear(spec, 1, k).inverse() ** p
+    assert LaurentPoly.linear_power(spec, k, -p) == expected
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_negative_power_of_h_alone_is_rejected(spec):
+    assert LaurentPoly.linear_power(spec, 0, 2) == LaurentPoly.single(spec, 0, CohClass.h_power(spec, 2))
+    with pytest.raises(NotInvertibleError, match="nilpotent"):
+        LaurentPoly.linear_power(spec, 0, -1)
+
+
+@given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 4))
+def test_section_free_relative_phi_inverts_the_euler_class(n, cutoff, d):
+    # the chained closed-form factors, against the expanded Euler class itself
+    bundle = RelativeModel(n, cutoff, ())
+    assert relative_phi(bundle, d) * relative_euler(bundle, d) == LaurentPoly.one(bundle.spec)
 
 
 @pytest.mark.parametrize("spec", FORM_SPECS, ids=str)

@@ -1,9 +1,10 @@
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
+from gwone import correlators
 from gwone.calabi_yau import correlator
 from gwone.correlators import (
     CIModel,
@@ -104,6 +105,13 @@ def test_pn_one_point_matches_phi_with_no_degrees():
         model = classify(n, ())
         for d in (1, 2):
             assert pn_one_point(n, d) == phi(model, d)
+
+
+def test_pn_one_point_rejects_a_negative_degree():
+    pn_one_point.cache_clear()
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        pn_one_point(3, -1)
+    assert pn_one_point.cache_info().currsize == 0
 
 
 def test_pn_one_point_p4_has_no_t_minus_2_term():
@@ -221,19 +229,36 @@ def test_phi_matches_numerator_over_euler_inverse(n):
 
 
 def test_fano_phis_invert_each_euler_class_once(monkeypatch):
-    # phi_1..phi_3 of all Fano models in P^1..P^6 share one inverse per (n, d)
+    # phi_1..phi_3 of all Fano models in P^1..P^6 share one inverse Euler class
+    # per (n, d), each built from one closed-form factor, with no Laurent inverse
     phi.cache_clear()
-    calls = 0
-    inverse = LaurentPoly.inverse
+    inverses = factors = 0
+    inverse, factor = LaurentPoly.inverse, correlators.inverse_euler_factor
 
     def counting_inverse(self):
-        nonlocal calls
-        calls += 1
+        nonlocal inverses
+        inverses += 1
         return inverse(self)
 
+    def counting_factor(*args):
+        nonlocal factors
+        factors += 1
+        return factor(*args)
+
     monkeypatch.setattr(LaurentPoly, "inverse", counting_inverse)
+    monkeypatch.setattr(correlators, "inverse_euler_factor", counting_factor)
     for n in range(1, 7):
         for degrees in degree_vectors(n):
             for d in range(1, 4):
                 phi(classify(n, degrees), d)
-    assert calls == 18
+    assert (inverses, factors) == (0, 18)
+
+
+def test_phi_of_pn_chain_is_not_one_recursion_per_degree():
+    # cold caches: the degree-d inverse Euler class is chained from degree d - 1,
+    # which must not recurse d levels deep
+    phi.cache_clear()
+    p1 = classify(1)
+    top = phi(p1, 2000)
+    assert top.t_max() == -4000
+    assert top.coefficient(-4000).scalar_part == Fraction(1, factorial(2000) ** 2)

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from gwone import correlators
 from gwone.correlators import classify, phi, phi_numerator, pn_one_point
 from gwone.laurent import LaurentPoly
 from gwone.relative import (
@@ -113,34 +115,58 @@ def test_a_bundle_model_from_a_list_of_degrees_is_the_model_from_the_tuple():
         RelativeModel(n=2, base_cutoff=3, degrees=(2,)),
         RelativeModel(n=2, base_cutoff=0, degrees=(1, 1)),
         RelativeModel(n=2, base_cutoff=3, degrees=()),
+        # base_cutoff > n + 1: sigma_4 is not the Segre class s_4
+        RelativeModel(n=2, base_cutoff=6, degrees=()),
     ],
-    ids=["linear-cy", "porteous", "quadric", "trivial-bundle", "section-free"],
+    ids=["linear-cy", "porteous", "quadric", "trivial-bundle", "section-free", "deep-base"],
 )
 def test_relative_phi_matches_numerator_over_euler_inverse(model):
     # oracle: each model inverts its own Euler class, with no bundle sharing
-    for d in range(4):
+    for d in range(7):
         numerator = phi_numerator(model.spec, model.degrees, d)
         expected = numerator if d == 0 else numerator * relative_euler(model, d).inverse()
         assert relative_phi(model, d) == expected, d
 
 
 def test_linear_cy_pipeline_inverts_each_euler_class_once(monkeypatch):
-    # E_0..E_4 of the bundle, each inverted once and shared by both routes
+    # the inverses of E_1..E_4 of the bundle, each built once from one closed-form
+    # factor with no Laurent inverse, and shared by both routes
     model = linear_cy_model(2, 4)
     relative_phi.cache_clear()
     relative_euler.cache_clear()
-    calls = 0
-    inverse = LaurentPoly.inverse
+    inverses = factors = 0
+    inverse, factor = LaurentPoly.inverse, correlators.inverse_euler_factor
 
     def counting_inverse(self):
-        nonlocal calls
-        calls += 1
+        nonlocal inverses
+        inverses += 1
         return inverse(self)
 
+    def counting_factor(*args):
+        nonlocal factors
+        factors += 1
+        return factor(*args)
+
     monkeypatch.setattr(LaurentPoly, "inverse", counting_inverse)
+    monkeypatch.setattr(correlators, "inverse_euler_factor", counting_factor)
     derive_linear_cy_lambdas(model, 4)
     linear_cy_series(model, 4)
-    assert calls == 5
+    assert (inverses, factors) == (0, 4)
+
+
+def test_section_free_phi_rejects_a_negative_degree():
+    for model in (RelativeModel(2, 3, ()), linear_cy_model(2, 3)):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            relative_phi(model, -1)
+
+
+def test_section_free_phi_chain_is_not_one_recursion_per_degree():
+    # cold caches: the chain from degree d - 1 must not recurse d levels deep
+    relative_phi.cache_clear()
+    bundle = RelativeModel(1, 1, ())
+    top = relative_phi(bundle, 2000)
+    assert top.t_max() == -4000
+    assert top.coefficient(-4000) == CohClass.scalar(bundle.spec, Fraction(1, factorial(2000) ** 2))
 
 
 def test_linear_cy_phi_rows():
