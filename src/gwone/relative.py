@@ -21,37 +21,40 @@ from typing import Mapping
 
 from .correlators import _degree_tuple, _inverse_euler_class, euler_class, phi_numerator
 from .laurent import LaurentPoly
-from .rings import BasePoly, CohClass, RingSpec, generator_mono, mono_mul
+from .rings import CohClass, Mono, RingSpec, generator_mono, mono_mul
 from .series import QSeries
 
+# A base polynomial with int coefficients: stripped monomial -> coefficient.
+IntPoly = dict[Mono, int]
 
-def _inverse_series(a: tuple[BasePoly, ...], cutoff: int) -> tuple[BasePoly, ...]:
+
+def _inverse_series(a: tuple[IntPoly, ...], cutoff: int) -> tuple[IntPoly, ...]:
     """b_0..b_cutoff with (sum_k b_k*u^k) * (1 + sum_{i>=1} a_i*u^i) = 1 + O(u^{cutoff+1}).
 
-    ``a`` is a_1, a_2, ... as base polynomials, a_i of base degree i (a_i = 0
+    ``a`` is a_1, a_2, ... as integral base polynomials, a_i of base degree i (a_i = 0
     past its end); the recursion is b_k = -sum_{i=1}^{min(k, len(a))} a_i * b_{k-i},
-    so b_k has base degree k.
+    so b_k is integral of base degree k.
     """
-    b: list[BasePoly] = [{(): Fraction(1)}]
+    b: list[IntPoly] = [{(): 1}]
     for k in range(1, cutoff + 1):
-        acc: BasePoly = {}
+        acc: IntPoly = {}
         for i, a_i in enumerate(a[:k], start=1):
             for mono_a, coeff_a in a_i.items():
                 for mono_b, coeff_b in b[k - i].items():
                     mono = mono_mul(mono_a, mono_b)
-                    acc[mono] = acc.get(mono, Fraction(0)) - coeff_a * coeff_b
+                    acc[mono] = acc.get(mono, 0) - coeff_a * coeff_b
         b.append({m: c for m, c in acc.items() if c})
     return tuple(b)
 
 
 @lru_cache(maxsize=None)
-def _chern_from_segre(cutoff: int) -> tuple[BasePoly, ...]:
-    """c_0..c_cutoff as base polynomials, from s(V) * c(V) = 1.
+def _chern_from_segre(cutoff: int) -> tuple[IntPoly, ...]:
+    """c_0..c_cutoff as integral base polynomials, from s(V) * c(V) = 1.
 
     Generator i (0-based index i-1) is s_i with degree i.  Cached: callers
     must not mutate.
     """
-    segre = tuple({generator_mono(i): Fraction(1)} for i in range(cutoff))
+    segre = tuple({generator_mono(i): 1} for i in range(cutoff))
     return _inverse_series(segre, cutoff)
 
 
@@ -230,8 +233,8 @@ def linear_cy_lambda(model: RelativeModel, e: int) -> tuple[Fraction, CohClass]:
     return Fraction(-1, e), model.segre_class(1) * Fraction(-1, e)
 
 
-def _unit_factors(model: RelativeModel, order: int) -> QSeries:
-    """u(q) = sum_e q^e * prod_{k=1}^e (h+kt)^{n+1} / prod_j (h+alpha_j+kt).
+def _unit_factors(model: RelativeModel, order: int) -> list[LaurentPoly]:
+    """u_0..u_order of u(q) = sum_e q^e * prod_{k=1}^e (h+kt)^{n+1} / prod_j (h+alpha_j+kt).
 
     These are the phi's with the overall h^{n+1} class factored off, which
     keeps the t^0 row invertible during coefficient matching.
@@ -239,12 +242,12 @@ def _unit_factors(model: RelativeModel, order: int) -> QSeries:
     spec = model.spec
     bundle = replace(model, degrees=())
     absolute_part = LaurentPoly.one(spec)
-    values = {}
+    values = []
     for e in range(order + 1):
         if e:
             absolute_part = absolute_part * LaurentPoly.linear_power(spec, e, model.n + 1)
-        values[e] = absolute_part * relative_phi(bundle, e)
-    return QSeries(spec, order, values)
+        values.append(absolute_part * relative_phi(bundle, e))
+    return values
 
 
 def derive_linear_cy_lambdas(
@@ -252,18 +255,30 @@ def derive_linear_cy_lambdas(
 ) -> list[tuple[Fraction, CohClass]]:
     """Re-derive the linear-CY lambdas by generating-function matching.
 
-    Degree by degree, the t^0 row of u(q) * exp(sum lambda_e q^e / t) must
-    vanish above q^0 (fixing a_e) and the t^{-1} row must vanish (fixing
-    b_e).  Each derived pair is checked against the closed form -(1/e)(t+s_1)
-    and a mismatch raises ArithmeticError.
+    Degree by degree, the t^0 row of u(q) * E(q), E = exp(sum_e lambda_e q^e / t),
+    must vanish above q^0 (fixing a_e) and the t^{-1} row must vanish (fixing
+    b_e).  E is streamed by k*E_k = sum_{j<=k} j*L_j*E_{k-j}, L_j = lambda_j / t:
+    with ``partial`` that sum at k = e without its j = e term, the q^e row is
+    sum_{i>=1} u_i*E_{e-i} + u_0*partial, and E_e = partial + L_e once L_e is
+    solved, O(max_degree^2) products in all.  The rows read only derived
+    lambdas; each is checked against the closed form -(1/e)(t+s_1) and a
+    mismatch raises ArithmeticError.
     """
     if not model.is_linear_cy:
         raise ValueError("model is not a linear Calabi-Yau")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     spec = model.spec
-    known = _unit_factors(model, max_degree)
+    u = _unit_factors(model, max_degree)
+    exp_coeffs = [LaurentPoly.one(spec)]  # E_0..E_{e-1}
+    weighted: list[LaurentPoly] = []  # j*L_j at index j - 1
     out: list[tuple[Fraction, CohClass]] = []
     for e in range(1, max_degree + 1):
-        row = known.coefficient(e)
+        terms = (weighted[j - 1] * exp_coeffs[e - j] for j in range(1, e))
+        partial = LaurentPoly.sum(spec, terms) * Fraction(1, e)
+        row = LaurentPoly.sum(
+            spec, [*(u[i] * exp_coeffs[e - i] for i in range(1, e + 1)), u[0] * partial]
+        )
         t0 = row.coefficient(0)
         if not t0.is_homogeneous(0):
             raise ArithmeticError(f"t^0 row at q^{e} is not scalar: {t0}")
@@ -276,26 +291,31 @@ def derive_linear_cy_lambdas(
                 f"expected ({expected_a}, {expected_b})"
             )
         lam_over_t = LaurentPoly(spec, {0: CohClass.scalar(spec, a_e), -1: b_e})
-        known = known * QSeries(spec, max_degree, {e: lam_over_t}).exp()
+        exp_coeffs.append(partial + lam_over_t)
+        weighted.append(lam_over_t * e)
         out.append((a_e, b_e))
     return out
 
 
 def linear_cy_series(model: RelativeModel, order: int) -> QSeries:
-    """(sum_e q^e phi_e) * (1 - q) * exp((s_1/t) log(1 - q)).
+    """(sum_e q^e phi_e) * (1 - q)^{1 + s_1/t}.
 
     This is the correlator generating series of the linear Calabi-Yau with
     the closed-form lambdas substituted in; its t^0 and t^{-1} rows vanish
-    in every positive q-degree.
+    in every positive q-degree.  The multiplier, (1 - q) * exp((s_1/t) log(1 - q)),
+    has q^k coefficient M_k = (-1)^k C(1 + s_1/t, k) = M_{k-1} * (k - 2 - s_1/t)/k:
+    one product with a two-term polynomial per degree.
     """
     if not model.is_linear_cy:
         raise ValueError("model is not a linear Calabi-Yau")
     spec = model.spec
+    s1 = model.segre_class(1)
+    multiplier = {0: LaurentPoly.one(spec)}
+    for k in range(1, order + 1):
+        step = {0: CohClass.scalar(spec, Fraction(k - 2, k)), -1: s1 * Fraction(-1, k)}
+        multiplier[k] = multiplier[k - 1] * LaurentPoly(spec, step)
     phis = QSeries(spec, order, {e: relative_phi(model, e) for e in range(order + 1)})
-    one_minus_q = QSeries.from_scalars(spec, order, {0: 1, 1: -1})
-    s1_over_t = LaurentPoly.single(spec, -1, model.segre_class(1))
-    multiplier = one_minus_q * one_minus_q.log().scale(s1_over_t).exp()
-    return phis * multiplier
+    return phis * QSeries(spec, order, multiplier)
 
 
 def linear_cy_pushforward(model: RelativeModel, d: int, order: int | None = None) -> CohClass:

@@ -51,7 +51,6 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 Mono = tuple[int, ...]
-BasePoly = dict[Mono, Fraction]
 # Int numerators by combined key e*stride + key (by basis key alone for a class).
 Numerators = dict[int, int]
 # A polynomial prepared as the left or the right operand of a product (``_rows``, ``_cols``).
@@ -338,20 +337,23 @@ class Basis:
             tail = self._tails[key] = {t: v // self._rule_den for t, v in acc.items() if v}
         return tail
 
-    def fold(self, num: Numerators) -> Numerators:
-        """The nonzero numerators over ``tail_den`` of ``num``, by combined key, with each
-        term t^e * h^k * m_i for k > n rewritten through ``tail``."""
+    def fold(self, num: Numerators) -> None:
+        """Rewrite ``num``, int numerators by combined key, in place over ``tail_den``:
+        each term t^e * h^k * m_i with k > n is replaced by its ``tail``, and every
+        other numerator is multiplied by ``tail_den``.  The argument is mutated;
+        zeros are left in it."""
         stride, top, tail_den = self.stride, self.top, self.tail_den
-        out: Numerators = {}
-        for c, v in num.items():
+        high = [(c, v) for c, v in num.items() if c % stride >= top]
+        for c, _ in high:
+            del num[c]
+        if tail_den != 1:
+            for c in num:
+                num[c] *= tail_den
+        for c, v in high:
             key = c % stride
-            if key < top:
-                out[c] = out.get(c, 0) + v * tail_den
-                continue
             base = c - key
             for t, w in self.tail(key).items():
-                out[base + t] = out.get(base + t, 0) + v * w
-        return {c: v for c, v in out.items() if v}
+                num[base + t] = num.get(base + t, 0) + v * w
 
 
 def _rows(basis: Basis, num: Numerators) -> Rows:
@@ -390,8 +392,9 @@ def _convolve(
     combined key.  The right operand's terms are visited by rank and the
     loop ends at the first pair that ``Basis.room`` rules out.  With an
     empty h-rule nothing lands above h^n and only zeros are dropped;
-    otherwise those terms are rewritten through the h-rule once
-    (``Basis.fold``, over ``tail_den``).  The result is reduced with one gcd.
+    otherwise those terms are rewritten through the h-rule once, in place
+    on the accumulator (``Basis.fold``, over ``tail_den``).  The result is
+    reduced with one gcd.
     """
     acc: Numerators = {}
     for ca, room, row, na in rows:
@@ -402,11 +405,13 @@ def _convolve(
             if m >= 0:
                 c = ca + cb + m
                 acc[c] = acc.get(c, 0) + na * nb
+    den = den_l * den_r
     if basis._rule:
-        return _lowest(basis.fold(acc), den_l * den_r * basis.tail_den)
+        basis.fold(acc)
+        den *= basis.tail_den
     if 0 in acc.values():  # a cancellation; rare, so the copy is too
         acc = {c: v for c, v in acc.items() if v}
-    return _lowest(acc, den_l * den_r)
+    return _lowest(acc, den)
 
 
 def _join(pieces: list[str]) -> str:

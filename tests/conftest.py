@@ -1,7 +1,9 @@
 """Hypothesis profiles for the test suite.
 
 The default run uses hypothesis' own profile.  ``--hypothesis-profile=kernel``
-is the deeper pass over the ring kernel, the comb terms and their oracles:
+is the deeper pass over the ring kernel, the comb terms, the closed forms
+of phi, the inverse Euler factors and the linear-CY recurrences
+(``linear_cy_series``, ``derive_linear_cy_lambdas``) against their oracles:
 1000 examples per property test and no per-example deadline.
 """
 

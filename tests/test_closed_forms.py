@@ -12,6 +12,12 @@ absolute rings and through the h-rule of relative ones.  ``pn_one_point``
 Negative powers (h + k*t)^{-p} and the inverse Euler classes built from them
 are checked against ``LaurentPoly.inverse`` and against the Euler classes they
 invert.
+
+The linear-CY recurrences are checked against the series algebra they
+replaced: ``linear_cy_series`` against the multiplier (1 - q) * exp((s_1/t)
+log(1 - q)) built by ``QSeries.log`` and ``QSeries.exp``, and
+``derive_linear_cy_lambdas`` against the matching that multiplies the whole
+series u(q) by exp(lambda_e q^e / t) after each degree.
 """
 
 from __future__ import annotations
@@ -22,8 +28,17 @@ from hypothesis import strategies as st
 
 from gwone.correlators import classify, euler_class, phi_numerator
 from gwone.laurent import LaurentPoly
-from gwone.relative import RelativeModel, relative_euler, relative_phi
+from gwone.relative import (
+    RelativeModel,
+    _unit_factors,
+    derive_linear_cy_lambdas,
+    linear_cy_model,
+    linear_cy_series,
+    relative_euler,
+    relative_phi,
+)
 from gwone.rings import CohClass, NotInvertibleError, RingSpec
+from gwone.series import QSeries
 
 from strategies import CANONICAL_SPECS, SPECS, coh_classes
 
@@ -127,3 +142,37 @@ def test_absolute_ring_is_one_instance_per_n():
         assert RingSpec.absolute(n) is RingSpec.absolute(n)
     assert classify(3, (3,)).spec is classify(3, ()).spec is RingSpec.absolute(3)
     assert RingSpec.absolute(3).basis is classify(3, (1, 1)).spec.basis
+
+
+def linear_cy_series_oracle(model: RelativeModel, order: int) -> QSeries:
+    """(sum_e q^e phi_e) * (1 - q) * exp((s_1/t) log(1 - q)), by series log and exp."""
+    spec = model.spec
+    phis = QSeries(spec, order, {e: relative_phi(model, e) for e in range(order + 1)})
+    one_minus_q = QSeries.from_scalars(spec, order, {0: 1, 1: -1})
+    s1_over_t = LaurentPoly.single(spec, -1, model.segre_class(1))
+    return phis * (one_minus_q * one_minus_q.log().scale(s1_over_t).exp())
+
+
+def derive_lambdas_oracle(model: RelativeModel, max_degree: int) -> list:
+    """(a_e, b_e) read off the q^e row of u(q) * prod_{j<e} exp(lambda_j q^j / t),
+    with the whole series multiplied by exp(lambda_e q^e / t) after each degree."""
+    spec = model.spec
+    known = QSeries(spec, max_degree, dict(enumerate(_unit_factors(model, max_degree))))
+    out = []
+    for e in range(1, max_degree + 1):
+        row = known.coefficient(e)
+        a_e, b_e = -row.coefficient(0).scalar_part, -row.coefficient(-1)
+        lam_over_t = LaurentPoly(spec, {0: CohClass.scalar(spec, a_e), -1: b_e})
+        known = known * QSeries(spec, max_degree, {e: lam_over_t}).exp()
+        out.append((a_e, b_e))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linear_cy_recurrences_match_the_series_algebra(n):
+    # cutoffs 0, 1, n + 1 (where sigma is the Segre series), 6 and 8; orders 0..7
+    for cutoff in sorted({0, 1, n + 1, 6, 8}):
+        model = linear_cy_model(n, cutoff)
+        for order in range(8):
+            assert linear_cy_series(model, order) == linear_cy_series_oracle(model, order)
+            assert derive_linear_cy_lambdas(model, order) == derive_lambdas_oracle(model, order)

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from gwone import correlators
+from gwone import correlators, relative
 from gwone.correlators import classify, phi, phi_numerator, pn_one_point
 from gwone.laurent import LaurentPoly
 from gwone.relative import (
@@ -268,6 +268,28 @@ def test_derive_linear_cy_lambdas_matches_closed_form():
 def test_derive_rejects_non_linear_model():
     with pytest.raises(ValueError):
         derive_linear_cy_lambdas(RelativeModel(n=2, base_cutoff=2, degrees=(3,)), 2)
+
+
+def test_derive_rejects_a_negative_max_degree():
+    with pytest.raises(ValueError, match="max_degree must be >= 0"):
+        derive_linear_cy_lambdas(linear_cy_model(2, 3), -1)
+    assert derive_linear_cy_lambdas(linear_cy_model(2, 3), 0) == []
+
+
+@pytest.mark.parametrize("wrong", [3, 4])
+def test_derive_raises_when_the_closed_form_disagrees(monkeypatch, wrong):
+    # the closed form is only the check: the rows read the derived lambdas, so a
+    # closed form wrong from degree ``wrong`` on fails there and nowhere earlier
+    model = linear_cy_model(2, 4)
+    closed_form = relative.linear_cy_lambda
+
+    def off_by_s1(model, e):
+        a, b = closed_form(model, e)
+        return (a, b + model.segre_class(1)) if e >= wrong else (a, b)
+
+    monkeypatch.setattr(relative, "linear_cy_lambda", off_by_s1)
+    with pytest.raises(ArithmeticError, match=f"derived lambda at degree {wrong} "):
+        derive_linear_cy_lambdas(model, 5)
 
 
 def test_linear_cy_series_rows_vanish():

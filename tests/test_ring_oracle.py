@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gwone.laurent import LaurentPoly
-from gwone.rings import BasePoly, CohClass, RingSpec, _strip, mono_mul
+from gwone.rings import CohClass, Mono, RingSpec, _strip, mono_mul
 
 from strategies import (
     CANONICAL_SPECS,
@@ -35,6 +35,7 @@ from strategies import (
     strip_scalar,
 )
 
+BasePoly = dict[Mono, Fraction]
 Slots = tuple[BasePoly, ...]
 
 
@@ -245,6 +246,29 @@ def test_laurent_products_that_cancel_store_nothing():
     q = LaurentPoly.linear(spec, Fraction(1, 2), Fraction(-1, 3))
     assert (p * q).support() == [0, 2]
     assert laurent_mul(spec, p, q).keys() == {0, 2}
+
+
+def test_a_rewritten_tail_that_cancels_a_low_term_matches_the_oracle():
+    # SPECS[4]: h^3 = u*h^2/2 - 2u^3/3, over tail_den = 6^3.  In h * (h^2 - u*h/2)
+    # the tail of h^3 cancels the low product -u*h^2/2; adding 2u^3/3 cancels the rest.
+    spec = SPECS[4]
+    h = CohClass.h_power(spec, 1)
+    right = CohClass(spec, {(2, ()): 1, (1, (1,)): Fraction(-1, 2)})
+    u3 = CohClass(spec, {(0, (3,)): Fraction(2, 3)})
+    for value, expected in (
+        (h * right, CohClass(spec, {(0, (3,)): Fraction(-2, 3)})),
+        (h * right + u3, CohClass.zero(spec)),
+        (h * (right + u3 * 3), CohClass(spec, {(0, (3,)): Fraction(-2, 3), (1, (3,)): 2})),
+    ):
+        assert value == expected
+        assert value._den > 0 and all(value._num.values())
+    pairs = [(h, right), (h, right + u3 * 3), (right, right), (right, u3)]
+    for a, b in pairs:
+        assert slots(a * b) == mul(spec, slots(a), slots(b))
+    # the same products between Laurent polynomials, where the combined keys carry t
+    p = LaurentPoly(spec, {-1: h, 2: right})
+    q = LaurentPoly(spec, {1: right, -2: h})
+    assert {e: slots(c) for e, c in (p * q).items()} == laurent_mul(spec, p, q)
 
 
 def spread_inputs(spec: RingSpec):
