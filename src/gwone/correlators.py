@@ -10,14 +10,15 @@ on the nose; for index one it acquires an explicit finite correction sum.
 Individual invariants are read off as rationals from the t^{-2-a}
 coefficient paired against powers of the hyperplane class.
 
-Products of linear forms in phi are built in closed form (Stirling numbers
-of the first kind in ``phi_numerator``, binomial coefficients in
-``euler_class``), cut at h^{n + base_cutoff}, beyond which every power of h
-vanishes by degree; ring products only join these factors.  The inverse
-Euler class is never found by inverting a Laurent polynomial: each degree-k
-factor's inverse is a closed form in negative powers of h + k*t
-(``inverse_euler_factor``), and the degree-d inverse is the cached
-degree-(d-1) one times that factor, one ring product per degree.
+Products of linear forms in phi are built in closed form, cut at
+h^{n + base_cutoff}, beyond which every power of h vanishes by degree: the
+numerator's factors from Stirling numbers of the first kind, convolved as
+int polynomials in h into one form (``phi_numerator``), and the powers of
+``euler_class`` from binomial coefficients.  The inverse Euler class is
+never found by inverting a Laurent polynomial: each degree-k factor's
+inverse is sum_l sigma_l * (h + k*t)^{-(n+1)-l}, built in one pass
+(``linear_power_sum``), and the degree-d inverse is the cached degree-(d-1)
+one times that factor, one ring product per degree.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .laurent import LaurentPoly
-from .rings import CohClass, RingSpec
+from .rings import CohClass, NotInvertibleError, Numerators, RingSpec, _lowest
 
 
 class Classification(enum.Enum):
@@ -44,16 +45,17 @@ class ClassificationError(ValueError):
     """A correlator formula was requested for the wrong positivity class."""
 
 
-def _degree(l: int) -> int:
+def _integer(value: int, what: str) -> int:
+    """``value`` as an int; ValueError naming ``what`` when it is not an integer."""
     try:
-        return operator.index(l)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"degree {l!r} is not an integer") from None
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def _degree_tuple(degrees: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """``degrees`` as the tuple of ints a model stores; each must be an integer >= 1."""
-    degs = tuple(map(_degree, degrees))
+    degs = tuple(_integer(l, "degree") for l in degrees)
     if degs and min(degs) < 1:
         raise ValueError("all degrees must be >= 1")
     return degs
@@ -67,6 +69,7 @@ class CIModel:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "ambient dimension"))
         object.__setattr__(self, "degrees", _degree_tuple(self.degrees))
 
     @property
@@ -112,9 +115,10 @@ class CIModel:
 
 def classify(n: int, degrees: tuple[int, ...] | list[int] = ()) -> CIModel:
     """Build a model and classify it by the total degree versus n."""
-    if n < 1:
+    model = CIModel(n=n, degrees=degrees)
+    if model.n < 1:
         raise ValueError("ambient dimension must be >= 1")
-    return CIModel(n=n, degrees=degrees)
+    return model
 
 
 def degree_vectors(n: int) -> list[tuple[int, ...]]:
@@ -134,24 +138,37 @@ def degree_vectors(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _cut_product(a: list[int], b: list[int], top: int) -> list[int]:
+    """The coefficients of a(h) * b(h) up to h^top, for int coefficient lists."""
+    out = [0] * min(len(a) + len(b) - 1, top + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: len(out) - i]):
+                out[i + j] += x * y
+    return out
+
+
 def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
     """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t), the numerator of phi_d.
 
     Each factor is built in closed form: prod_{k=0}^{D} (l*h + k*t) is
     sum_j c(D+1, j) * l^j * h^j * t^{D+1-j}, with c the unsigned Stirling
-    numbers of the first kind, so m factors cost m - 1 ring products.
+    numbers of the first kind.  The factors' coefficient lists are
+    multiplied as int polynomials in h, cut at h^{n + base_cutoff}, and the
+    product is one form: no ring product.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
     top = spec.n + spec.base_cutoff  # h^j vanishes by degree for j > top
-    out = None
+    coeffs, degree = None, 0
     for l in degrees:
         row = [1] + [0] * top  # c(0, j) for j <= top
         for k in range(d * l + 1):  # c(k+1, j) = k*c(k, j) + c(k, j-1)
             row = [k * row[0]] + [k * row[j] + row[j - 1] for j in range(1, top + 1)]
-        factor = LaurentPoly._form(spec, d * l + 1, [c * l**j for j, c in enumerate(row)])
-        out = factor if out is None else out * factor
-    return LaurentPoly.one(spec) if out is None else out
+        factor = [c * l**j for j, c in enumerate(row)]
+        coeffs = factor if coeffs is None else _cut_product(coeffs, factor, top)
+        degree += d * l + 1
+    return LaurentPoly.one(spec) if coeffs is None else LaurentPoly._form(spec, degree, coeffs)
 
 
 def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentPoly:
@@ -174,21 +191,63 @@ def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentP
     return out
 
 
+def _binomial(q: int, j: int) -> int:
+    """C(q, j) for any int q: (-1)^j * C(j-q-1, j) when q < 0."""
+    return comb(q, j) if q >= 0 else (-1) ** j * comb(j - q - 1, j)
+
+
+def linear_power_sum(
+    spec: RingSpec, sigma: tuple[CohClass, ...], k: int, p: int, s: int = 0
+) -> LaurentPoly:
+    """sum_{l>=0} sigma_l * h^s * (h + k*t)^{p-l} in closed form, sigma_0 = 1.
+
+    ``sigma`` is sigma_1, sigma_2, ...  Each power is ``LaurentPoly.linear_power``'s
+    sum_j C(q, j) * k^{q-j} * h^j * t^{q-j}, stopped where sigma_l's term times
+    h^{s+j} vanishes by degree; it needs k != 0 when q < 0.  Every term goes
+    through ``Basis.normal`` once, and the sum is one dict over one denominator:
+    k^B, with B the largest j - q, times the lcm of sigma's denominators.
+    """
+    basis = spec.basis
+    size, stride, degree = basis.size, basis.stride, basis.degree
+    last = spec.n + spec.base_cutoff
+    powers = [(p, {0: 1}, 1)]
+    powers += [(p - l, s_l._num, s_l._den) for l, s_l in enumerate(sigma, 1) if not s_l.is_zero()]
+    if not k and powers[-1][0] < 0:
+        raise NotInvertibleError(f"h is nilpotent, so (h + 0*t)^{powers[-1][0]} is not defined")
+    sigma_den = lcm(*(den for _, _, den in powers))
+    # (q, key of sigma_l's term, its numerator over sigma_den, the last j);
+    # C(q, j) = 0 for j > q >= 0
+    terms = [
+        (q, b, v * (sigma_den // den), min(last - s - degree[b], q if q >= 0 else last))
+        for q, num, den in powers
+        for b, v in num.items()
+    ]
+    big = max(0, *(j - q for q, _, _, j in terms))
+    den = k**big
+    sign = -1 if den < 0 else 1
+    num: Numerators = {}
+    for q, b, v, last_j in terms:
+        for j in range(last_j + 1):
+            a = sign * v * _binomial(q, j) * k ** (q - j + big)
+            low = (q - j) * stride
+            for key, w in basis.normal(b + (s + j) * size).items():
+                num[low + key] = num.get(low + key, 0) + a * w
+    num = {c: v for c, v in num.items() if v}
+    return LaurentPoly._new(spec, *_lowest(num, sign * den * sigma_den * basis.tail_den))
+
+
 def inverse_euler_factor(spec: RingSpec, sigma: tuple[CohClass, ...], k: int) -> LaurentPoly:
     """1 / sum_j c_j * (h + k*t)^{n+1-j}, the inverse of ``euler_class``'s degree-k factor.
 
     With x = h + k*t that factor is x^{n+1} * c(1/x), c(u) = sum_{j<=n+1} c_j*u^j,
     so its inverse is sum_i sigma_i * x^{-(n+1)-i} with sigma(u) = 1/c(u).
     ``sigma`` is sigma_1, sigma_2, ... (sigma_0 = 1), empty on P^n; sigma_i has
-    base degree i, so callers stop it at base_cutoff.  Each x^{-p} is built in
-    closed form by ``LaurentPoly.linear_power``.
+    base degree i, so callers stop it at base_cutoff.  The sum is built in one
+    pass by ``linear_power_sum``, and on P^n it is ``LaurentPoly.linear_power``.
     """
-    top = spec.n + 1
-    terms = [LaurentPoly.linear_power(spec, k, -top)]
-    for i, s in enumerate(sigma, start=1):
-        if not s.is_zero():
-            terms.append(LaurentPoly.linear_power(spec, k, -top - i) * s)
-    return LaurentPoly.sum(spec, terms)
+    if not sigma:
+        return LaurentPoly.linear_power(spec, k, -(spec.n + 1))
+    return linear_power_sum(spec, sigma, k, -(spec.n + 1))
 
 
 # A cold chain caches every _CHAIN_STEP-th degree bottom-up first, so it

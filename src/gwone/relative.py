@@ -10,6 +10,11 @@ Chern roots alpha_j never appear individually.
 Included here: the relative Euler class and phi, degree-one Schubert
 push-forwards with the Porteous formula for lines, and the linear
 Calabi-Yau pipeline where every lambda collapses to -(1/e)(t + s_1).
+
+No product of linear forms is multiplied out here either: each unit
+factor's prod_{k<=e} (h + k*t)^{n+1} is one form, its binomial rows
+multiplied as int polynomials in h, and the Schubert term is one
+``correlators.linear_power_sum`` per monomial of the Schubert polynomial.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Mapping
 
-from .correlators import _degree_tuple, _inverse_euler_class, euler_class, phi_numerator
+from .correlators import _cut_product, _degree_tuple, _integer, _inverse_euler_class
+from .correlators import euler_class, linear_power_sum, phi_numerator
 from .laurent import LaurentPoly
 from .rings import CohClass, Mono, RingSpec, generator_mono, mono_mul
 from .series import QSeries
@@ -79,6 +86,8 @@ class RelativeModel:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "fiber dimension"))
+        object.__setattr__(self, "base_cutoff", _integer(self.base_cutoff, "base cutoff"))
         if self.n < 1:
             raise ValueError("fiber dimension must be >= 1")
         if self.base_cutoff < 0:
@@ -175,7 +184,11 @@ class SchubertInput:
         return cls.from_monomials({(m, m): 1})
 
     def evaluate(self, spec: RingSpec) -> LaurentPoly:
-        """sigma(h, h + t) as a Laurent polynomial."""
+        """sigma(h, h + t) as a Laurent polynomial.
+
+        Only the tests call this: times the bundle's degree-1 ``relative_phi``
+        it is the oracle of ``relative_schubert_leading``.
+        """
         out = LaurentPoly.zero(spec)
         for (i, j), c in self.coefficients:
             term = LaurentPoly.single(spec, 0, CohClass.h_power(spec, i) * c)
@@ -187,11 +200,21 @@ def relative_schubert_leading(model: RelativeModel, sigma: SchubertInput) -> Lau
     """Main term of the degree-one Schubert push-forward:
     sigma(h, h+t) / prod_j (h + alpha_j + t).
 
+    With 1 / prod_j (h + alpha_j + t) = sum_l sigma_l * (h + t)^{-(n+1)-l}
+    (``inverse_euler_factor`` at k = 1), the term for c * q_1^i * q_2^j is
+    c * sum_l sigma_l * h^i * (h + t)^{j-(n+1)-l}, one ``linear_power_sum``
+    with no ring product; ``SchubertInput.evaluate`` times the bundle's
+    ``relative_phi`` at degree 1 is the test oracle.
+
     Coefficients at t^{-1} and below may carry an uncertified boundary
     correction; callers should only extract what the Porteous pipeline
     extracts.
     """
-    return sigma.evaluate(model.spec) * relative_phi(replace(model, degrees=()), 1)
+    spec, top, inverse_c = model.spec, model.n + 1, _euler_sigma(model.n, model.base_cutoff)
+    terms = (
+        linear_power_sum(spec, inverse_c, 1, j - top, i) * c for (i, j), c in sigma.coefficients
+    )
+    return LaurentPoly.sum(spec, terms)
 
 
 def porteous_lines(model: RelativeModel) -> CohClass:
@@ -199,7 +222,7 @@ def porteous_lines(model: RelativeModel) -> CohClass:
 
     Takes the t^{-2} coefficient of the main Schubert term for
     sigma = (q_1 q_2)^m, multiplies by h and integrates over the fiber; the
-    result is s_{m-n+1}^2 - s_{m-n} * s_{m-n+2} in the Segre generators.
+    result is ``porteous_expected``.
     """
     if model.degrees != (1,) * model.m or not 1 <= model.m <= model.n + 1:
         raise ValueError("expected m sections of O(1) with 1 <= m <= n+1")
@@ -213,7 +236,16 @@ def porteous_lines(model: RelativeModel) -> CohClass:
 
 
 def porteous_expected(model: RelativeModel) -> CohClass:
-    """The classical answer s_{m-n+1}^2 - s_{m-n} * s_{m-n+2}."""
+    """The classical answer: s_{m-n+1}^2 - s_{m-n} * s_{m-n+2} for n >= 2, c_2(V)^m for n = 1.
+
+    For n >= 2 every Segre index here is at most n + 1, where the formal s_i
+    are the Segre classes of the rank-(n+1) bundle V.  For n = 1 the fiber is
+    the only line in it, so the locus is the zero locus of the m sections of
+    V^*, of class c_2(V)^m; the formula's s_3 (at m = 2) would need
+    c_3(V) = 0, which the formal base does not impose.
+    """
+    if model.n == 1:
+        return model.chern_class(2) ** model.m
     k = model.m - model.n
     s = model.segre_class
     return s(k + 1) * s(k + 1) - s(k) * s(k + 2)
@@ -237,16 +269,20 @@ def _unit_factors(model: RelativeModel, order: int) -> list[LaurentPoly]:
     """u_0..u_order of u(q) = sum_e q^e * prod_{k=1}^e (h+kt)^{n+1} / prod_j (h+alpha_j+kt).
 
     These are the phi's with the overall h^{n+1} class factored off, which
-    keeps the t^0 row invertible during coefficient matching.
+    keeps the t^0 row invertible during coefficient matching.  Each
+    prod_{k<=e} (h+kt)^{n+1} is one form: the binomial rows of its powers
+    multiplied as int polynomials in h, cut at h^{n + base_cutoff}.
     """
     spec = model.spec
     bundle = replace(model, degrees=())
-    absolute_part = LaurentPoly.one(spec)
+    top, power = spec.n + spec.base_cutoff, model.n + 1
+    coeffs = [1]
     values = []
     for e in range(order + 1):
         if e:
-            absolute_part = absolute_part * LaurentPoly.linear_power(spec, e, model.n + 1)
-        values.append(absolute_part * relative_phi(bundle, e))
+            row = [comb(power, j) * e ** (power - j) for j in range(power + 1)]
+            coeffs = _cut_product(coeffs, row, top)
+        values.append(LaurentPoly._form(spec, e * power, coeffs) * relative_phi(bundle, e))
     return values
 
 
@@ -321,15 +357,15 @@ def linear_cy_series(model: RelativeModel, order: int) -> QSeries:
 def linear_cy_pushforward(model: RelativeModel, d: int, order: int | None = None) -> CohClass:
     """The t^{-2} coefficient of the q^d term of the linear-CY series.
 
-    Equals (1/d^2) * h^{n+1} * (s_2 - s_1*h) for every d >= 1.
+    Equals (1/d^2) * h^{n+1} * (s_2 - s_1*h) for every d >= 1.  The q^d
+    term does not depend on the series' truncation, so the series is built
+    to q^d; ``order``, when given, is only checked to be at least d.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if order is None:
-        order = d
-    if order < d:
+    if order is not None and order < d:
         raise ValueError("series truncation must be at least d")
-    return linear_cy_series(model, order).coefficient(d).coefficient(-2)
+    return linear_cy_series(model, d).coefficient(d).coefficient(-2)
 
 
 def linear_cy_expected(model: RelativeModel, d: int) -> CohClass:

@@ -13,6 +13,16 @@ Negative powers (h + k*t)^{-p} and the inverse Euler classes built from them
 are checked against ``LaurentPoly.inverse`` and against the Euler classes they
 invert.
 
+The one-pass builds of relative mode are checked against the ring-product
+chains they replaced: ``phi_numerator`` against each factor's closed form
+joined by ring products; ``linear_power_sum`` (behind
+``inverse_euler_factor`` and ``relative_schubert_leading``) against the sum
+of ``LaurentPoly.linear_power`` times each sigma_l; ``relative._unit_factors``
+against its chain of ``linear_power`` products; and the Schubert term
+against ``SchubertInput.evaluate`` times the bundle's degree-1 phi.  Each
+runs over the shared ``strategies.SPECS`` and random bundles with n <= 4 and
+base cutoff <= 8.
+
 The linear-CY recurrences are checked against the series algebra they
 replaced: ``linear_cy_series`` against the multiplier (1 - q) * exp((s_1/t)
 log(1 - q)) built by ``QSeries.log`` and ``QSeries.exp``, and
@@ -26,24 +36,43 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gwone.correlators import classify, euler_class, phi_numerator
+from dataclasses import replace
+
+from gwone.correlators import (
+    classify,
+    euler_class,
+    inverse_euler_factor,
+    linear_power_sum,
+    phi_numerator,
+)
 from gwone.laurent import LaurentPoly
 from gwone.relative import (
     RelativeModel,
+    SchubertInput,
+    _euler_sigma,
     _unit_factors,
     derive_linear_cy_lambdas,
     linear_cy_model,
+    linear_cy_pushforward,
     linear_cy_series,
     relative_euler,
     relative_phi,
+    relative_ring,
+    relative_schubert_leading,
 )
 from gwone.rings import CohClass, NotInvertibleError, RingSpec
 from gwone.series import QSeries
 
-from strategies import CANONICAL_SPECS, SPECS, coh_classes
+from strategies import CANONICAL_SPECS, SPECS, coh_classes, fractions
 
 # CANONICAL_SPECS holds absolute(0), (2) and (4); these fill in absolute n <= 6.
 FORM_SPECS = [*CANONICAL_SPECS, *(RingSpec.absolute(n) for n in (1, 3, 5, 6))]
+
+# The shared specs and random projective bundles, n <= 4 and base cutoff <= 8.
+bundles = st.builds(RelativeModel, st.integers(1, 4), st.integers(0, 8), st.just(()))
+spec_or_bundle = st.one_of(st.sampled_from(SPECS), bundles.map(lambda bundle: bundle.spec))
+# k = 0 (h alone), both signs and a larger |k|
+ks = st.sampled_from([0, 1, -1, 2, -2, 5])
 
 
 def numerator_oracle(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
@@ -68,6 +97,95 @@ def euler_oracle(spec: RingSpec, chern, d: int) -> LaurentPoly:
                 factor = factor + powers[top - j] * cj
         out = out * factor
     return out
+
+
+def per_factor_numerator_oracle(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
+    """The former ``phi_numerator``: each factor prod_{k=0}^{d*l} (l*h + k*t) one
+    form from its Stirling row, the factors joined by ring products."""
+    top = spec.n + spec.base_cutoff
+    out = LaurentPoly.one(spec)
+    for l in degrees:
+        row = [1] + [0] * top
+        for k in range(d * l + 1):
+            row = [k * row[0]] + [k * row[j] + row[j - 1] for j in range(1, top + 1)]
+        out = out * LaurentPoly._form(spec, d * l + 1, [c * l**j for j, c in enumerate(row)])
+    return out
+
+
+def linear_power_sum_oracle(spec, sigma, k, p, s=0) -> LaurentPoly:
+    """sum_l h^s * (h + k*t)^{p-l} * sigma_l, one ``linear_power`` and ring products per l."""
+    h_s = LaurentPoly.single(spec, 0, CohClass.h_power(spec, s))
+    terms = [h_s * LaurentPoly.linear_power(spec, k, p)]
+    for l, sigma_l in enumerate(sigma, start=1):
+        if not sigma_l.is_zero():
+            terms.append(h_s * LaurentPoly.linear_power(spec, k, p - l) * sigma_l)
+    return LaurentPoly.sum(spec, terms)
+
+
+def unit_factors_oracle(model: RelativeModel, order: int) -> list[LaurentPoly]:
+    """The former ``_unit_factors``: prod_{k<=e} (h+kt)^{n+1} by one ``linear_power``
+    product per degree, times the bundle's phi."""
+    spec, bundle = model.spec, replace(model, degrees=())
+    absolute_part, values = LaurentPoly.one(spec), []
+    for e in range(order + 1):
+        if e:
+            absolute_part = absolute_part * LaurentPoly.linear_power(spec, e, model.n + 1)
+        values.append(absolute_part * relative_phi(bundle, e))
+    return values
+
+
+@given(spec_or_bundle, st.lists(st.integers(1, 4), max_size=3), st.integers(0, 3))
+def test_numerator_matches_its_factors_joined_by_ring_products(spec, degrees, d):
+    degrees = tuple(degrees)
+    assert phi_numerator(spec, degrees, d) == per_factor_numerator_oracle(spec, degrees, d)
+
+
+@given(spec_or_bundle, ks, st.integers(-6, 6), st.data())
+def test_linear_power_sum_matches_linear_powers_times_sigma(spec, k, p, data):
+    # random classes sigma_1..sigma_r, zero ones among them, and shifts h^s up to 2n + 1
+    size = data.draw(st.integers(0, 4), label="size")
+    sigma = tuple(data.draw(coh_classes(spec, 3), label="sigma") for _ in range(size))
+    s = data.draw(st.integers(0, 2 * spec.n + 1), label="s")
+    try:
+        expected = linear_power_sum_oracle(spec, sigma, k, p, s)
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError, match="nilpotent"):
+            linear_power_sum(spec, sigma, k, p, s)
+    else:
+        assert linear_power_sum(spec, sigma, k, p, s) == expected
+
+
+@given(bundles, ks)
+def test_inverse_euler_factor_matches_linear_powers_times_sigma(bundle, k):
+    spec, sigma = bundle.spec, _euler_sigma(bundle.n, bundle.base_cutoff)
+    if not k:
+        with pytest.raises(NotInvertibleError, match="nilpotent"):
+            inverse_euler_factor(spec, sigma, k)
+        return
+    expected = linear_power_sum_oracle(spec, sigma, k, -(bundle.n + 1))
+    assert inverse_euler_factor(spec, sigma, k) == expected
+
+
+@given(bundles, st.integers(0, 5))
+def test_unit_factors_match_the_linear_power_products(bundle, order):
+    assert _unit_factors(bundle, order) == unit_factors_oracle(bundle, order)
+
+
+@st.composite
+def schubert_inputs(draw, top: int):
+    """Random symmetric polynomials in q_1, q_2 with exponents up to ``top``."""
+    exponents = st.integers(0, top)
+    pairs = st.tuples(exponents, exponents).map(lambda pair: tuple(sorted(pair)))
+    halves = draw(st.dictionaries(pairs, fractions, max_size=4))
+    return SchubertInput.from_monomials({**halves, **{(j, i): c for (i, j), c in halves.items()}})
+
+
+@given(bundles, st.data())
+def test_schubert_leading_matches_evaluate_times_the_inverse_euler_class(bundle, data):
+    sigma = data.draw(schubert_inputs(bundle.n + 2), label="sigma")
+    model = RelativeModel(bundle.n, bundle.base_cutoff, (1,) * data.draw(st.integers(0, 2)))
+    expected = sigma.evaluate(bundle.spec) * relative_phi(bundle, 1)
+    assert relative_schubert_leading(model, sigma) == expected
 
 
 @given(st.sampled_from(FORM_SPECS), st.integers(1, 6), st.data())
@@ -176,3 +294,12 @@ def test_linear_cy_recurrences_match_the_series_algebra(n):
         for order in range(8):
             assert linear_cy_series(model, order) == linear_cy_series_oracle(model, order)
             assert derive_linear_cy_lambdas(model, order) == derive_lambdas_oracle(model, order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_linear_cy_pushforward_does_not_depend_on_the_truncation(n):
+    for cutoff in (0, n + 1, 6):
+        model = linear_cy_model(n, cutoff)
+        for d in range(1, 5):
+            values = [linear_cy_pushforward(model, d, order) for order in (d, d + 1, d + 3)]
+            assert values[0] == values[1] == values[2] == linear_cy_pushforward(model, d)

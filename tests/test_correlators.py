@@ -67,6 +67,16 @@ def test_a_degree_that_is_not_an_integer_is_rejected(bad):
             build()
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", Fraction(2)])
+def test_an_ambient_dimension_that_is_not_an_integer_is_rejected(bad):
+    # before: the model was built and phi failed later with an unrelated TypeError
+    message = f"ambient dimension {bad!r} is not an integer"
+    for build in (lambda: classify(bad), lambda: classify(bad, (1,)), lambda: CIModel(bad, ())):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    assert CIModel(True, ()).n == 1 and type(CIModel(True, ()).n) is int
+
+
 def test_phi_degree_zero_is_class_of_target():
     spec = QUINTIC.spec
     assert phi(QUINTIC, 0) == LaurentPoly.single(spec, 0, h_class(spec) * 5)

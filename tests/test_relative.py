@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -228,6 +229,28 @@ def test_porteous_lines_formula(n, m):
     assert porteous_lines(model) == porteous_expected(model)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_porteous_lines_match_the_reference_on_a_grid(n):
+    for cutoff in range(7):
+        for m in range(1, n + 2):
+            model = RelativeModel(n=n, base_cutoff=cutoff, degrees=(1,) * m)
+            assert porteous_lines(model) == porteous_expected(model), (cutoff, m)
+
+
+@pytest.mark.parametrize("cutoff", [4, 6, 8])
+def test_porteous_on_a_p1_bundle_is_c2_to_the_m(cutoff):
+    # the fiber is the only line: the locus is the zero locus of m sections of V^*,
+    # c_2(V)^m, not the formula's s_2^2 - s_1*s_3, which needs c_3 = 0 at m = 2
+    one, two = RelativeModel(1, cutoff, (1,)), RelativeModel(1, cutoff, (1, 1))
+    c2 = two.chern_class(2)
+    assert str(c2) == "-s2 + s1^2"
+    assert porteous_expected(one) == porteous_lines(one) == c2
+    assert porteous_expected(two) == porteous_lines(two) == c2 * c2
+    assert str(porteous_expected(two)) == "s2^2 - 2*s1^2*s2 + s1^4"
+    s = two.segre_class
+    assert porteous_expected(two) != s(2) * s(2) - s(1) * s(3)
+
+
 def test_porteous_trivial_bundle_vanishes():
     model = RelativeModel(n=2, base_cutoff=0, degrees=(1, 1))
     assert porteous_lines(model).is_zero()
@@ -323,6 +346,17 @@ def test_linear_cy_pushforward_validates_arguments():
         linear_cy_pushforward(model, 0)
     with pytest.raises(ValueError):
         linear_cy_pushforward(model, 3, 2)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", Fraction(3)])
+def test_bundle_dimensions_that_are_not_integers_are_rejected(bad):
+    # before: the model was built and relative_phi failed later with an unrelated TypeError
+    with pytest.raises(ValueError, match=re.escape(f"fiber dimension {bad!r} is not an integer")):
+        RelativeModel(bad, 3, ())
+    with pytest.raises(ValueError, match=re.escape(f"base cutoff {bad!r} is not an integer")):
+        RelativeModel(2, bad, ())
+    coerced = RelativeModel(True, False, ())
+    assert (type(coerced.n), type(coerced.base_cutoff)) == (int, int)
 
 
 def test_relative_model_validation():
