@@ -43,9 +43,10 @@ def _ratio(v: int, den: int) -> str:
 
 def _class_json(spec: RingSpec, num: dict[int, int], den: int) -> dict:
     """The JSON of the class with numerators ``num`` by basis key over ``den`` > 0,
-    which need not be in lowest terms: each coefficient is reduced once, by ``_ratio``."""
+    which need not be in lowest terms: each nonzero coefficient is reduced once, by
+    ``_ratio``, and an absent one is written "0" without a call."""
     if not spec.is_relative:  # one basis element per power of h: key k is h^k
-        return {"h": [_ratio(num.get(k, 0), den) for k in range(spec.n + 1)]}
+        return {"h": [_ratio(v, den) if (v := num.get(k)) else "0" for k in range(spec.n + 1)]}
     names, basis = spec.generator_names(), spec.basis
     terms = []
     # Sorted by (h-exponent, monomial tuple), which is not basis order.

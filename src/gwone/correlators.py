@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm, prod
 
 from .laurent import LaurentPoly
-from .rings import CohClass, NotInvertibleError, Numerators, RingSpec, _lowest
+from .rings import CohClass, NotInvertibleError, Numerators, RingSpec, _lowest, _sum
 
 
 class Classification(enum.Enum):
@@ -148,24 +148,32 @@ def _cut_product(a: list[int], b: list[int], top: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _stirling_row(D: int, top: int) -> tuple[int, ...]:
+    """c(D+1, j) for j <= top, the unsigned Stirling numbers of the first kind:
+    the coefficients of prod_{k=0}^{D} (x + k), cut at x^top.  Cached by (D, top),
+    since most rows repeat across degree vectors; callers must not mutate."""
+    row = [1] + [0] * top  # c(0, j) for j <= top
+    for k in range(D + 1):  # c(k+1, j) = k*c(k, j) + c(k, j-1)
+        row = [k * row[0]] + [k * row[j] + row[j - 1] for j in range(1, top + 1)]
+    return tuple(row)
+
+
 def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
     """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t), the numerator of phi_d.
 
     Each factor is built in closed form: prod_{k=0}^{D} (l*h + k*t) is
     sum_j c(D+1, j) * l^j * h^j * t^{D+1-j}, with c the unsigned Stirling
-    numbers of the first kind.  The factors' coefficient lists are
-    multiplied as int polynomials in h, cut at h^{n + base_cutoff}, and the
-    product is one form: no ring product.
+    numbers of the first kind (``_stirling_row``).  The factors' coefficient
+    lists are multiplied as int polynomials in h, cut at h^{n + base_cutoff},
+    and the product is one form: no ring product.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
     top = spec.n + spec.base_cutoff  # h^j vanishes by degree for j > top
     coeffs, degree = None, 0
     for l in degrees:
-        row = [1] + [0] * top  # c(0, j) for j <= top
-        for k in range(d * l + 1):  # c(k+1, j) = k*c(k, j) + c(k, j-1)
-            row = [k * row[0]] + [k * row[j] + row[j - 1] for j in range(1, top + 1)]
-        factor = [c * l**j for j, c in enumerate(row)]
+        factor = [c * l**j for j, c in enumerate(_stirling_row(d * l, top))]
         coeffs = factor if coeffs is None else _cut_product(coeffs, factor, top)
         degree += d * l + 1
     return LaurentPoly.one(spec) if coeffs is None else LaurentPoly._form(spec, degree, coeffs)
@@ -288,7 +296,7 @@ def phi(model: CIModel, d: int) -> LaurentPoly:
         return phi_numerator(model.spec, model.degrees, d)
     if not model.degrees:
         return _inverse_euler_class(phi, model, (), d)
-    return phi_numerator(model.spec, model.degrees, d) * phi(replace(model, degrees=()), d)
+    return phi_numerator(model.spec, model.degrees, d) * phi(CIModel(model.n, ()), d)
 
 
 @lru_cache(maxsize=None)
@@ -320,15 +328,22 @@ def fano_index1_correlator(model: CIModel, d: int) -> LaurentPoly:
     """Degree-d correlator for Fano models of index one.
 
     The value is the finite sum over r of (-prod l_i!)^r phi_{d-r} / (r! t^r);
-    the r = 0 term alone gives the d = 0 convention phi_0.
+    the r = 0 term alone gives the d = 0 convention phi_0.  Each term is
+    phi_{d-r}'s numerators, shifted by t^{-r} and times (-prod l_i!)^r, over its
+    denominator times r!, and the terms are added in one pass with one reduction.
     """
     if model.classification is not Classification.FANO_INDEX_ONE:
         raise ClassificationError(f"not Fano of index one: l_1+...+l_m != n for {model}")
     if d < 0:
         raise ValueError("degree must be >= 0")
-    sign = -model.factorial_product
-    terms = (phi(model, d - r).shift_t(-r) * Fraction(sign**r, factorial(r)) for r in range(d + 1))
-    return LaurentPoly.sum(model.spec, terms)
+    sign, stride = -model.factorial_product, model.spec.basis.stride
+
+    def terms():
+        for r in range(d + 1):
+            term, low, scale = phi(model, d - r), r * stride, sign**r
+            yield {c - low: v * scale for c, v in term._num.items()}, term._den * factorial(r)
+
+    return LaurentPoly._new(model.spec, *_sum(terms()))
 
 
 def one_point_invariant(correlator: LaurentPoly, a: int, b: int) -> Fraction | CohClass:

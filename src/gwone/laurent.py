@@ -117,6 +117,10 @@ class LaurentPoly(_Value):
         return sorted({c // stride for c in self._num})
 
     def t_max(self) -> int:
+        """The highest power of t with a nonzero coefficient; ValueError for zero,
+        which has none."""
+        if not self._num:
+            raise ValueError("the zero polynomial has no highest power of t")
         return max(self._num) // self.spec.basis.stride
 
     def _groups(self) -> dict[int, Numerators]:

@@ -19,7 +19,7 @@ multiplied as int polynomials in h, and the Schubert term is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -161,7 +161,8 @@ def relative_phi(model: RelativeModel, d: int) -> LaurentPoly:
     """
     if not model.degrees:
         return _inverse_euler_class(relative_phi, model, _euler_sigma(model.n, model.base_cutoff), d)
-    return phi_numerator(model.spec, model.degrees, d) * relative_phi(replace(model, degrees=()), d)
+    bundle = RelativeModel(model.n, model.base_cutoff, ())
+    return phi_numerator(model.spec, model.degrees, d) * relative_phi(bundle, d)
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ def _unit_factors(model: RelativeModel, order: int) -> list[LaurentPoly]:
     multiplied as int polynomials in h, cut at h^{n + base_cutoff}.
     """
     spec = model.spec
-    bundle = replace(model, degrees=())
+    bundle = RelativeModel(model.n, model.base_cutoff, ())
     top, power = spec.n + spec.base_cutoff, model.n + 1
     coeffs = [1]
     values = []

@@ -269,10 +269,21 @@ class Basis:
         self.generators = len(spec.base)
         degrees = [spec.mono_degree(mono) for mono in monos]
         cutoff = spec.base_cutoff
-        self.products = [
-            [index[mono_mul(a, b)] if da + db <= cutoff else -1 for b, db in zip(monos, degrees)]
-            for a, da in zip(monos, degrees)
-        ]
+        # Monomial i has the mixed-radix code sum_g e_g * prod_{g'<g} (cutoff // deg_g' + 1).
+        # Within the cutoff e_g <= cutoff // deg_g, so a product's code is the sum of its
+        # factors' codes, and only the pairs within the cutoff are visited, by degree.
+        places = [1]
+        for _, deg in spec.base:
+            places.append(places[-1] * (cutoff // deg + 1))
+        codes = [sum(e * place for e, place in zip(mono, places)) for mono in monos]
+        of_code = dict(zip(codes, range(size)))
+        by_degree = sorted(zip(degrees, range(size), codes))
+        self.products = [[-1] * size for _ in monos]
+        for row, ca, da in zip(self.products, codes, degrees):
+            for db, j, cb in by_degree:
+                if da + db > cutoff:
+                    break
+                row[j] = of_code[ca + cb]
         self.mono_of = [i for _ in powers for i in range(size)]
         self.degree = [k + g for k in powers for g in degrees]
         # Rule terms whose monomial is above the cutoff vanish.  The others

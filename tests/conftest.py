@@ -4,9 +4,11 @@ The default run uses hypothesis' own profile.  ``--hypothesis-profile=kernel``
 is the deeper pass over the ring kernel, the comb terms, the closed forms
 of phi, the one-pass relative forms (the joined numerator,
 ``linear_power_sum`` behind the inverse Euler factors and the Schubert
-term, the linear-CY unit factors) and the linear-CY recurrences
-(``linear_cy_series``, ``derive_linear_cy_lambdas``) against their oracles:
-1000 examples per property test and no per-example deadline.
+term, the linear-CY unit factors), the linear-CY recurrences
+(``linear_cy_series``, ``derive_linear_cy_lambdas``), the one-pass index-one
+Fano correlator, the cached Stirling rows, the mixed-radix monomial product
+table and the zero-skipping class JSON against their oracles: 1000 examples
+per property test and no per-example deadline.
 """
 
 from hypothesis import settings

@@ -28,21 +28,34 @@ replaced: ``linear_cy_series`` against the multiplier (1 - q) * exp((s_1/t)
 log(1 - q)) built by ``QSeries.log`` and ``QSeries.exp``, and
 ``derive_linear_cy_lambdas`` against the matching that multiplies the whole
 series u(q) by exp(lambda_e q^e / t) after each degree.
+
+``fano_index1_correlator``, one pass over the cached phi's numerators, is
+checked against the per-term route it replaced (``shift_t``, a ``Fraction``
+scalar product per term, ``LaurentPoly.sum``) on every index-one model with
+n <= 6 and d <= 4, and the cached Stirling rows behind ``phi_numerator``
+against prod_{k=0}^{D} (x + k) built one linear factor at a time, requested
+in random order from a cold cache.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
 from gwone.correlators import (
+    _stirling_row,
     classify,
+    degree_vectors,
     euler_class,
+    fano_index1_correlator,
     inverse_euler_factor,
     linear_power_sum,
+    phi,
     phi_numerator,
 )
 from gwone.laurent import LaurentPoly
@@ -303,3 +316,43 @@ def test_linear_cy_pushforward_does_not_depend_on_the_truncation(n):
         for d in range(1, 5):
             values = [linear_cy_pushforward(model, d, order) for order in (d, d + 1, d + 3)]
             assert values[0] == values[1] == values[2] == linear_cy_pushforward(model, d)
+
+
+def index1_oracle(model, d: int) -> LaurentPoly:
+    """The former ``fano_index1_correlator``: each term phi_{d-r} shifted by t^{-r}
+    and times the ``Fraction`` (-prod l_i!)^r / r!, the terms added by ``LaurentPoly.sum``."""
+    sign = -model.factorial_product
+    terms = (phi(model, d - r).shift_t(-r) * Fraction(sign**r, factorial(r)) for r in range(d + 1))
+    return LaurentPoly.sum(model.spec, terms)
+
+
+INDEX_ONE_MODELS = [
+    classify(n, degrees)
+    for n in range(1, 7)
+    for degrees in degree_vectors(n)
+    if sum(degrees) == n
+]
+
+
+@pytest.mark.parametrize("model", INDEX_ONE_MODELS, ids=str)
+def test_index1_correlator_matches_the_per_term_sum(model):
+    for d in range(5):
+        assert fano_index1_correlator(model, d) == index1_oracle(model, d)
+
+
+def linear_factor_product(D: int, top: int) -> list[int]:
+    """prod_{k=0}^{D} (x + k) cut at x^top, as a coefficient list of length top + 1,
+    one linear factor [k, 1] multiplied in at a time."""
+    out = [1] + [0] * top
+    for k in range(D + 1):
+        times_x = [0] + out[:top]
+        out = [k * a + b for a, b in zip(out, times_x)]
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 10)), min_size=1, max_size=12))
+def test_stirling_row_is_the_cut_linear_factor_product(requests):
+    # a cold cache, then rows requested in random order, some twice
+    _stirling_row.cache_clear()
+    for D, top in requests + requests[::-1]:
+        assert _stirling_row(D, top) == tuple(linear_factor_product(D, top))

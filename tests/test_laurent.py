@@ -131,6 +131,13 @@ def test_shift_and_coefficient():
     assert shifted.support() == [-2, 1] and shifted.t_max() == 1
 
 
+@pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=str)
+def test_t_max_of_zero_is_a_clear_value_error(spec):
+    with pytest.raises(ValueError, match="zero polynomial has no highest power of t"):
+        LaurentPoly.zero(spec).t_max()
+    assert LaurentPoly.single(spec, -3, 1).t_max() == -3
+
+
 def test_class_plus_or_times_polynomial_is_a_polynomial():
     # With the class on the left, the polynomial's t-keys must not be read as basis
     # keys above h^n (which gives the class 2*h + h^7 for h + p).

@@ -11,6 +11,10 @@ kernel must agree with it term for term.
 ``laurent_mul`` is the product of t-Laurent polynomials as it was before the
 fused kernel: one class product per pair of t-coefficients, summed per
 exponent, here with the slot-dict ``mul`` and ``add`` as the class product.
+
+``product_table_oracle`` is the former ``Basis`` product table, one
+``mono_mul`` per pair of monomials, against the table built from
+mixed-radix monomial codes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gwone.laurent import LaurentPoly
-from gwone.rings import CohClass, Mono, RingSpec, _strip, mono_mul
+from gwone.relative import relative_ring
+from gwone.rings import Basis, CohClass, Mono, RingSpec, _strip, mono_mul
 
 from strategies import (
     CANONICAL_SPECS,
@@ -324,3 +329,29 @@ def test_combined_keys_do_not_alias_across_powers_of_t(spec, data):
         assert value.support() == sorted(expected[label]), label
         for e in range(-14, 15):
             assert slots(value.coefficient(e)) == expected[label].get(e, empty), (label, e)
+
+
+def product_table_oracle(spec: RingSpec) -> list[list[int]]:
+    """The former ``Basis.products``: ``mono_mul`` for every pair of monomials,
+    looked up in the basis order, -1 above the cutoff."""
+    monos = spec.monomials()
+    index = {mono: i for i, mono in enumerate(monos)}
+    degrees = [spec.mono_degree(mono) for mono in monos]
+    return [
+        [index[mono_mul(a, b)] if da + db <= spec.base_cutoff else -1 for b, db in zip(monos, degrees)]
+        for a, da in zip(monos, degrees)
+    ]
+
+
+# Bundles' Segre generators (degrees 1..cutoff) up to cutoff 12, and generators of
+# unsorted mixed degrees, so that the radices differ and exceed 2.
+TABLE_SPECS = [
+    *CANONICAL_SPECS,
+    *(relative_ring(2, cutoff) for cutoff in range(13)),
+    *(RingSpec.relative(1, (("u", 2), ("v", 3), ("w", 1)), cutoff) for cutoff in (0, 1, 5, 9)),
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=spec_id)
+def test_product_table_matches_the_mono_mul_table(spec):
+    assert Basis(spec).products == product_table_oracle(spec)
