@@ -173,7 +173,13 @@ def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPo
     top = spec.n + spec.base_cutoff  # h^j vanishes by degree for j > top
     coeffs, degree = None, 0
     for l in degrees:
-        factor = [c * l**j for j, c in enumerate(_stirling_row(d * l, top))]
+        factor = _stirling_row(d * l, top)
+        if l != 1:
+            scaled, power = [], 1
+            for c in factor:
+                scaled.append(c * power)
+                power *= l
+            factor = scaled
         coeffs = factor if coeffs is None else _cut_product(coeffs, factor, top)
         degree += d * l + 1
     return LaurentPoly.one(spec) if coeffs is None else LaurentPoly._form(spec, degree, coeffs)
@@ -263,6 +269,14 @@ def inverse_euler_factor(spec: RingSpec, sigma: tuple[CohClass, ...], k: int) ->
 _CHAIN_STEP = 64
 
 
+def _chain_below(cached, model, d: int):
+    """``cached(model, d - 1)`` for a cache ``cached`` whose degree-d value is built
+    from its degree-(d-1) one, after caching every _CHAIN_STEP-th degree below it."""
+    for lower in range(_CHAIN_STEP, d - 1, _CHAIN_STEP):
+        cached(model, lower)
+    return cached(model, d - 1)
+
+
 def _inverse_euler_class(cached, model, sigma: tuple[CohClass, ...], d: int) -> LaurentPoly:
     """1 / prod_{k=1}^d sum_j c_j * (h + k*t)^{n+1-j} on ``model``'s ring, where
     ``cached(model, e)`` is this inverse at degree e, cached: the cached degree-(d-1)
@@ -274,9 +288,7 @@ def _inverse_euler_class(cached, model, sigma: tuple[CohClass, ...], d: int) -> 
     factor = inverse_euler_factor(model.spec, sigma, d)
     if d == 1:
         return factor
-    for lower in range(_CHAIN_STEP, d - 1, _CHAIN_STEP):
-        cached(model, lower)
-    return cached(model, d - 1) * factor
+    return _chain_below(cached, model, d) * factor
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb
 from typing import Mapping
 
-from .correlators import _cut_product, _degree_tuple, _integer, _inverse_euler_class
+from .correlators import _chain_below, _cut_product, _degree_tuple, _integer, _inverse_euler_class
 from .correlators import euler_class, linear_power_sum, phi_numerator
 from .laurent import LaurentPoly
 from .rings import CohClass, Mono, RingSpec, generator_mono, mono_mul
@@ -334,25 +334,39 @@ def derive_linear_cy_lambdas(
     return out
 
 
+@lru_cache(maxsize=None)
+def _multiplier(model: RelativeModel, k: int) -> LaurentPoly:
+    """M_k, the q^k coefficient of (1 - q)^{1 + s_1/t} = (1 - q) * exp((s_1/t) log(1 - q)):
+    M_k = (-1)^k C(1 + s_1/t, k) = M_{k-1} * (k - 2 - s_1/t)/k, one product with a
+    two-term polynomial per degree.  Cached per (model, k)."""
+    spec = model.spec
+    if k == 0:
+        return LaurentPoly.one(spec)
+    s1 = model.segre_class(1)
+    step = {0: CohClass.scalar(spec, Fraction(k - 2, k)), -1: s1 * Fraction(-1, k)}
+    return _chain_below(_multiplier, model, k) * LaurentPoly(spec, step)
+
+
+@lru_cache(maxsize=None)
+def _series_coefficient(model: RelativeModel, k: int) -> LaurentPoly:
+    """G_k = sum_{e<=k} phi_e * M_{k-e}, the q^k coefficient of ``linear_cy_series``:
+    k + 1 products in one ``LaurentPoly.sum``.  Cached per (model, k), so the series
+    to q^D costs O(D^2) products however many truncations are asked for."""
+    terms = (relative_phi(model, e) * _multiplier(model, k - e) for e in range(k + 1))
+    return LaurentPoly.sum(model.spec, terms)
+
+
 def linear_cy_series(model: RelativeModel, order: int) -> QSeries:
     """(sum_e q^e phi_e) * (1 - q)^{1 + s_1/t}.
 
     This is the correlator generating series of the linear Calabi-Yau with
     the closed-form lambdas substituted in; its t^0 and t^{-1} rows vanish
-    in every positive q-degree.  The multiplier, (1 - q) * exp((s_1/t) log(1 - q)),
-    has q^k coefficient M_k = (-1)^k C(1 + s_1/t, k) = M_{k-1} * (k - 2 - s_1/t)/k:
-    one product with a two-term polynomial per degree.
+    in every positive q-degree.  Its coefficients are the model's cached
+    ``_series_coefficient``s, shared by every truncation.
     """
     if not model.is_linear_cy:
         raise ValueError("model is not a linear Calabi-Yau")
-    spec = model.spec
-    s1 = model.segre_class(1)
-    multiplier = {0: LaurentPoly.one(spec)}
-    for k in range(1, order + 1):
-        step = {0: CohClass.scalar(spec, Fraction(k - 2, k)), -1: s1 * Fraction(-1, k)}
-        multiplier[k] = multiplier[k - 1] * LaurentPoly(spec, step)
-    phis = QSeries(spec, order, {e: relative_phi(model, e) for e in range(order + 1)})
-    return phis * QSeries(spec, order, multiplier)
+    return QSeries(model.spec, order, {k: _series_coefficient(model, k) for k in range(order + 1)})
 
 
 def linear_cy_pushforward(model: RelativeModel, d: int, order: int | None = None) -> CohClass:

@@ -25,8 +25,19 @@ SPECS = [
 RELATIVE_N0 = RingSpec.relative(0, (("u", 1),), 2, [(0, (1,), Fraction(3, 2))])
 CANONICAL_SPECS = [*SPECS, RingSpec.absolute(0), RELATIVE_N0]
 
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-nonzero_fractions = fractions.filter(lambda x: x != 0)
+
+@st.composite
+def _fractions(draw, nonzero: bool = False) -> Fraction:
+    """p/q for a denominator q in 1..9 and a numerator with |p| <= 9q: every rational
+    in [-9, 9] whose denominator is at most 9 (zero excluded when ``nonzero``)."""
+    q = draw(st.integers(1, 9))
+    if nonzero:
+        return Fraction(draw(st.integers(1, 9 * q)) * draw(st.sampled_from((1, -1))), q)
+    return Fraction(draw(st.integers(-9 * q, 9 * q)), q)
+
+
+fractions = _fractions()
+nonzero_fractions = _fractions(nonzero=True)
 specs = st.sampled_from(SPECS)
 
 

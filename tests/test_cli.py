@@ -19,7 +19,7 @@ from gwone.mirror import MirrorData, MirrorReport
 from gwone.relative import RelativeModel, relative_phi
 from gwone.rings import CohClass, RingSpec
 
-from strategies import CANONICAL_SPECS, coh_classes, fractions, laurent_polys
+from strategies import CANONICAL_SPECS, coh_classes, laurent_polys, nonzero_fractions
 
 
 def run_cli(capsys, *argv):
@@ -182,7 +182,7 @@ def laurent_json_oracle(poly: LaurentPoly) -> list[dict]:
 @pytest.mark.parametrize("spec", CANONICAL_SPECS)
 @given(st.data())
 def test_laurent_json_matches_the_per_class_route(spec, data):
-    poly = data.draw(laurent_polys(spec)) * data.draw(fractions.filter(bool))
+    poly = data.draw(laurent_polys(spec)) * data.draw(nonzero_fractions)
     text = json.dumps(laurent_to_json(poly))
     assert text == json.dumps(laurent_json_oracle(poly))
     for entry, (_, cls) in zip(json.loads(text), reversed(list(poly.items()))):

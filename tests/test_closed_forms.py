@@ -27,7 +27,11 @@ The linear-CY recurrences are checked against the series algebra they
 replaced: ``linear_cy_series`` against the multiplier (1 - q) * exp((s_1/t)
 log(1 - q)) built by ``QSeries.log`` and ``QSeries.exp``, and
 ``derive_linear_cy_lambdas`` against the matching that multiplies the whole
-series u(q) by exp(lambda_e q^e / t) after each degree.
+series u(q) by exp(lambda_e q^e / t) after each degree.  The per-model cached
+series coefficients behind ``linear_cy_series`` are also checked against the
+route they replaced, the phi series times the multiplier series in one
+``QSeries`` product per call, with truncations requested in random order from
+cold caches; and pushforwards d = 1..6 are counted to share them.
 
 ``fano_index1_correlator``, one pass over the cached phi's numerators, is
 checked against the per-term route it replaced (``shift_t``, a ``Fraction``
@@ -41,12 +45,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gwone import relative
 from gwone.correlators import (
     _stirling_row,
     classify,
@@ -307,6 +313,65 @@ def test_linear_cy_recurrences_match_the_series_algebra(n):
         for order in range(8):
             assert linear_cy_series(model, order) == linear_cy_series_oracle(model, order)
             assert derive_linear_cy_lambdas(model, order) == derive_lambdas_oracle(model, order)
+
+
+@lru_cache(maxsize=None)
+def series_product_oracle(model: RelativeModel, order: int) -> QSeries:
+    """The former ``linear_cy_series``: (sum_e q^e phi_e) times the multiplier series
+    sum_k M_k q^k, M_k = M_{k-1} * (k - 2 - s_1/t)/k, in one ``QSeries`` product."""
+    spec, s1 = model.spec, model.segre_class(1)
+    multiplier = {0: LaurentPoly.one(spec)}
+    for k in range(1, order + 1):
+        step = {0: CohClass.scalar(spec, Fraction(k - 2, k)), -1: s1 * Fraction(-1, k)}
+        multiplier[k] = multiplier[k - 1] * LaurentPoly(spec, step)
+    phis = QSeries(spec, order, {e: relative_phi(model, e) for e in range(order + 1)})
+    return phis * QSeries(spec, order, multiplier)
+
+
+def clear_series_caches() -> None:
+    relative._series_coefficient.cache_clear()
+    relative._multiplier.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(st.permutations(range(8)))
+def test_cached_series_matches_the_series_product_in_any_order(n, orders):
+    # cold series caches, then truncations 0..7 in random order, so no value may
+    # depend on which degree was asked for first
+    clear_series_caches()
+    for cutoff in sorted({0, 1, n + 1, 6}):
+        model = linear_cy_model(n, cutoff)
+        for order in orders:
+            assert linear_cy_series(model, order) == series_product_oracle(model, order)
+
+
+def test_pushforwards_share_the_series_coefficients(monkeypatch):
+    # each phi_e * M_{k-e} once for k <= 6: sum_{k<=6} (k + 1) = 28 products, where one
+    # series product per pushforward makes sum_{d<=6} (d + 1)(d + 2)/2 = 83
+    model = linear_cy_model(2, 6)
+    relative_phi.cache_clear()
+    clear_series_caches()
+    series_product_oracle.cache_clear()
+    left_operands = []
+    mul = LaurentPoly.__mul__
+
+    def recording_mul(self, other):
+        left_operands.append(self)
+        return mul(self, other)
+
+    def phi_products() -> int:
+        phis = [relative_phi(model, e) for e in range(7)]
+        count = sum(any(x is p for p in phis) for x in left_operands)
+        left_operands.clear()
+        return count
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
+    for d in range(1, 7):
+        linear_cy_pushforward(model, d)
+    assert phi_products() == 28
+    for d in range(1, 7):
+        series_product_oracle(model, d)
+    assert phi_products() == 83
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -135,6 +135,8 @@ def test_linear_cy_pipeline_inverts_each_euler_class_once(monkeypatch):
     model = linear_cy_model(2, 4)
     relative_phi.cache_clear()
     relative_euler.cache_clear()
+    relative._series_coefficient.cache_clear()
+    relative._multiplier.cache_clear()
     inverses = factors = 0
     inverse, factor = LaurentPoly.inverse, correlators.inverse_euler_factor
 
@@ -168,6 +170,14 @@ def test_section_free_phi_chain_is_not_one_recursion_per_degree():
     top = relative_phi(bundle, 2000)
     assert top.t_max() == -4000
     assert top.coefficient(-4000) == CohClass.scalar(bundle.spec, Fraction(1, factorial(2000) ** 2))
+
+
+def test_series_multiplier_chain_is_not_one_recursion_per_degree():
+    # cold cache: with s_1^2 = 0, M_k = (-1)^k C(1 + s_1/t, k) is s_1 t^{-1} / (k(k-1)) for k >= 2
+    relative._multiplier.cache_clear()
+    model = linear_cy_model(1, 1)
+    expected = LaurentPoly.single(model.spec, -1, model.segre_class(1) * Fraction(1, 2000 * 1999))
+    assert relative._multiplier(model, 2000) == expected
 
 
 def test_linear_cy_phi_rows():
