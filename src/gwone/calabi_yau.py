@@ -16,7 +16,12 @@ Each degree sums 2^d combs, at most two ring products each: consecutive
 combs in lexicographic order share all but their last one or two teeth, and
 :func:`cy_term` extends the prefix it shares with the comb it built last.
 The terms stream into :meth:`LaurentPoly.sum`, one pass and one reduction
-per degree, so no more than one comb's prefixes are held at a time.
+per degree.  The solve of lambda_d and the degree-d correlator sum the same
+2^d - 1 non-simple combs, so :func:`cy_term` also keeps the terms of the
+current (model, degree): :func:`threefold_report` and the other full
+pipelines solve and sum one degree at a time, and a correlator multiplies
+out only its simple comb.  At most one comb's prefixes and one degree's
+terms are held per thread.
 """
 
 from __future__ import annotations
@@ -149,12 +154,24 @@ class _Path(threading.local):
     """The comb product cy_term built last in this thread, one entry per prefix
     of its endpoints: entry k is (model, d_{k+1}, lambda_{Delta_k}, T_k) with
     T_k = phi_{d_1} * prod_{i<=k} lambda_{Delta_i}(h + d_i t) / (k! t^k), and
-    entry 0 carries no form.  The entries hold their model and forms, so no
-    other object can take their ids and comparing them by identity is safe.
+    entry 0 carries no form.
+
+    ``terms`` maps the endpoints of each comb with teeth built for the current
+    (``model``, ``degree``) to (its forms, its term); it is emptied when the
+    model or the degree changes.  The entries and the table hold their model
+    and forms, so no other object can take their ids and comparing them by
+    identity is safe.
     """
 
     def __init__(self) -> None:
         self.entries: list[tuple[CIModel, int, LambdaForm | None, LaurentPoly]] = []
+        self.model: CIModel | None = None
+        self.degree = -1
+        self.terms: dict[tuple[int, ...], tuple[list[LambdaForm], LaurentPoly]] = {}
+
+    def clear_terms(self) -> None:
+        self.model, self.degree = None, -1
+        self.terms.clear()
 
 
 _path = _Path()
@@ -167,8 +184,10 @@ def cy_term(model: CIModel, comb: Comb, lambdas: Mapping[int, LambdaForm]) -> La
     (same model, endpoints and form objects) and extends it one tooth at a
     time, each tooth one product with a cached :meth:`LambdaForm.tooth`.  In
     the lexicographic order of :func:`enumerate_combs` that is at most two
-    ring products per comb; the saved state is one comb's O(d) prefixes per
-    thread.
+    ring products per comb.  A comb built before for the same model and
+    degree from the same form objects takes its term from the table, with no
+    product.  The saved state is one comb's O(d) prefixes and one degree's
+    terms per thread.
     """
     ends = comb.endpoints
     forms = []
@@ -183,12 +202,20 @@ def cy_term(model: CIModel, comb: Comb, lambdas: Mapping[int, LambdaForm]) -> La
             break
         keep += 1
     del path[keep:]
+    if _path.model is not model or _path.degree != ends[-1]:
+        _path.clear_terms()
+        _path.model, _path.degree = model, ends[-1]
+    held = _path.terms.get(ends)
+    if held is not None and all(a is b for a, b in zip(held[0], forms)):
+        return held[1]
     if not path:
         path.append((model, ends[0], None, phi(model, ends[0])))
     for k in range(len(path), len(ends)):
         lam = forms[k - 1]
         term = path[-1][3] * lam.tooth(model.spec, ends[k - 1], k)
         path.append((model, ends[k], lam, term))
+    if forms:
+        _path.terms[ends] = (forms, path[-1][3])
     return path[-1][3]
 
 
@@ -237,6 +264,7 @@ def lambda_readoff(model: CIModel, d: int, lambdas: Mapping[int, LambdaForm]) ->
     This is an independent extraction path from the monomial-shape division
     used by :func:`solve_lambda`.
     """
+    _require_calabi_yau(model)
     return _readoff(model, _partial_comb_sum(model, d, lambdas))
 
 
@@ -289,6 +317,8 @@ def solve_lambda(
 def solve_lambdas_up_to(model: CIModel, max_degree: int) -> dict[int, LambdaForm]:
     """The lambda table for degrees 1..max_degree, solved recursively."""
     _require_calabi_yau(model)
+    if max_degree < 0:
+        raise ValueError("degree must be >= 0")
     lambdas: dict[int, LambdaForm] = {}
     for d in range(1, max_degree + 1):
         lambdas[d] = solve_lambda(model, d, lambdas)
@@ -310,6 +340,28 @@ def cy_correlator(
     if not out.is_zero() and out.t_max() >= -1:
         raise LambdaShapeError(f"degree-{d} comb sum retains t^{out.t_max()} terms")
     return out
+
+
+def _lambdas_and_correlators(
+    model: CIModel, max_degree: int
+) -> tuple[dict[int, LambdaForm], dict[int, LaurentPoly]]:
+    """The lambda table for degrees 1..max_degree and the correlators of degrees
+    0..max_degree, one degree at a time: each correlator is summed right after
+    its lambda is solved, so its 2^d - 1 non-simple comb terms come from
+    :func:`cy_term`'s table and only the simple comb is multiplied out.  The
+    table is emptied before returning."""
+    _require_calabi_yau(model)
+    if max_degree < 0:
+        raise ValueError("degree must be >= 0")
+    lambdas: dict[int, LambdaForm] = {}
+    correlators = {0: phi(model, 0)}
+    try:
+        for d in range(1, max_degree + 1):
+            lambdas[d] = solve_lambda(model, d, lambdas)
+            correlators[d] = cy_correlator(model, d, lambdas)
+    finally:
+        _path.clear_terms()
+    return lambdas, correlators
 
 
 def correlator(model: CIModel, d: int) -> LaurentPoly:
@@ -335,10 +387,13 @@ def aspinwall_morrison(physical_counts: Mapping[int, Fraction]) -> dict[int, Fra
 
     Inverts the multiple-cover relation n_d/d = sum over e | d of
     N_{d/e} / e^3, i.e. N_d = n_d/d - sum over proper divisors e of d of
-    N_e * (e/d)^3.  Every divisor of a requested degree must be supplied.
+    N_e * (e/d)^3.  Every degree must be >= 1 and every divisor of a
+    requested degree must be supplied.
     """
     out: dict[int, Fraction] = {}
     for d in sorted(physical_counts):
+        if d < 1:
+            raise ValueError("degree must be >= 1")
         total = Fraction(physical_counts[d])
         for e in _divisors(d)[:-1]:
             if e not in out:
@@ -381,10 +436,10 @@ def threefold_report(model: CIModel, max_degree: int) -> QuinticReport:
     _require_calabi_yau(model)
     if model.n - model.m != 3:
         raise ClassificationError(f"not a threefold: n - m != 3 for {model}")
-    lambdas = solve_lambdas_up_to(model, max_degree)
+    lambdas, correlators = _lambdas_and_correlators(model, max_degree)
     rows = []
     for d in range(1, max_degree + 1):
-        corr = cy_correlator(model, d, lambdas)
+        corr = correlators[d]
         n_d = one_point_invariant(corr, 0, 1)
         m_d = one_point_invariant(corr, 1, 0)
         rows.append(CyRow(degree=d, lam=lambdas[d], n_d=n_d, m_d=m_d))

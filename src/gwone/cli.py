@@ -17,7 +17,7 @@ from math import gcd
 from pathlib import Path
 
 from . import acceptance
-from .calabi_yau import correlator, cy_correlator, quintic_report, solve_lambdas_up_to
+from .calabi_yau import _lambdas_and_correlators, correlator, quintic_report
 from .correlators import CIModel, Classification, classify, one_point_invariant, phi
 from .laurent import LaurentPoly
 from .mirror import verify_mirror_identity
@@ -127,8 +127,7 @@ def cmd_invariant(args) -> tuple[dict, str]:
 def cmd_cy(args) -> tuple[dict, str]:
     model = _model(args)
     _note_combs(model, args.max_d)
-    lambdas = solve_lambdas_up_to(model, args.max_d)
-    correlators = {d: cy_correlator(model, d, lambdas) for d in range(args.max_d + 1)}
+    lambdas, correlators = _lambdas_and_correlators(model, args.max_d)
     fields = {
         "lambda": _lambda_json(lambdas),
         "correlators": {str(d): laurent_to_json(c) for d, c in correlators.items()},

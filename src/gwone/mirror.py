@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, TypeVar
 
-from .calabi_yau import LambdaForm, _chain_sums, cy_correlator, solve_lambdas_up_to
+from .calabi_yau import LambdaForm, _chain_sums, _lambdas_and_correlators, cy_correlator
 from .correlators import CIModel, phi
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec
@@ -88,6 +88,8 @@ def mirror_coefficients(
     """
     if order is None:
         order = max(lambdas, default=0)
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     for e in range(1, order + 1):
         if e not in lambdas:
             raise ValueError(f"missing lambda for degree {e}")
@@ -141,10 +143,14 @@ def verify_mirror_identity(
     Both the series identity and its per-degree comb form are evaluated; a
     degree fails if either disagrees with the correlator series.
     """
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     spec = model.spec
     if lambdas is None:
-        lambdas = solve_lambdas_up_to(model, order)
-    sigma = QSeries(spec, order, {d: cy_correlator(model, d, lambdas) for d in range(order + 1)})
+        lambdas, correlators = _lambdas_and_correlators(model, order)
+    else:
+        correlators = {d: cy_correlator(model, d, lambdas) for d in range(order + 1)}
+    sigma = QSeries(spec, order, correlators)
     phi_series = QSeries(spec, order, {d: phi(model, d) for d in range(order + 1)})
     mirror = mirror_coefficients(lambdas, order)
     f = mirror.f_series(spec)

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwone import calabi_yau
+from gwone import calabi_yau, rings
 from gwone.calabi_yau import (
     Comb,
     LambdaForm,
@@ -197,20 +197,29 @@ def test_cy_term_equals_the_definitional_product_in_any_order(calls):
 
 def test_threads_keep_their_own_paths():
     quintic, other = ORACLE_MODELS
-    cy_term(quintic, Comb((0, 1, 3)), ORACLE_TABLES[quintic][0])
+    comb = Comb((0, 1, 3))
+    solved, perturbed = ORACLE_TABLES[quintic][0], ORACLE_TABLES[quintic][2]
+    cy_term(quintic, comb, solved)
     mine = list(calabi_yau._path.entries)
+    my_terms = dict(calabi_yau._path.terms)
 
     def in_thread():
-        fresh = list(calabi_yau._path.entries)
+        fresh = list(calabi_yau._path.entries), dict(calabi_yau._path.terms)
         cy_term(other, Comb((0, 2)), ORACLE_TABLES[other][0])
-        return fresh, [entry[0] for entry in calabi_yau._path.entries]
+        return fresh, [entry[0] for entry in calabi_yau._path.entries], calabi_yau._path.model
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        fresh, models = pool.submit(in_thread).result()
-    # A new thread starts with no path and does not see or replace this one.
-    assert fresh == [] and models == [other, other]
+        (fresh_path, fresh_terms), models, table_model = pool.submit(in_thread).result()
+    # A new thread starts with no path and no table and does not see or
+    # replace this one's.
+    assert fresh_path == [] and fresh_terms == {}
+    assert models == [other, other] and table_model is other
     assert len(calabi_yau._path.entries) == len(mine)
     assert all(held is entry for held, entry in zip(calabi_yau._path.entries, mine))
+    assert calabi_yau._path.model is quintic and calabi_yau._path.terms == my_terms
+    # The held entry serves its own forms only.
+    assert cy_term(quintic, comb, perturbed) == _definitional_term(quintic, comb, perturbed)
+    assert cy_term(quintic, comb, solved) == _definitional_term(quintic, comb, solved)
 
 
 def test_failed_cy_term_leaves_the_path_intact():
@@ -392,6 +401,33 @@ def test_aspinwall_morrison_missing_divisor():
         aspinwall_morrison({2: Fraction(1)})
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_aspinwall_morrison_rejects_degrees_below_one(d):
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        aspinwall_morrison({d: Fraction(1)})
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        aspinwall_morrison({d: Fraction(1), 1: Fraction(1)})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_lambdas_up_to(QUINTIC, -3),
+        lambda: threefold_report(QUINTIC, -1),
+        lambda: calabi_yau._lambdas_and_correlators(QUINTIC, -1),
+    ],
+    ids=["solve_lambdas_up_to", "threefold_report", "lambdas_and_correlators"],
+)
+def test_a_negative_degree_is_rejected_by_the_pipelines(call):
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        call()
+
+
+def test_lambda_readoff_rejects_fano():
+    with pytest.raises(ClassificationError, match="not Calabi-Yau"):
+        lambda_readoff(classify(3, (3,)), 1, {})
+
+
 def test_quintic_report_relation():
     report = quintic_report(4)
     for row in report.rows:
@@ -420,3 +456,112 @@ def test_report_row_outside_its_degrees_is_rejected(d):
     assert report.row(1).degree == 1 and report.row(2).degree == 2
     with pytest.raises(IndexError, match=rf"degree {d} is outside the report's range 1\.\.2"):
         report.row(d)
+
+
+# The five threefolds of scripts/mirror_table.py.
+THREEFOLDS = (
+    QUINTIC,
+    classify(5, (3, 3)),
+    classify(5, (2, 4)),
+    classify(6, (2, 2, 3)),
+    classify(7, (2, 2, 2, 2)),
+)
+
+
+def _fresh_forms(lambdas):
+    """Equal forms that are not the same objects, so cy_term's table cannot serve them."""
+    return {e: LambdaForm(lam.alpha, lam.beta) for e, lam in lambdas.items()}
+
+
+@pytest.mark.parametrize("model", THREEFOLDS, ids=str)
+def test_solving_and_summing_one_degree_at_a_time_equals_two_loops(model):
+    max_degree = 5
+    # A stale table entry for (model, 1) built from another lambda_1 must not
+    # be taken for the solved one.
+    wrong = {1: LambdaForm(Fraction(1), Fraction(2))}
+    cy_term(model, Comb((0, 1)), wrong)
+    lambdas, correlators = calabi_yau._lambdas_and_correlators(model, max_degree)
+    # The former route: the whole table first, then one correlator per degree.
+    table = solve_lambdas_up_to(model, max_degree)
+    fresh = _fresh_forms(table)
+    assert lambdas == table
+    assert sorted(correlators) == list(range(max_degree + 1))
+    for d in range(max_degree + 1):
+        assert correlators[d] == cy_correlator(model, d, fresh), f"degree {d}"
+
+
+def _count_convolutions(monkeypatch):
+    calls = []
+    convolve = rings._convolve
+
+    def counting(*args):
+        calls.append(None)
+        return convolve(*args)
+
+    monkeypatch.setattr(rings, "_convolve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_the_correlator_pass_reuses_the_solve_pass_products(monkeypatch, d):
+    lambdas = solve_lambdas_up_to(QUINTIC, d - 1)
+    calabi_yau._path.clear_terms()
+    calls = _count_convolutions(monkeypatch)
+    lambdas[d] = solve_lambda(QUINTIC, d, lambdas)
+    solve_pass = len(calls)
+    corr = cy_correlator(QUINTIC, d, lambdas)
+    # Only the simple comb (0, d), phi_0 times one tooth, is multiplied out.
+    assert len(calls) == solve_pass + 1
+    monkeypatch.undo()
+    assert corr == cy_correlator(QUINTIC, d, _fresh_forms(lambdas))
+    # Forms that differ from the held ones are multiplied out again.
+    perturbed = {e: LambdaForm(lam.alpha + 1, lam.beta - e) for e, lam in lambdas.items()}
+    for comb in enumerate_combs(d):
+        assert cy_term(QUINTIC, comb, perturbed) == _definitional_term(QUINTIC, comb, perturbed)
+
+
+def test_the_term_table_holds_one_degree_and_is_emptied(monkeypatch):
+    term = calabi_yau.cy_term
+    seen = []
+
+    def checking(model, comb, lambdas):
+        out = term(model, comb, lambdas)
+        table = calabi_yau._path.terms
+        assert calabi_yau._path.model is model and calabi_yau._path.degree == comb.degree
+        assert all(ends[-1] == comb.degree for ends in table)
+        assert len(table) <= 2**comb.degree - 1
+        seen.append(len(table))
+        return out
+
+    monkeypatch.setattr(calabi_yau, "cy_term", checking)
+    other = classify(5, (3, 3))
+    for model in (QUINTIC, other):
+        calabi_yau._lambdas_and_correlators(model, 5)
+        assert calabi_yau._path.terms == {} and calabi_yau._path.model is None
+    # The correlator pass fills the table: every comb with teeth, once.
+    assert max(seen) == 2**5 - 1
+    monkeypatch.undo()
+
+    # A new model or degree starts a new table; other forms replace an entry.
+    solved, perturbed = ORACLE_TABLES[QUINTIC][0], ORACLE_TABLES[QUINTIC][1]
+    for comb in (Comb((0, 1, 3)), Comb((0, 2, 3))):
+        cy_term(QUINTIC, comb, solved)
+    assert set(calabi_yau._path.terms) == {(0, 1, 3), (0, 2, 3)}
+    comb = Comb((0, 1, 3))
+    assert cy_term(QUINTIC, comb, perturbed) == _definitional_term(QUINTIC, comb, perturbed)
+    assert calabi_yau._path.terms[(0, 1, 3)][0][0] is perturbed[1]
+    cy_term(QUINTIC, Comb((1, 4)), solved)
+    assert set(calabi_yau._path.terms) == {(1, 4)} and calabi_yau._path.degree == 4
+    cy_term(other, Comb((1, 4)), ORACLE_TABLES[other][0])
+    assert set(calabi_yau._path.terms) == {(1, 4)} and calabi_yau._path.model is other
+
+    # The table is emptied also when a degree fails.
+    def failing(model, d, lambdas):
+        if d == 3:
+            raise LambdaShapeError("stop")
+        return cy_correlator(model, d, lambdas)
+
+    monkeypatch.setattr(calabi_yau, "cy_correlator", failing)
+    with pytest.raises(LambdaShapeError, match="stop"):
+        calabi_yau._lambdas_and_correlators(QUINTIC, 4)
+    assert calabi_yau._path.terms == {} and calabi_yau._path.model is None

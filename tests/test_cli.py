@@ -480,12 +480,12 @@ def test_degree_12_runs_without_a_note(capsys):
 def _stub_comb_sums(monkeypatch):
     """Stand-ins for the 2^d comb sums, so a degree-25 request returns at once."""
 
-    def lambdas(model, d):
-        return {e: LambdaForm(Fraction(0), Fraction(0)) for e in range(1, d + 1)}
+    def lambdas_and_correlators(model, d):
+        lambdas = {e: LambdaForm(Fraction(0), Fraction(0)) for e in range(1, d + 1)}
+        return lambdas, {e: LaurentPoly.zero(model.spec) for e in range(d + 1)}
 
     monkeypatch.setattr(cli, "quintic_report", lambda d: quintic_report(1))
-    monkeypatch.setattr(cli, "solve_lambdas_up_to", lambdas)
-    monkeypatch.setattr(cli, "cy_correlator", lambda m, d, lambdas: LaurentPoly.zero(m.spec))
+    monkeypatch.setattr(cli, "_lambdas_and_correlators", lambdas_and_correlators)
     monkeypatch.setattr(cli, "correlator", lambda m, d: LaurentPoly.zero(m.spec))
     monkeypatch.setattr(cli, "verify_mirror_identity", _failing_mirror_report)
 

@@ -32,6 +32,13 @@ def test_mirror_coefficients_name_a_missing_lambda():
         mirror_coefficients({1: LambdaForm(Fraction(1), Fraction(1))}, 3)
 
 
+def test_a_negative_order_is_rejected():
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        mirror_coefficients({}, -1)
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        verify_mirror_identity(QUINTIC, -1)
+
+
 def test_transform_degree_one_is_identity():
     x = {1: Fraction(3)}
     y = {1: Fraction(7, 2)}
