@@ -490,7 +490,10 @@ def test_solving_and_summing_one_degree_at_a_time_equals_two_loops(model):
         assert correlators[d] == cy_correlator(model, d, fresh), f"degree {d}"
 
 
-def _count_convolutions(monkeypatch):
+@pytest.mark.parametrize("d", range(1, 7))
+def test_the_correlator_pass_reuses_the_solve_pass_products(monkeypatch, d):
+    lambdas = solve_lambdas_up_to(QUINTIC, d - 1)
+    calabi_yau._path.clear_terms()
     calls = []
     convolve = rings._convolve
 
@@ -499,14 +502,6 @@ def _count_convolutions(monkeypatch):
         return convolve(*args)
 
     monkeypatch.setattr(rings, "_convolve", counting)
-    return calls
-
-
-@pytest.mark.parametrize("d", range(1, 7))
-def test_the_correlator_pass_reuses_the_solve_pass_products(monkeypatch, d):
-    lambdas = solve_lambdas_up_to(QUINTIC, d - 1)
-    calabi_yau._path.clear_terms()
-    calls = _count_convolutions(monkeypatch)
     lambdas[d] = solve_lambda(QUINTIC, d, lambdas)
     solve_pass = len(calls)
     corr = cy_correlator(QUINTIC, d, lambdas)
