@@ -12,16 +12,17 @@ contribution is phi_0 * lambda_d / t -- must cancel those two "error"
 coefficients of the sum of all other combs.  Solving the two cancellation
 equations degree by degree yields the whole lambda table.
 
-Each degree sums 2^d combs, at most two ring products each: consecutive
-combs in lexicographic order share all but their last one or two teeth, and
-:func:`cy_term` extends the prefix it shares with the comb it built last.
-The terms stream into :meth:`LaurentPoly.sum`, one pass and one reduction
-per degree.  The solve of lambda_d and the degree-d correlator sum the same
-2^d - 1 non-simple combs, so :func:`cy_term` also keeps the terms of the
-current (model, degree): :func:`threefold_report` and the other full
-pipelines solve and sum one degree at a time, and a correlator multiplies
-out only its simple comb.  At most one comb's prefixes and one degree's
-terms are held per thread.
+Each degree sums 2^d combs, at most one ring product each: a comb with
+teeth is its prefix (the comb without its last tooth) times one cached
+:meth:`LambdaForm.tooth`, and :func:`cy_term` keeps every comb term it
+builds for the current model, per thread, so each prefix is already held
+from a lower degree.  The terms stream into :meth:`LaurentPoly.sum`, one
+pass and one reduction per degree.  The solve of lambda_d and the degree-d
+correlator sum the same 2^d - 1 non-simple combs, so a correlator summed
+after its solve multiplies out only its simple comb: :func:`threefold_report`
+and the other full pipelines solve and sum one degree at a time, and empty
+the table when they return.  One model's terms of every degree built are
+held per thread.
 """
 
 from __future__ import annotations
@@ -150,73 +151,62 @@ class LambdaForm:
         return f"({self.alpha})*h + ({self.beta})*t"
 
 
-class _Path(threading.local):
-    """The comb product cy_term built last in this thread, one entry per prefix
-    of its endpoints: entry k is (model, d_{k+1}, lambda_{Delta_k}, T_k) with
-    T_k = phi_{d_1} * prod_{i<=k} lambda_{Delta_i}(h + d_i t) / (k! t^k), and
-    entry 0 carries no form.
+class _Table(threading.local):
+    """The comb terms cy_term built in this thread for one ``model``.
 
-    ``terms`` maps the endpoints of each comb with teeth built for the current
-    (``model``, ``degree``) to (its forms, its term); it is emptied when the
-    model or the degree changes.  The entries and the table hold their model
-    and forms, so no other object can take their ids and comparing them by
-    identity is safe.
+    ``terms`` maps the endpoints of each comb with teeth to its term
+    phi_{d_1} * prod_{i<=r} lambda_{Delta_i}(h + d_i t) / (r! t^r), and
+    ``forms`` maps each tooth degree to the one form object every held term
+    was built with.  ``combs`` is the last degree's :func:`enumerate_combs`
+    list, shared by that degree's solve and correlator.  The table holds its
+    model and forms, so no other object can take their ids and comparing
+    them by identity is safe.
     """
 
     def __init__(self) -> None:
-        self.entries: list[tuple[CIModel, int, LambdaForm | None, LaurentPoly]] = []
+        self.clear()
+
+    def clear(self) -> None:
         self.model: CIModel | None = None
-        self.degree = -1
-        self.terms: dict[tuple[int, ...], tuple[list[LambdaForm], LaurentPoly]] = {}
-
-    def clear_terms(self) -> None:
-        self.model, self.degree = None, -1
-        self.terms.clear()
+        self.forms: dict[int, LambdaForm] = {}
+        self.terms: dict[tuple[int, ...], LaurentPoly] = {}
+        self.combs: tuple[int, list[Comb]] | None = None
 
 
-_path = _Path()
+_table = _Table()
+
+
+def _term(model: CIModel, ends: tuple[int, ...]) -> LaurentPoly:
+    """The held term of the comb ``ends``, built from its held prefix on a miss."""
+    if len(ends) == 1:
+        return phi(model, ends[0])
+    term = _table.terms.get(ends)
+    if term is None:
+        tooth = _table.forms[ends[-1] - ends[-2]].tooth(model.spec, ends[-2], len(ends) - 1)
+        term = _table.terms[ends] = _term(model, ends[:-1]) * tooth
+    return term
 
 
 def cy_term(model: CIModel, comb: Comb, lambdas: Mapping[int, LambdaForm]) -> LaurentPoly:
     """One comb's contribution: phi_{d_1} * prod lambda_{Delta_i}(h+d_i t, t) / (r! t^r).
 
-    The term keeps the longest prefix it shares with the comb built last
-    (same model, endpoints and form objects) and extends it one tooth at a
-    time, each tooth one product with a cached :meth:`LambdaForm.tooth`.  In
-    the lexicographic order of :func:`enumerate_combs` that is at most two
-    ring products per comb.  A comb built before for the same model and
-    degree from the same form objects takes its term from the table, with no
-    product.  The saved state is one comb's O(d) prefixes and one degree's
-    terms per thread.
+    The term is its prefix's term times one cached :meth:`LambdaForm.tooth`,
+    and every term built is kept in a per-thread table of the current
+    model's comb terms, so each comb costs at most one ring product.  The
+    table serves only the form objects that built it: a new model or a
+    form object other than the held one for its tooth degree empties it.
     """
-    ends = comb.endpoints
-    forms = []
+    forms = {}
     for delta in comb.deltas:
         if delta not in lambdas:
             raise ValueError(f"missing lambda for tooth degree {delta}")
-        forms.append(lambdas[delta])
-    path = _path.entries
-    keep = 0
-    for (held_model, end, form, _), want_end, want_form in zip(path, ends, (None, *forms)):
-        if held_model is not model or end != want_end or form is not want_form:
-            break
-        keep += 1
-    del path[keep:]
-    if _path.model is not model or _path.degree != ends[-1]:
-        _path.clear_terms()
-        _path.model, _path.degree = model, ends[-1]
-    held = _path.terms.get(ends)
-    if held is not None and all(a is b for a, b in zip(held[0], forms)):
-        return held[1]
-    if not path:
-        path.append((model, ends[0], None, phi(model, ends[0])))
-    for k in range(len(path), len(ends)):
-        lam = forms[k - 1]
-        term = path[-1][3] * lam.tooth(model.spec, ends[k - 1], k)
-        path.append((model, ends[k], lam, term))
-    if forms:
-        _path.terms[ends] = (forms, path[-1][3])
-    return path[-1][3]
+        forms[delta] = lambdas[delta]
+    held = _table.forms
+    if _table.model is not model or any(held.get(e, form) is not form for e, form in forms.items()):
+        _table.clear()
+        _table.model = model
+    _table.forms.update(forms)
+    return _term(model, comb.endpoints)
 
 
 def _require_calabi_yau(model: CIModel) -> None:
@@ -236,7 +226,9 @@ def _partial_comb_sum(
     model: CIModel, d: int, lambdas: Mapping[int, LambdaForm]
 ) -> LaurentPoly:
     """Sum of all degree-d comb terms except the simple comb (0, d), in one pass."""
-    terms = (cy_term(model, c, lambdas) for c in enumerate_combs(d) if not c.is_simple())
+    if _table.combs is None or _table.combs[0] != d:
+        _table.combs = (d, enumerate_combs(d))
+    terms = (cy_term(model, c, lambdas) for c in _table.combs[1] if not c.is_simple())
     return LaurentPoly.sum(model.spec, terms)
 
 
@@ -328,7 +320,7 @@ def solve_lambdas_up_to(model: CIModel, max_degree: int) -> dict[int, LambdaForm
 def cy_correlator(
     model: CIModel, d: int, lambdas: Mapping[int, LambdaForm] | None = None
 ) -> LaurentPoly:
-    """The degree-d Calabi-Yau correlator: 2^d combs, at most two ring products each."""
+    """The degree-d Calabi-Yau correlator: 2^d combs, at most one ring product each."""
     _require_calabi_yau(model)
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -349,7 +341,7 @@ def _lambdas_and_correlators(
     0..max_degree, one degree at a time: each correlator is summed right after
     its lambda is solved, so its 2^d - 1 non-simple comb terms come from
     :func:`cy_term`'s table and only the simple comb is multiplied out.  The
-    table is emptied before returning."""
+    table is emptied before returning, also on an error."""
     _require_calabi_yau(model)
     if max_degree < 0:
         raise ValueError("degree must be >= 0")
@@ -360,7 +352,7 @@ def _lambdas_and_correlators(
             lambdas[d] = solve_lambda(model, d, lambdas)
             correlators[d] = cy_correlator(model, d, lambdas)
     finally:
-        _path.clear_terms()
+        _table.clear()
     return lambdas, correlators
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import strategies as st
 
@@ -41,6 +42,7 @@ nonzero_fractions = _fractions(nonzero=True)
 specs = st.sampled_from(SPECS)
 
 
+@cache
 def coh_classes(spec: RingSpec, max_terms: int = 4):
     keys = st.tuples(st.integers(0, spec.n), st.sampled_from(spec.monomials()))
     return st.dictionaries(keys, fractions, max_size=max_terms).map(
@@ -64,6 +66,7 @@ def raw_terms(spec):
     return st.dictionaries(keys, raw_coefficients(), max_size=4)
 
 
+@cache
 def laurent_polys(spec: RingSpec, min_exp: int = -2, max_exp: int = 2, max_terms: int = 3):
     return st.dictionaries(
         st.integers(min_exp, max_exp), coh_classes(spec, 2), max_size=max_terms
@@ -109,10 +112,28 @@ def laurent_units(draw):
     return unit
 
 
+_upto_two = st.integers(0, 2)
+_t_exponents = st.integers(-2, 2)
+
+
 @st.composite
 def q_series(draw, spec: RingSpec | None = None, order: int = 4, zero_constant: bool = False):
+    """A series whose coefficients range over ``laurent_polys(spec, -2, 2, 2)``: at most
+    two powers t^-2..t^2, each a class of at most two terms.  Drawn flat, a count and
+    then one key per term, a later key replacing an equal earlier one, so no
+    ``st.dictionaries`` is nested; the values are the same, their frequencies not."""
     if spec is None:
         spec = RingSpec.absolute(2)
-    start = 1 if zero_constant else 0
-    values = {d: draw(laurent_polys(spec, -2, 2, 2)) for d in range(start, order + 1)}
+    keys = [(k, mono) for k in range(spec.n + 1) for mono in spec.monomials()]
+    key_index = st.integers(0, len(keys) - 1)
+    values = {}
+    for d in range(1 if zero_constant else 0, order + 1):
+        poly = {}
+        for _ in range(draw(_upto_two)):
+            e = draw(_t_exponents)
+            terms = {}
+            for _ in range(draw(_upto_two)):
+                terms[keys[draw(key_index)]] = draw(fractions)
+            poly[e] = CohClass(spec, terms)
+        values[d] = LaurentPoly(spec, poly)
     return QSeries(spec, order, values)

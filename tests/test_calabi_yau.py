@@ -78,7 +78,7 @@ def test_comb_count_is_two_to_the_d():
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_enumerate_combs_is_strictly_lexicographic(d):
-    # cy_term's prefix reuse depends on this order.
+    # The documented order of enumerate_combs: strictly lexicographic by endpoints.
     ends = [c.endpoints for c in enumerate_combs(d)]
     assert len(ends) == 2**d
     assert all(a < b for a, b in pairwise(ends))
@@ -184,56 +184,76 @@ term_calls = st.tuples(
 )
 
 
+def _prefixes_with_teeth(ends):
+    return {ends[:k] for k in range(2, len(ends) + 1)}
+
+
 @settings(deadline=None)
 @given(st.lists(term_calls, min_size=1, max_size=8))
 def test_cy_term_equals_the_definitional_product_in_any_order(calls):
     # Models, tables and combs interleave in no particular order, so a stale
-    # prefix from another model, table or comb would show as a wrong term.
+    # term from another model or table would show as a wrong term.
+    calabi_yau._table.clear()
     for model, table, comb in calls:
         lambdas = ORACLE_TABLES[model][table]
+        held_model, held_forms = calabi_yau._table.model, dict(calabi_yau._table.forms)
+        held_ends = set(calabi_yau._table.terms)
+        changed = held_model is not model or any(
+            held_forms.get(e, lambdas[e]) is not lambdas[e] for e in comb.deltas
+        )
         assert cy_term(model, comb, lambdas) == _definitional_term(model, comb, lambdas)
-        assert len(calabi_yau._path.entries) <= comb.tooth_count + 1
+        # A changed model or form empties the table; otherwise it only grows.
+        ends = set(calabi_yau._table.terms)
+        assert ends == _prefixes_with_teeth(comb.endpoints) | (set() if changed else held_ends)
+        assert calabi_yau._table.model is model
+        assert all(calabi_yau._table.forms[e] is lambdas[e] for e in comb.deltas)
 
 
-def test_threads_keep_their_own_paths():
+def test_threads_keep_their_own_tables():
     quintic, other = ORACLE_MODELS
     comb = Comb((0, 1, 3))
     solved, perturbed = ORACLE_TABLES[quintic][0], ORACLE_TABLES[quintic][2]
+    calabi_yau._table.clear()
     cy_term(quintic, comb, solved)
-    mine = list(calabi_yau._path.entries)
-    my_terms = dict(calabi_yau._path.terms)
+    my_forms, my_terms = dict(calabi_yau._table.forms), dict(calabi_yau._table.terms)
 
     def in_thread():
-        fresh = list(calabi_yau._path.entries), dict(calabi_yau._path.terms)
+        table = calabi_yau._table
+        fresh = table.model, dict(table.forms), dict(table.terms)
         cy_term(other, Comb((0, 2)), ORACLE_TABLES[other][0])
-        return fresh, [entry[0] for entry in calabi_yau._path.entries], calabi_yau._path.model
+        return fresh, table.model, set(table.terms)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        (fresh_path, fresh_terms), models, table_model = pool.submit(in_thread).result()
-    # A new thread starts with no path and no table and does not see or
+        fresh, thread_model, thread_ends = pool.submit(in_thread).result()
+    # A new thread starts with its own empty table and does not see or
     # replace this one's.
-    assert fresh_path == [] and fresh_terms == {}
-    assert models == [other, other] and table_model is other
-    assert len(calabi_yau._path.entries) == len(mine)
-    assert all(held is entry for held, entry in zip(calabi_yau._path.entries, mine))
-    assert calabi_yau._path.model is quintic and calabi_yau._path.terms == my_terms
-    # The held entry serves its own forms only.
+    assert fresh == (None, {}, {})
+    assert thread_model is other and thread_ends == {(0, 2)}
+    assert calabi_yau._table.model is quintic
+    assert calabi_yau._table.forms == my_forms and calabi_yau._table.terms == my_terms
+    assert all(calabi_yau._table.terms[ends] is term for ends, term in my_terms.items())
+    # The held terms serve their own forms only.
     assert cy_term(quintic, comb, perturbed) == _definitional_term(quintic, comb, perturbed)
     assert cy_term(quintic, comb, solved) == _definitional_term(quintic, comb, solved)
 
 
-def test_failed_cy_term_leaves_the_path_intact():
+def test_failed_cy_term_leaves_the_table_intact():
     lambdas = ORACLE_TABLES[QUINTIC][0]
+    calabi_yau._table.clear()
     cy_term(QUINTIC, Comb((0, 1, 3, 4)), lambdas)
-    before = list(calabi_yau._path.entries)
-    # The comb shares the prefix (0, 1) but has no lambda for its tooth of degree 3.
+    forms, terms = dict(calabi_yau._table.forms), dict(calabi_yau._table.terms)
+    # The comb has no lambda for its tooth of degree 3, and its lambda_1 is
+    # another object than the held one: the missing lambda raises before
+    # the changed form could empty the table.
     with pytest.raises(ValueError, match="missing lambda for tooth degree 3"):
-        cy_term(QUINTIC, Comb((0, 1, 4)), {1: lambdas[1]})
-    assert len(calabi_yau._path.entries) == len(before)
-    assert all(held is entry for held, entry in zip(calabi_yau._path.entries, before))
+        cy_term(QUINTIC, Comb((0, 1, 4)), {1: LambdaForm(lambdas[1].alpha, lambdas[1].beta)})
+    assert calabi_yau._table.model is QUINTIC
+    assert calabi_yau._table.forms == forms
+    assert all(calabi_yau._table.forms[e] is form for e, form in forms.items())
+    assert calabi_yau._table.terms == terms
+    assert all(calabi_yau._table.terms[ends] is term for ends, term in terms.items())
     for comb in (Comb((0, 1, 3, 4)), Comb((0, 1, 2, 4))):
         assert cy_term(QUINTIC, comb, lambdas) == _definitional_term(QUINTIC, comb, lambdas)
-        assert len(calabi_yau._path.entries) <= comb.tooth_count + 1
 
 
 def test_one_point_invariants_are_fractions():
@@ -492,8 +512,14 @@ def test_solving_and_summing_one_degree_at_a_time_equals_two_loops(model):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_the_correlator_pass_reuses_the_solve_pass_products(monkeypatch, d):
-    lambdas = solve_lambdas_up_to(QUINTIC, d - 1)
-    calabi_yau._path.clear_terms()
+    # The lower degrees solved and summed as the pipeline does, with their
+    # terms kept, and phi warm to degree d.
+    calabi_yau._table.clear()
+    lambdas = {}
+    for e in range(1, d):
+        lambdas[e] = solve_lambda(QUINTIC, e, lambdas)
+        cy_correlator(QUINTIC, e, lambdas)
+    phi(QUINTIC, d)
     calls = []
     convolve = rings._convolve
 
@@ -503,6 +529,9 @@ def test_the_correlator_pass_reuses_the_solve_pass_products(monkeypatch, d):
 
     monkeypatch.setattr(rings, "_convolve", counting)
     lambdas[d] = solve_lambda(QUINTIC, d, lambdas)
+    # One product per comb with teeth other than (0, d), each on its held
+    # prefix, and the two read-off integrals.
+    assert len(calls) == 2**d - 2 + 2
     solve_pass = len(calls)
     corr = cy_correlator(QUINTIC, d, lambdas)
     # Only the simple comb (0, d), phi_0 times one tooth, is multiplied out.
@@ -515,42 +544,50 @@ def test_the_correlator_pass_reuses_the_solve_pass_products(monkeypatch, d):
         assert cy_term(QUINTIC, comb, perturbed) == _definitional_term(QUINTIC, comb, perturbed)
 
 
-def test_the_term_table_holds_one_degree_and_is_emptied(monkeypatch):
+def test_the_term_table_holds_one_model_and_is_emptied(monkeypatch):
     term = calabi_yau.cy_term
     seen = []
 
     def checking(model, comb, lambdas):
         out = term(model, comb, lambdas)
-        table = calabi_yau._path.terms
-        assert calabi_yau._path.model is model and calabi_yau._path.degree == comb.degree
-        assert all(ends[-1] == comb.degree for ends in table)
-        assert len(table) <= 2**comb.degree - 1
-        seen.append(len(table))
+        table = calabi_yau._table
+        assert table.model is model
+        assert all(ends[-1] <= comb.degree and len(ends) > 1 for ends in table.terms)
+        seen.append(len(table.terms))
         return out
 
     monkeypatch.setattr(calabi_yau, "cy_term", checking)
     other = classify(5, (3, 3))
+    calabi_yau._table.clear()
     for model in (QUINTIC, other):
         calabi_yau._lambdas_and_correlators(model, 5)
-        assert calabi_yau._path.terms == {} and calabi_yau._path.model is None
-    # The correlator pass fills the table: every comb with teeth, once.
-    assert max(seen) == 2**5 - 1
+        assert calabi_yau._table.terms == {} and calabi_yau._table.model is None
+        assert calabi_yau._table.forms == {} and calabi_yau._table.combs is None
+    # The table ends up with every comb with teeth of every degree, once.
+    assert max(seen) == sum(2**d - 1 for d in range(1, 6))
     monkeypatch.undo()
 
-    # A new model or degree starts a new table; other forms replace an entry.
-    solved, perturbed = ORACLE_TABLES[QUINTIC][0], ORACLE_TABLES[QUINTIC][1]
-    for comb in (Comb((0, 1, 3)), Comb((0, 2, 3))):
+    # Terms of every degree stay while the model and the forms do.
+    solved, perturbed = ORACLE_TABLES[QUINTIC][0], ORACLE_TABLES[QUINTIC][2]
+    calabi_yau._table.clear()
+    for comb in (Comb((0, 1, 3)), Comb((1, 4))):
         cy_term(QUINTIC, comb, solved)
-    assert set(calabi_yau._path.terms) == {(0, 1, 3), (0, 2, 3)}
+    assert set(calabi_yau._table.terms) == {(0, 1), (0, 1, 3), (1, 4)}
+    # A changed form empties the table, and then every form of the comb is
+    # held: lambda_1 is the held object, lambda_2 is not.
+    mixed = {1: solved[1], 2: perturbed[2]}
     comb = Comb((0, 1, 3))
-    assert cy_term(QUINTIC, comb, perturbed) == _definitional_term(QUINTIC, comb, perturbed)
-    assert calabi_yau._path.terms[(0, 1, 3)][0][0] is perturbed[1]
-    cy_term(QUINTIC, Comb((1, 4)), solved)
-    assert set(calabi_yau._path.terms) == {(1, 4)} and calabi_yau._path.degree == 4
+    assert cy_term(QUINTIC, comb, mixed) == _definitional_term(QUINTIC, comb, mixed)
+    assert set(calabi_yau._table.terms) == {(0, 1), (0, 1, 3)}
+    assert calabi_yau._table.forms == {1: solved[1], 2: perturbed[2]}
+    assert calabi_yau._table.forms[1] is solved[1] and calabi_yau._table.forms[2] is perturbed[2]
+    held = calabi_yau._table.terms[(0, 1)]
+    assert cy_term(QUINTIC, Comb((0, 1)), solved) is held
+    # A new model empties it too.
     cy_term(other, Comb((1, 4)), ORACLE_TABLES[other][0])
-    assert set(calabi_yau._path.terms) == {(1, 4)} and calabi_yau._path.model is other
+    assert set(calabi_yau._table.terms) == {(1, 4)} and calabi_yau._table.model is other
 
-    # The table is emptied also when a degree fails.
+    # The pipeline empties the table also when a degree fails.
     def failing(model, d, lambdas):
         if d == 3:
             raise LambdaShapeError("stop")
@@ -559,4 +596,5 @@ def test_the_term_table_holds_one_degree_and_is_emptied(monkeypatch):
     monkeypatch.setattr(calabi_yau, "cy_correlator", failing)
     with pytest.raises(LambdaShapeError, match="stop"):
         calabi_yau._lambdas_and_correlators(QUINTIC, 4)
-    assert calabi_yau._path.terms == {} and calabi_yau._path.model is None
+    assert calabi_yau._table.terms == {} and calabi_yau._table.model is None
+    assert calabi_yau._table.forms == {} and calabi_yau._table.combs is None

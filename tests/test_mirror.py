@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwone import mirror as mirror_module
+from gwone import calabi_yau, mirror as mirror_module, rings
 from gwone.calabi_yau import enumerate_combs, solve_lambdas_up_to
 from gwone.correlators import ClassificationError, classify, phi
 from gwone.laurent import LaurentPoly
@@ -223,6 +223,28 @@ def test_mirror_verifier_runs_one_chain_recursion_per_start(monkeypatch):
     monkeypatch.setattr(mirror_module, "_chain_sums", counting_chain_sums)
     assert verify_mirror_identity(classify(5, (3, 3)), 7).holds
     assert calls == 140
+
+
+def test_solving_first_costs_no_more_products_than_the_verifier_alone(monkeypatch):
+    # The verifier's correlators take their comb terms from the table the
+    # solve left, as the verifier's own solve-and-sum pipeline does.
+    model = classify(5, (3, 3))
+    assert verify_mirror_identity(model, 7).holds  # phi and the other caches warm
+    calls = []
+    convolve = rings._convolve
+
+    def counting(*args):
+        calls.append(None)
+        return convolve(*args)
+
+    monkeypatch.setattr(rings, "_convolve", counting)
+    assert verify_mirror_identity(model, 7).holds
+    alone = len(calls)
+    del calls[:]
+    lambdas = solve_lambdas_up_to(model, 7)
+    assert verify_mirror_identity(model, 7, lambdas).holds
+    assert len(calls) <= alone
+    calabi_yau._table.clear()
 
 
 def test_mirror_identity_quintic_low_order():
