@@ -211,7 +211,8 @@ def _binomial(q: int, j: int) -> int:
 
 
 def linear_power_sum(
-    spec: RingSpec, sigma: tuple[CohClass, ...], k: int, p: int, s: int = 0
+    spec: RingSpec, sigma: tuple[CohClass, ...], k: int, p: int, s: int = 0,
+    t_exp: int | None = None,
 ) -> LaurentPoly:
     """sum_{l>=0} sigma_l * h^s * (h + k*t)^{p-l} in closed form, sigma_0 = 1.
 
@@ -220,6 +221,10 @@ def linear_power_sum(
     h^{s+j} vanishes by degree; it needs k != 0 when q < 0.  Every term goes
     through ``Basis.normal`` once, and the sum is one dict over one denominator:
     k^B, with B the largest j - q, times the lcm of sigma's denominators.
+
+    With ``t_exp`` given, only the t^{t_exp} row is built: a term's power of t is
+    q - j, so each power contributes its one term j = q - t_exp (none when that j
+    is out of range), and the result is exactly the full sum's t^{t_exp} row.
     """
     basis = spec.basis
     size, stride, degree = basis.size, basis.stride, basis.degree
@@ -241,7 +246,10 @@ def linear_power_sum(
     sign = -1 if den < 0 else 1
     num: Numerators = {}
     for q, b, v, last_j in terms:
-        for j in range(last_j + 1):
+        j_range = range(last_j + 1)
+        if t_exp is not None:  # the term at t^{q-j} = t^{t_exp} alone
+            j_range = range(max(q - t_exp, 0), min(q - t_exp, last_j) + 1)
+        for j in j_range:
             a = sign * v * _binomial(q, j) * k ** (q - j + big)
             low = (q - j) * stride
             for key, w in basis.normal(b + (s + j) * size).items():

@@ -112,6 +112,13 @@ class LaurentPoly(_Value):
         num = {c - low: v for c, v in self._num.items() if low <= c < low + stride}
         return CohClass._reduced(self.spec, num, self._den)
 
+    def above(self, t_exp: int) -> LaurentPoly:
+        """The terms at t^{t_exp} and higher, every lower power of t dropped, in one
+        pass over the numerators and one reduction."""
+        low = t_exp * self.spec.basis.stride
+        num = {c: v for c, v in self._num.items() if c >= low}
+        return LaurentPoly._new(self.spec, *_lowest(num, self._den))
+
     def support(self) -> list[int]:
         stride = self.spec.basis.stride
         return sorted({c // stride for c in self._num})

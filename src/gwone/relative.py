@@ -197,7 +197,9 @@ class SchubertInput:
         return out
 
 
-def relative_schubert_leading(model: RelativeModel, sigma: SchubertInput) -> LaurentPoly:
+def relative_schubert_leading(
+    model: RelativeModel, sigma: SchubertInput, t_exp: int | None = None
+) -> LaurentPoly:
     """Main term of the degree-one Schubert push-forward:
     sigma(h, h+t) / prod_j (h + alpha_j + t).
 
@@ -205,7 +207,9 @@ def relative_schubert_leading(model: RelativeModel, sigma: SchubertInput) -> Lau
     (``inverse_euler_factor`` at k = 1), the term for c * q_1^i * q_2^j is
     c * sum_l sigma_l * h^i * (h + t)^{j-(n+1)-l}, one ``linear_power_sum``
     with no ring product; ``SchubertInput.evaluate`` times the bundle's
-    ``relative_phi`` at degree 1 is the test oracle.
+    ``relative_phi`` at degree 1 is the test oracle.  With ``t_exp`` given,
+    only the t^{t_exp} row is built, passed on to each ``linear_power_sum``:
+    the term is a sum of those, so its row is the sum of their rows.
 
     Coefficients at t^{-1} and below may carry an uncertified boundary
     correction; callers should only extract what the Porteous pipeline
@@ -213,7 +217,8 @@ def relative_schubert_leading(model: RelativeModel, sigma: SchubertInput) -> Lau
     """
     spec, top, inverse_c = model.spec, model.n + 1, _euler_sigma(model.n, model.base_cutoff)
     terms = (
-        linear_power_sum(spec, inverse_c, 1, j - top, i) * c for (i, j), c in sigma.coefficients
+        linear_power_sum(spec, inverse_c, 1, j - top, i, t_exp) * c
+        for (i, j), c in sigma.coefficients
     )
     return LaurentPoly.sum(spec, terms)
 
@@ -223,12 +228,13 @@ def porteous_lines(model: RelativeModel) -> CohClass:
 
     Takes the t^{-2} coefficient of the main Schubert term for
     sigma = (q_1 q_2)^m, multiplies by h and integrates over the fiber; the
-    result is ``porteous_expected``.
+    result is ``porteous_expected``.  Only that row is read, so only that row
+    of the Schubert term is built.
     """
     if model.degrees != (1,) * model.m or not 1 <= model.m <= model.n + 1:
         raise ValueError("expected m sections of O(1) with 1 <= m <= n+1")
     spec = model.spec
-    main = relative_schubert_leading(model, SchubertInput.product_power(model.m))
+    main = relative_schubert_leading(model, SchubertInput.product_power(model.m), t_exp=-2)
     cls = main.coefficient(-2)
     pushed = (CohClass.h_power(spec, 1) * cls).integrate()
     if isinstance(pushed, Fraction):
@@ -273,6 +279,11 @@ def _unit_factors(model: RelativeModel, order: int) -> list[LaurentPoly]:
     keeps the t^0 row invertible during coefficient matching.  Each
     prod_{k<=e} (h+kt)^{n+1} is one form: the binomial rows of its powers
     multiplied as int polynomials in h, cut at h^{n + base_cutoff}.
+
+    Each u_e is returned modulo t^{-2}: its t^0 and t^{-1} rows, all that
+    ``derive_linear_cy_lambdas`` reads.  The form has no term above
+    t^{e(n+1)}, so those rows need only the phi's terms at t^{-e(n+1)-1} and
+    higher, and the product of the cut phi is exact there.
     """
     spec = model.spec
     bundle = RelativeModel(model.n, model.base_cutoff, ())
@@ -283,7 +294,8 @@ def _unit_factors(model: RelativeModel, order: int) -> list[LaurentPoly]:
         if e:
             row = [comb(power, j) * e ** (power - j) for j in range(power + 1)]
             coeffs = _cut_product(coeffs, row, top)
-        values.append(LaurentPoly._form(spec, e * power, coeffs) * relative_phi(bundle, e))
+        form = LaurentPoly._form(spec, e * power, coeffs)
+        values.append((form * relative_phi(bundle, e).above(-e * power - 1)).above(-1))
     return values
 
 
@@ -300,6 +312,11 @@ def derive_linear_cy_lambdas(
     solved, O(max_degree^2) products in all.  The rows read only derived
     lambdas; each is checked against the closed form -(1/e)(t+s_1) and a
     mismatch raises ArithmeticError.
+
+    Only the t^0 and t^{-1} rows are read, and every E_k and ``partial`` lies in
+    t^0..t^{-k}, so a term of u_i below t^{-1} adds only below t^{-1}: the unit
+    factors are built modulo t^{-2} (``_unit_factors``), which leaves both rows
+    exact while the row's other coefficients are not those of u(q) * E(q).
     """
     if not model.is_linear_cy:
         raise ValueError("model is not a linear Calabi-Yau")

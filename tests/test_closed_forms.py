@@ -17,21 +17,25 @@ The one-pass builds of relative mode are checked against the ring-product
 chains they replaced: ``phi_numerator`` against each factor's closed form
 joined by ring products; ``linear_power_sum`` (behind
 ``inverse_euler_factor`` and ``relative_schubert_leading``) against the sum
-of ``LaurentPoly.linear_power`` times each sigma_l; ``relative._unit_factors``
-against its chain of ``linear_power`` products; and the Schubert term
-against ``SchubertInput.evaluate`` times the bundle's degree-1 phi.  Each
-runs over the shared ``strategies.SPECS`` and random bundles with n <= 4 and
-base cutoff <= 8.
+of ``LaurentPoly.linear_power`` times each sigma_l, and one row of it (the
+``t_exp`` that ``porteous_lines`` asks for) against the full sum's row, on
+rows inside and outside its support; ``relative._unit_factors``, kept modulo
+t^-2, against its chain of ``linear_power`` products cut by
+``LaurentPoly.above``; and the Schubert term against
+``SchubertInput.evaluate`` times the bundle's degree-1 phi.  Each runs over
+the shared ``strategies.SPECS`` and random bundles with n <= 4 and base
+cutoff <= 8.
 
 The linear-CY recurrences are checked against the series algebra they
 replaced: ``linear_cy_series`` against the multiplier (1 - q) * exp((s_1/t)
 log(1 - q)) built by ``QSeries.log`` and ``QSeries.exp``, and
 ``derive_linear_cy_lambdas`` against the matching that multiplies the whole
-series u(q) by exp(lambda_e q^e / t) after each degree.  The per-model cached
-series coefficients behind ``linear_cy_series`` are also checked against the
-route they replaced, the phi series times the multiplier series in one
-``QSeries`` product per call, with truncations requested in random order from
-cold caches; and pushforwards d = 1..6 are counted to share them.
+series u(q), the full unit factors of the chain oracle, by exp(lambda_e q^e / t)
+after each degree.  The per-model cached series coefficients behind
+``linear_cy_series`` are also checked against the route they replaced, the
+phi series times the multiplier series in one ``QSeries`` product per call,
+with truncations requested in random order from cold caches; and
+pushforwards d = 1..6 are counted to share them.
 
 ``fano_index1_correlator``, one pass over the cached phi's numerators, is
 checked against the per-term route it replaced (``shift_t``, a ``Fraction``
@@ -174,6 +178,24 @@ def test_linear_power_sum_matches_linear_powers_times_sigma(spec, k, p, data):
         assert linear_power_sum(spec, sigma, k, p, s) == expected
 
 
+@given(spec_or_bundle, ks, st.integers(-6, 6), st.data())
+def test_one_row_of_linear_power_sum_is_the_full_sums_row(spec, k, p, data):
+    # rows t^r over the sum's support t^{p-size-n-cutoff}..t^p and one row past
+    # each end, where the row is zero
+    size = data.draw(st.integers(0, 4), label="size")
+    sigma = tuple(data.draw(coh_classes(spec, 3), label="sigma") for _ in range(size))
+    s = data.draw(st.integers(0, 2 * spec.n + 1), label="s")
+    r = data.draw(st.integers(p - size - spec.n - spec.base_cutoff - 1, p + 1), label="r")
+    try:
+        full = linear_power_sum(spec, sigma, k, p, s)
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError, match="nilpotent"):
+            linear_power_sum(spec, sigma, k, p, s, t_exp=r)
+    else:
+        row = linear_power_sum(spec, sigma, k, p, s, t_exp=r)
+        assert row == LaurentPoly.single(spec, r, full.coefficient(r))
+
+
 @given(bundles, ks)
 def test_inverse_euler_factor_matches_linear_powers_times_sigma(bundle, k):
     spec, sigma = bundle.spec, _euler_sigma(bundle.n, bundle.base_cutoff)
@@ -187,7 +209,9 @@ def test_inverse_euler_factor_matches_linear_powers_times_sigma(bundle, k):
 
 @given(bundles, st.integers(0, 5))
 def test_unit_factors_match_the_linear_power_products(bundle, order):
-    assert _unit_factors(bundle, order) == unit_factors_oracle(bundle, order)
+    # the unit factors are kept modulo t^-2, the rows the lambda derivation reads
+    expected = [u.above(-1) for u in unit_factors_oracle(bundle, order)]
+    assert _unit_factors(bundle, order) == expected
 
 
 @st.composite
@@ -294,7 +318,7 @@ def derive_lambdas_oracle(model: RelativeModel, max_degree: int) -> list:
     """(a_e, b_e) read off the q^e row of u(q) * prod_{j<e} exp(lambda_j q^j / t),
     with the whole series multiplied by exp(lambda_e q^e / t) after each degree."""
     spec = model.spec
-    known = QSeries(spec, max_degree, dict(enumerate(_unit_factors(model, max_degree))))
+    known = QSeries(spec, max_degree, dict(enumerate(unit_factors_oracle(model, max_degree))))
     out = []
     for e in range(1, max_degree + 1):
         row = known.coefficient(e)

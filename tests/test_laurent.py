@@ -132,6 +132,14 @@ def test_shift_and_coefficient():
 
 
 @pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=str)
+@given(st.data())
+def test_above_keeps_exactly_the_items_at_and_above_the_exponent(spec, data):
+    p = data.draw(laurent_polys(spec, -4, 4, 5))
+    e = data.draw(st.integers(-5, 5))
+    assert list(p.above(e).items()) == [(x, c) for x, c in p.items() if x >= e]
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=str)
 def test_t_max_of_zero_is_a_clear_value_error(spec):
     with pytest.raises(ValueError, match="zero polynomial has no highest power of t"):
         LaurentPoly.zero(spec).t_max()
@@ -233,7 +241,7 @@ def test_every_operation_stores_canonical_numerators(spec, data):
     polys = [p, p + q, p - q, -p, p * q, p * p, p * a, p * c, c * p, p.shift_t(k)]
     polys += [unit, unit.inverse(), linear, linear * p, LaurentPoly.single(spec, k, a)]
     polys += [LaurentPoly.single(spec, k, c), LaurentPoly.zero(spec), LaurentPoly.one(spec)]
-    polys += [LaurentPoly.sum(spec, [p, q, -p]), LaurentPoly.sum(spec, [p, -p])]
+    polys += [LaurentPoly.sum(spec, [p, q, -p]), LaurentPoly.sum(spec, [p, -p]), p.above(k)]
     for value in classes + polys:
         assert_canonical(value)
 

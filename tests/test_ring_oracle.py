@@ -11,6 +11,8 @@ kernel must agree with it term for term.
 ``laurent_mul`` is the product of t-Laurent polynomials as it was before the
 fused kernel: one class product per pair of t-coefficients, summed per
 exponent, here with the slot-dict ``mul`` and ``add`` as the class product.
+Its ``poly_mul`` and ``poly_add`` are also the product of ``test_series``'
+pairwise q-series oracle, which so shares no code with the ring kernel.
 
 ``product_table_oracle`` is the former ``Basis`` product table, one
 ``mono_mul`` per pair of monomials, against the table built from

@@ -10,6 +10,7 @@ from gwone.rings import CohClass, RingSpec, SpecMismatchError, _power_sum
 from gwone.series import QSeries
 
 from strategies import fractions, q_series
+from test_ring_oracle import SlotPoly, poly_add, poly_mul, poly_slots
 
 SPEC = RingSpec.absolute(2)
 
@@ -128,22 +129,33 @@ def test_scale_by_laurent():
 #
 # Each is the former method body, on the former pairwise product, so the
 # properties below compare the new code with loops that use neither
-# ``_power_sum`` nor the one-pass product.
+# ``_power_sum`` nor the one-pass product.  The pairwise product multiplies
+# with ``test_ring_oracle``'s slot-dict arithmetic, not with the ring kernel,
+# so a fault in the kernel cannot pass it.
 
 
 def pairwise_mul(a, b):
-    """The former ``QSeries.__mul__``: each pair of coefficients added in turn."""
-    out = {d: LaurentPoly.zero(a.spec) for d in range(a.order + 1)}
+    """The former ``QSeries.__mul__``: each pair of coefficients added in turn,
+    each product and sum formed by the slot-dict ``poly_mul`` and ``poly_add``."""
+    spec = a.spec
+    out: dict[int, SlotPoly] = {d: {} for d in range(a.order + 1)}
     for i in range(a.order + 1):
-        x = a.coefficient(i)
-        if x.is_zero():
+        x = poly_slots(a.coefficient(i))
+        if not x:
             continue
         for j in range(a.order - i + 1):
-            y = b.coefficient(j)
-            if y.is_zero():
-                continue
-            out[i + j] = out[i + j] + x * y
-    return QSeries(a.spec, a.order, out)
+            y = poly_slots(b.coefficient(j))
+            if y:
+                out[i + j] = poly_add(spec, out[i + j], poly_mul(spec, x, y))
+    return QSeries(spec, a.order, {d: slot_poly_value(spec, p) for d, p in out.items()})
+
+
+def slot_poly_value(spec, p: SlotPoly) -> LaurentPoly:
+    """The polynomial whose nonzero t-coefficients are the slot classes ``p``."""
+    return LaurentPoly(spec, {
+        e: CohClass(spec, {(k, mono): c for k, part in enumerate(cls) for mono, c in part.items()})
+        for e, cls in p.items()
+    })
 
 
 def taylor_exp(f):
