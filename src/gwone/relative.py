@@ -11,10 +11,12 @@ Included here: the relative Euler class and phi, degree-one Schubert
 push-forwards with the Porteous formula for lines, and the linear
 Calabi-Yau pipeline where every lambda collapses to -(1/e)(t + s_1).
 
-No product of linear forms is multiplied out here either: each unit
-factor's prod_{k<=e} (h + k*t)^{n+1} is one form, its binomial rows
-multiplied as int polynomials in h, and the Schubert term is one
-``correlators.linear_power_sum`` per monomial of the Schubert polynomial.
+No product of linear forms is multiplied out here either.  For the linear
+Calabi-Yau, phi_e's numerator prod_{k=0}^e (h + k*t)^{n+1} cancels the
+(h + k*t)^{n+1} of each degree-k Euler factor, so phi_e = h^{n+1} * u_e with
+u_e a chain of one ``correlators.linear_power_sum`` factor per degree, and
+the linear-CY pipeline builds no numerator and no inverse Euler class.  The Schubert term
+is one ``linear_power_sum`` per monomial of the Schubert polynomial.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Mapping
 
-from .correlators import _chain_below, _cut_product, _degree_tuple, _integer, _inverse_euler_class
+from .correlators import _chain_below, _degree_tuple, _integer, _inverse_euler_class
 from .correlators import euler_class, linear_power_sum, phi_numerator
 from .laurent import LaurentPoly
 from .rings import CohClass, Mono, RingSpec, generator_mono, mono_mul
@@ -157,7 +158,8 @@ def relative_phi(model: RelativeModel, d: int) -> LaurentPoly:
     The denominator depends only on the bundle, so its inverse is the
     section-free model's phi, cached there and built degree by degree: the
     degree-(d-1) inverse times ``inverse_euler_factor`` at k = d, with the
-    bundle's sigma.  No Laurent polynomial is inverted.
+    bundle's sigma.  No Laurent polynomial is inverted.  The linear-CY pipeline
+    takes its phi's from the chain of unit factors instead (``_unit_phi``).
     """
     if not model.degrees:
         return _inverse_euler_class(relative_phi, model, _euler_sigma(model.n, model.base_cutoff), d)
@@ -272,31 +274,26 @@ def linear_cy_lambda(model: RelativeModel, e: int) -> tuple[Fraction, CohClass]:
     return Fraction(-1, e), model.segre_class(1) * Fraction(-1, e)
 
 
-def _unit_factors(model: RelativeModel, order: int) -> list[LaurentPoly]:
-    """u_0..u_order of u(q) = sum_e q^e * prod_{k=1}^e (h+kt)^{n+1} / prod_j (h+alpha_j+kt).
+@lru_cache(maxsize=None)
+def _unit(model: RelativeModel, e: int) -> LaurentPoly:
+    """u_e = prod_{k=1}^e f_k: phi_e of the linear Calabi-Yau with the class h^{n+1}
+    factored off.
 
-    These are the phi's with the overall h^{n+1} class factored off, which
-    keeps the t^0 row invertible during coefficient matching.  Each
-    prod_{k<=e} (h+kt)^{n+1} is one form: the binomial rows of its powers
-    multiplied as int polynomials in h, cut at h^{n + base_cutoff}.
-
-    Each u_e is returned modulo t^{-2}: its t^0 and t^{-1} rows, all that
-    ``derive_linear_cy_lambdas`` reads.  The form has no term above
-    t^{e(n+1)}, so those rows need only the phi's terms at t^{-e(n+1)-1} and
-    higher, and the product of the cut phi is exact there.
+    phi_e's numerator is prod_{k=0}^e (h + k*t)^{n+1}, and its degree-k Euler factor
+    is x^{n+1} * c(1/x) with x = h + k*t.  The numerator's k = 0 factor is h^{n+1},
+    and each k >= 1 factor cancels that x^{n+1}, leaving f_k = 1/c(1/x) =
+    sum_i sigma_i * x^{-i}, ``linear_power_sum`` at p = 0 with the bundle's sigma.
+    So phi_e = h^{n+1} * u_e exactly, and u_0 = 1.  u_e is the cached u_{e-1}
+    times f_e, one ring product per degree, filled bottom-up through
+    ``_chain_below`` as ``_multiplier`` is.  Cached per (model, e).
     """
     spec = model.spec
-    bundle = RelativeModel(model.n, model.base_cutoff, ())
-    top, power = spec.n + spec.base_cutoff, model.n + 1
-    coeffs = [1]
-    values = []
-    for e in range(order + 1):
-        if e:
-            row = [comb(power, j) * e ** (power - j) for j in range(power + 1)]
-            coeffs = _cut_product(coeffs, row, top)
-        form = LaurentPoly._form(spec, e * power, coeffs)
-        values.append((form * relative_phi(bundle, e).above(-e * power - 1)).above(-1))
-    return values
+    if e == 0:
+        return LaurentPoly.one(spec)
+    factor = linear_power_sum(spec, _euler_sigma(model.n, model.base_cutoff), e, 0)
+    if e == 1:
+        return factor
+    return _chain_below(_unit, model, e) * factor
 
 
 def derive_linear_cy_lambdas(
@@ -306,32 +303,35 @@ def derive_linear_cy_lambdas(
 
     Degree by degree, the t^0 row of u(q) * E(q), E = exp(sum_e lambda_e q^e / t),
     must vanish above q^0 (fixing a_e) and the t^{-1} row must vanish (fixing
-    b_e).  E is streamed by k*E_k = sum_{j<=k} j*L_j*E_{k-j}, L_j = lambda_j / t:
-    with ``partial`` that sum at k = e without its j = e term, the q^e row is
-    sum_{i>=1} u_i*E_{e-i} + u_0*partial, and E_e = partial + L_e once L_e is
-    solved, O(max_degree^2) products in all.  The rows read only derived
+    b_e), where u(q) = sum_e q^e * u_e is the phi series with the class h^{n+1}
+    factored off (``_unit``), so its t^0 row is invertible.  E is streamed by
+    k*E_k = sum_{j<=k} j*L_j*E_{k-j}, L_j = lambda_j / t: with ``partial`` that
+    sum at k = e without its j = e term, the q^e row is
+    sum_{i>=1} u_i*E_{e-i} + partial (u_0 = 1), and E_e = partial + L_e once L_e
+    is solved, O(max_degree^2) products in all.  The rows read only derived
     lambdas; each is checked against the closed form -(1/e)(t+s_1) and a
     mismatch raises ArithmeticError.
 
-    Only the t^0 and t^{-1} rows are read, and every E_k and ``partial`` lies in
-    t^0..t^{-k}, so a term of u_i below t^{-1} adds only below t^{-1}: the unit
-    factors are built modulo t^{-2} (``_unit_factors``), which leaves both rows
-    exact while the row's other coefficients are not those of u(q) * E(q).
+    Only the t^0 and t^{-1} rows are read, and every u_i, L_j and E_k lies in
+    t^{<=0}, so a term below t^{-1} of any factor adds only below t^{-1}: the
+    unit factors and ``partial``, and so every E_k, are kept modulo t^{-2},
+    which leaves both rows exact while the row's other coefficients are not
+    those of u(q) * E(q).
     """
     if not model.is_linear_cy:
         raise ValueError("model is not a linear Calabi-Yau")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     spec = model.spec
-    u = _unit_factors(model, max_degree)
+    u = [_unit(model, e).above(-1) for e in range(max_degree + 1)]
     exp_coeffs = [LaurentPoly.one(spec)]  # E_0..E_{e-1}
     weighted: list[LaurentPoly] = []  # j*L_j at index j - 1
     out: list[tuple[Fraction, CohClass]] = []
     for e in range(1, max_degree + 1):
         terms = (weighted[j - 1] * exp_coeffs[e - j] for j in range(1, e))
-        partial = LaurentPoly.sum(spec, terms) * Fraction(1, e)
+        partial = LaurentPoly.sum(spec, terms).above(-1) * Fraction(1, e)
         row = LaurentPoly.sum(
-            spec, [*(u[i] * exp_coeffs[e - i] for i in range(1, e + 1)), u[0] * partial]
+            spec, [*(u[i] * exp_coeffs[e - i] for i in range(1, e + 1)), partial]
         )
         t0 = row.coefficient(0)
         if not t0.is_homogeneous(0):
@@ -365,11 +365,20 @@ def _multiplier(model: RelativeModel, k: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def _unit_phi(model: RelativeModel, e: int) -> LaurentPoly:
+    """phi_e of the linear Calabi-Yau as h^{n+1} * u_e (``_unit``): one product by
+    the class h^{n+1}, with no numerator and no inverse Euler class.  Equal to
+    ``relative_phi(model, e)``.  Cached per (model, e)."""
+    return _unit(model, e) * CohClass.h_power(model.spec, model.n + 1)
+
+
+@lru_cache(maxsize=None)
 def _series_coefficient(model: RelativeModel, k: int) -> LaurentPoly:
     """G_k = sum_{e<=k} phi_e * M_{k-e}, the q^k coefficient of ``linear_cy_series``:
-    k + 1 products in one ``LaurentPoly.sum``.  Cached per (model, k), so the series
-    to q^D costs O(D^2) products however many truncations are asked for."""
-    terms = (relative_phi(model, e) * _multiplier(model, k - e) for e in range(k + 1))
+    k + 1 products of ``_unit_phi`` and ``_multiplier`` in one ``LaurentPoly.sum``.
+    Cached per (model, k), so the series to q^D costs O(D^2) products however many
+    truncations are asked for."""
+    terms = (_unit_phi(model, e) * _multiplier(model, k - e) for e in range(k + 1))
     return LaurentPoly.sum(model.spec, terms)
 
 
@@ -379,7 +388,9 @@ def linear_cy_series(model: RelativeModel, order: int) -> QSeries:
     This is the correlator generating series of the linear Calabi-Yau with
     the closed-form lambdas substituted in; its t^0 and t^{-1} rows vanish
     in every positive q-degree.  Its coefficients are the model's cached
-    ``_series_coefficient``s, shared by every truncation.
+    ``_series_coefficient``s, shared by every truncation, over phi_e =
+    h^{n+1} * u_e from the chain of unit factors (``_unit_phi``), so the
+    series calls neither ``relative_phi`` nor the bundle's inverse Euler class.
     """
     if not model.is_linear_cy:
         raise ValueError("model is not a linear Calabi-Yau")

@@ -10,15 +10,16 @@ so a slow example says nothing about correctness.
 comb terms, the closed forms of phi, the one-pass relative forms (the joined
 numerator, ``linear_power_sum`` behind the inverse Euler factors and the
 Schubert term, one row of ``linear_power_sum`` against the full sum's row,
-the linear-CY unit factors modulo t^-2), ``LaurentPoly.above`` against the
-polynomial's items, the linear-CY recurrences (``linear_cy_series``,
-``derive_linear_cy_lambdas``), the per-model cached linear-CY series
-coefficients (against the phi series times the multiplier series, one
-``QSeries`` product, requested in random order from cold caches), the
-one-pass index-one Fano correlator, the cached Stirling rows, the
-mixed-radix monomial product table, the q-series product against the
-slot-dict pairwise oracle and the zero-skipping class JSON against their
-oracles: 1000 examples per property test and no per-example deadline.
+the linear-CY chain of unit factors and phi_e = h^{n+1} * u_e),
+``LaurentPoly.above`` against the polynomial's items, the linear-CY
+recurrences (``linear_cy_series``, ``derive_linear_cy_lambdas``), the
+per-model cached linear-CY series coefficients (against the phi series times
+the multiplier series, one ``QSeries`` product, requested in random order
+from cold caches), the one-pass index-one Fano correlator, the cached
+Stirling rows, the mixed-radix monomial product table, the q-series product
+against the slot-dict pairwise oracle and the zero-skipping class JSON
+against their oracles: 1000 examples per property test and no per-example
+deadline.
 """
 
 from hypothesis import settings

@@ -19,12 +19,14 @@ joined by ring products; ``linear_power_sum`` (behind
 ``inverse_euler_factor`` and ``relative_schubert_leading``) against the sum
 of ``LaurentPoly.linear_power`` times each sigma_l, and one row of it (the
 ``t_exp`` that ``porteous_lines`` asks for) against the full sum's row, on
-rows inside and outside its support; ``relative._unit_factors``, kept modulo
-t^-2, against its chain of ``linear_power`` products cut by
-``LaurentPoly.above``; and the Schubert term against
-``SchubertInput.evaluate`` times the bundle's degree-1 phi.  Each runs over
-the shared ``strategies.SPECS`` and random bundles with n <= 4 and base
-cutoff <= 8.
+rows inside and outside its support; the linear Calabi-Yau's chain of unit
+factors ``relative._unit`` against prod_{k<=e} (h+kt)^{n+1}, one
+``linear_power`` product per degree, times the bundle's phi, and h^{n+1}
+times each unit against ``relative_phi``, the numerator times the bundle's
+inverse Euler class, for every n <= 4, cutoff <= 7 and degree <= 7; and the
+Schubert term against ``SchubertInput.evaluate`` times the bundle's degree-1
+phi.  Each runs over the shared ``strategies.SPECS`` and random bundles with
+n <= 4 and base cutoff <= 8.
 
 The linear-CY recurrences are checked against the series algebra they
 replaced: ``linear_cy_series`` against the multiplier (1 - q) * exp((s_1/t)
@@ -35,7 +37,8 @@ after each degree.  The per-model cached series coefficients behind
 ``linear_cy_series`` are also checked against the route they replaced, the
 phi series times the multiplier series in one ``QSeries`` product per call,
 with truncations requested in random order from cold caches; and
-pushforwards d = 1..6 are counted to share them.
+pushforwards d = 1..6 are counted to share them, each product of a cached
+phi_e = h^{n+1} * u_e made once.
 
 ``fano_index1_correlator``, one pass over the cached phi's numerators, is
 checked against the per-term route it replaced (``shift_t``, a ``Fraction``
@@ -73,7 +76,7 @@ from gwone.relative import (
     RelativeModel,
     SchubertInput,
     _euler_sigma,
-    _unit_factors,
+    _unit,
     derive_linear_cy_lambdas,
     linear_cy_model,
     linear_cy_pushforward,
@@ -209,9 +212,21 @@ def test_inverse_euler_factor_matches_linear_powers_times_sigma(bundle, k):
 
 @given(bundles, st.integers(0, 5))
 def test_unit_factors_match_the_linear_power_products(bundle, order):
-    # the unit factors are kept modulo t^-2, the rows the lambda derivation reads
-    expected = [u.above(-1) for u in unit_factors_oracle(bundle, order)]
-    assert _unit_factors(bundle, order) == expected
+    # the whole chain of unit factors, every row, from cold caches
+    relative._unit.cache_clear()
+    model = linear_cy_model(bundle.n, bundle.base_cutoff)
+    assert [_unit(model, e) for e in range(order + 1)] == unit_factors_oracle(bundle, order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_h_power_times_the_unit_is_the_linear_cy_phi(n):
+    # phi_e = h^{n+1} * u_e, against the numerator times the bundle's inverse Euler
+    # class, for every cutoff 0..7 and degree 0..7
+    for cutoff in range(8):
+        model = linear_cy_model(n, cutoff)
+        top = CohClass.h_power(model.spec, n + 1)
+        for e in range(8):
+            assert _unit(model, e) * top == relative_phi(model, e), (cutoff, e)
 
 
 @st.composite
@@ -254,7 +269,7 @@ def test_euler_class_matches_repeated_products(spec, data, d):
 
 @given(st.sampled_from(FORM_SPECS), st.integers(-4, 6), st.integers(0, 12))
 def test_linear_power_matches_repeated_products(spec, k, p):
-    # (h + k*t)^p, the power behind euler_class, relative._unit_factors and SchubertInput
+    # (h + k*t)^p, the power behind euler_class, the unit factors' oracle and SchubertInput
     expected = LaurentPoly.one(spec)
     for _ in range(p):
         expected = expected * LaurentPoly.linear(spec, 1, k)
@@ -355,6 +370,8 @@ def series_product_oracle(model: RelativeModel, order: int) -> QSeries:
 def clear_series_caches() -> None:
     relative._series_coefficient.cache_clear()
     relative._multiplier.cache_clear()
+    relative._unit_phi.cache_clear()
+    relative._unit.cache_clear()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -370,8 +387,9 @@ def test_cached_series_matches_the_series_product_in_any_order(n, orders):
 
 
 def test_pushforwards_share_the_series_coefficients(monkeypatch):
-    # each phi_e * M_{k-e} once for k <= 6: sum_{k<=6} (k + 1) = 28 products, where one
-    # series product per pushforward makes sum_{d<=6} (d + 1)(d + 2)/2 = 83
+    # each phi_e * M_{k-e} once for k <= 6, phi_e = h^{n+1} * u_e the cached unit phi:
+    # sum_{k<=6} (k + 1) = 28 products, where one series product per pushforward, over
+    # relative_phi, makes sum_{d<=6} (d + 1)(d + 2)/2 = 83
     model = linear_cy_model(2, 6)
     relative_phi.cache_clear()
     clear_series_caches()
@@ -383,8 +401,7 @@ def test_pushforwards_share_the_series_coefficients(monkeypatch):
         left_operands.append(self)
         return mul(self, other)
 
-    def phi_products() -> int:
-        phis = [relative_phi(model, e) for e in range(7)]
+    def products_of(phis) -> int:
         count = sum(any(x is p for p in phis) for x in left_operands)
         left_operands.clear()
         return count
@@ -392,10 +409,10 @@ def test_pushforwards_share_the_series_coefficients(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
     for d in range(1, 7):
         linear_cy_pushforward(model, d)
-    assert phi_products() == 28
+    assert products_of([relative._unit_phi(model, e) for e in range(7)]) == 28
     for d in range(1, 7):
         series_product_oracle(model, d)
-    assert phi_products() == 83
+    assert products_of([relative_phi(model, e) for e in range(7)]) == 83
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

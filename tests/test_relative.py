@@ -130,31 +130,42 @@ def test_relative_phi_matches_numerator_over_euler_inverse(model):
 
 
 def test_linear_cy_pipeline_inverts_each_euler_class_once(monkeypatch):
-    # the inverses of E_1..E_4 of the bundle, each built once from one closed-form
-    # factor with no Laurent inverse, and shared by both routes
+    # the bundle's Euler factors E_1..E_4 enter only through the unit factors
+    # f_k = (h + k*t)^{n+1} / E_k, each built once in closed form and shared by both
+    # routes: no Laurent inverse, no inverse Euler factor and no relative_phi
     model = linear_cy_model(2, 4)
     relative_phi.cache_clear()
     relative_euler.cache_clear()
     relative._series_coefficient.cache_clear()
     relative._multiplier.cache_clear()
-    inverses = factors = 0
-    inverse, factor = LaurentPoly.inverse, correlators.inverse_euler_factor
+    relative._unit_phi.cache_clear()
+    relative._unit.cache_clear()
+    inverses, euler_factors, unit_degrees = 0, 0, []
+    inverse, euler_factor, power_sum = (
+        LaurentPoly.inverse, correlators.inverse_euler_factor, relative.linear_power_sum
+    )
 
     def counting_inverse(self):
         nonlocal inverses
         inverses += 1
         return inverse(self)
 
-    def counting_factor(*args):
-        nonlocal factors
-        factors += 1
-        return factor(*args)
+    def counting_euler_factor(*args):
+        nonlocal euler_factors
+        euler_factors += 1
+        return euler_factor(*args)
+
+    def recording_power_sum(spec, sigma, k, p, *rest):
+        unit_degrees.append(k)
+        return power_sum(spec, sigma, k, p, *rest)
 
     monkeypatch.setattr(LaurentPoly, "inverse", counting_inverse)
-    monkeypatch.setattr(correlators, "inverse_euler_factor", counting_factor)
+    monkeypatch.setattr(correlators, "inverse_euler_factor", counting_euler_factor)
+    monkeypatch.setattr(relative, "linear_power_sum", recording_power_sum)
     derive_linear_cy_lambdas(model, 4)
     linear_cy_series(model, 4)
-    assert (inverses, factors) == (0, 4)
+    assert (inverses, euler_factors, sorted(unit_degrees)) == (0, 0, [1, 2, 3, 4])
+    assert relative_phi.cache_info().currsize == 0
 
 
 def test_section_free_phi_rejects_a_negative_degree():
