@@ -22,15 +22,16 @@ from .calabi_yau import (
     solve_lambdas_up_to,
 )
 from .correlators import (
+    CIModel,
     classify,
     degree_vectors,
     phi,
     pn_one_point,
+    relative_ring,
 )
 from .laurent import LaurentPoly
 from .mirror import corollary_transform, double_comb_series, verify_mirror_identity
 from .relative import (
-    RelativeModel,
     derive_linear_cy_lambdas,
     linear_cy_expected,
     linear_cy_lambda,
@@ -39,7 +40,6 @@ from .relative import (
     linear_cy_series,
     porteous_expected,
     porteous_lines,
-    relative_ring,
 )
 from .rings import CohClass, RingSpec
 from .series import QSeries
@@ -175,11 +175,11 @@ def projective_space_agreement() -> str:
 
 def porteous() -> str:
     for n, m in ((2, 2), (2, 3), (3, 4)):
-        model = RelativeModel(n=n, base_cutoff=4, degrees=(1,) * m)
+        model = CIModel(n, (1,) * m, base_cutoff=4)
         got = porteous_lines(model)
         expected = porteous_expected(model)
         assert got == expected, f"(n={n}, m={m}): {got} != {expected}"
-    trivial = RelativeModel(n=2, base_cutoff=0, degrees=(1, 1))
+    trivial = CIModel(2, (1, 1))
     assert porteous_lines(trivial).is_zero(), "trivial bundle's line class != 0"
     return "three instances match s_{m-n+1}^2 - s_{m-n}s_{m-n+2}; trivial bundle is 0"
 

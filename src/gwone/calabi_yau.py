@@ -20,9 +20,9 @@ from a lower degree.  The terms stream into :meth:`LaurentPoly.sum`, one
 pass and one reduction per degree.  The solve of lambda_d and the degree-d
 correlator sum the same 2^d - 1 non-simple combs, so a correlator summed
 after its solve multiplies out only its simple comb: :func:`threefold_report`
-and the other full pipelines solve and sum one degree at a time, and empty
-the table when they return.  One model's terms of every degree built are
-held per thread.
+and the other full pipelines solve and sum one degree at a time.  One
+model's terms of every degree built are held per thread, and every function
+that solves its own lambda table empties the table when it returns.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .correlators import (
     CIModel,
     Classification,
     ClassificationError,
+    _require_absolute,
     classify,
     fano_ge2_correlator,
     fano_index1_correlator,
@@ -210,6 +211,7 @@ def cy_term(model: CIModel, comb: Comb, lambdas: Mapping[int, LambdaForm]) -> La
 
 
 def _require_calabi_yau(model: CIModel) -> None:
+    _require_absolute(model)
     if model.classification is Classification.GENERAL_TYPE:
         raise ClassificationError(f"general type: l_1+...+l_m > n+1 for {model}")
     if model.classification is not Classification.CALABI_YAU:
@@ -307,27 +309,32 @@ def solve_lambda(
 
 
 def solve_lambdas_up_to(model: CIModel, max_degree: int) -> dict[int, LambdaForm]:
-    """The lambda table for degrees 1..max_degree, solved recursively."""
+    """The lambda table for degrees 1..max_degree, solved recursively.  The
+    comb-term table is emptied before returning, also on an error."""
     _require_calabi_yau(model)
     if max_degree < 0:
         raise ValueError("degree must be >= 0")
     lambdas: dict[int, LambdaForm] = {}
-    for d in range(1, max_degree + 1):
-        lambdas[d] = solve_lambda(model, d, lambdas)
+    try:
+        for d in range(1, max_degree + 1):
+            lambdas[d] = solve_lambda(model, d, lambdas)
+    finally:
+        _table.clear()
     return lambdas
 
 
 def cy_correlator(
     model: CIModel, d: int, lambdas: Mapping[int, LambdaForm] | None = None
 ) -> LaurentPoly:
-    """The degree-d Calabi-Yau correlator: 2^d combs, at most one ring product each."""
+    """The degree-d Calabi-Yau correlator: 2^d combs, at most one ring product each.
+    Without ``lambdas``, it is solved and summed by ``_lambdas_and_correlators``."""
     _require_calabi_yau(model)
     if d < 0:
         raise ValueError("degree must be >= 0")
     if d == 0:
         return phi(model, 0)
     if lambdas is None:
-        lambdas = solve_lambdas_up_to(model, d)
+        return _lambdas_and_correlators(model, d)[1][d]
     out = _partial_comb_sum(model, d, lambdas) + cy_term(model, Comb((0, d)), lambdas)
     if not out.is_zero() and out.t_max() >= -1:
         raise LambdaShapeError(f"degree-{d} comb sum retains t^{out.t_max()} terms")
@@ -357,7 +364,8 @@ def _lambdas_and_correlators(
 
 
 def correlator(model: CIModel, d: int) -> LaurentPoly:
-    """The one-point correlator of any Fano or Calabi-Yau model."""
+    """The one-point correlator of any Fano or Calabi-Yau model in P^n."""
+    _require_absolute(model)
     cls = model.classification
     if cls is Classification.GENERAL_TYPE:
         raise ClassificationError(f"general type: l_1+...+l_m > n+1 for {model}")

@@ -22,13 +22,11 @@ from .correlators import CIModel, Classification, classify, one_point_invariant,
 from .laurent import LaurentPoly
 from .mirror import verify_mirror_identity
 from .relative import (
-    RelativeModel,
     derive_linear_cy_lambdas,
     linear_cy_model,
     linear_cy_pushforward,
     porteous_lines,
     relative_euler,
-    relative_phi,
 )
 from .rings import CohClass, RingSpec
 
@@ -83,7 +81,8 @@ def _lambda_json(lambdas) -> dict:
 
 
 def _model(args) -> CIModel:
-    return classify(args.n, args.degrees)
+    """The model in P^n, or over a base for the ``relative`` commands' ``--cutoff``."""
+    return CIModel(args.n, args.degrees, base_cutoff=getattr(args, "cutoff", 0))
 
 
 # Calabi-Yau degrees up to this one finish in seconds; each further degree doubles the time.
@@ -177,18 +176,12 @@ def cmd_mirror(args) -> tuple[dict, str]:
 
 
 def cmd_relative_euler(args) -> tuple[dict, str]:
-    value = relative_euler(RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=()), args.d)
+    value = relative_euler(CIModel(args.n, base_cutoff=args.cutoff), args.d)
     return {"euler": laurent_to_json(value)}, str(value)
 
 
-def cmd_relative_phi(args) -> tuple[dict, str]:
-    model = RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=args.degrees)
-    value = relative_phi(model, args.d)
-    return {"phi": laurent_to_json(value)}, str(value)
-
-
 def cmd_relative_porteous(args) -> tuple[dict, str]:
-    model = RelativeModel(n=args.n, base_cutoff=args.cutoff, degrees=(1,) * args.m)
+    model = CIModel(args.n, (1,) * args.m, base_cutoff=args.cutoff)
     value = porteous_lines(model)
     return {"class": coh_to_json(value)}, str(value)
 
@@ -300,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--l", type=positive, action="append", default=[], dest="degrees", metavar="L"
     )
     p.add_argument("--d", type=natural, required=True)
-    p.set_defaults(handler=cmd_relative_phi, parser=p)
+    p.set_defaults(handler=cmd_phi, parser=p)
 
     p = rel_sub.add_parser("porteous", parents=[bundle], help="Porteous class of lines")
     p.add_argument("--m", type=positive, required=True, help="number of linear sections")

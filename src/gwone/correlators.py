@@ -10,6 +10,10 @@ on the nose; for index one it acquires an explicit finite correction sum.
 Individual invariants are read off as rationals from the t^{-2-a}
 coefficient paired against powers of the hyperplane class.
 
+Over a projectivized bundle P(V) on a formal base the Euler class is expanded
+in c(V); P^n is the bundle over a point, so one model (``CIModel``) and one
+``phi`` serve both.  The correlator formulas are for P^n itself.
+
 Products of linear forms in phi are built in closed form, cut at
 h^{n + base_cutoff}, beyond which every power of h vanishes by degree: the
 numerator's factors from Stirling numbers of the first kind, convolved as
@@ -25,13 +29,17 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm, prod
 
 from .laurent import LaurentPoly
-from .rings import CohClass, NotInvertibleError, Numerators, RingSpec, _lowest, _sum
+from .rings import CohClass, Mono, NotInvertibleError, Numerators, RingSpec, _lowest, _sum
+from .rings import generator_mono, mono_mul
+
+# A base polynomial with int coefficients: stripped monomial -> coefficient.
+IntPoly = dict[Mono, int]
 
 
 class Classification(enum.Enum):
@@ -47,6 +55,8 @@ class ClassificationError(ValueError):
 
 def _integer(value: int, what: str) -> int:
     """``value`` as an int; ValueError naming ``what`` when it is not an integer."""
+    if type(value) is int:
+        return value
     try:
         return operator.index(value)
     except TypeError:
@@ -61,15 +71,68 @@ def _degree_tuple(degrees: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     return degs
 
 
+def _inverse_series(a: tuple[IntPoly, ...], cutoff: int) -> tuple[IntPoly, ...]:
+    """b_0..b_cutoff with (sum_k b_k*u^k) * (1 + sum_{i>=1} a_i*u^i) = 1 + O(u^{cutoff+1}).
+
+    ``a`` is a_1, a_2, ... as integral base polynomials, a_i of base degree i (a_i = 0
+    past its end); the recursion is b_k = -sum_{i=1}^{min(k, len(a))} a_i * b_{k-i},
+    so b_k is integral of base degree k.
+    """
+    b: list[IntPoly] = [{(): 1}]
+    for k in range(1, cutoff + 1):
+        acc: IntPoly = {}
+        for i, a_i in enumerate(a[:k], start=1):
+            for mono_a, coeff_a in a_i.items():
+                for mono_b, coeff_b in b[k - i].items():
+                    mono = mono_mul(mono_a, mono_b)
+                    acc[mono] = acc.get(mono, 0) - coeff_a * coeff_b
+        b.append({m: c for m, c in acc.items() if c})
+    return tuple(b)
+
+
+@lru_cache(maxsize=None)
+def _chern_from_segre(cutoff: int) -> tuple[IntPoly, ...]:
+    """c_0..c_cutoff as integral base polynomials, from s(V) * c(V) = 1.
+
+    Generator i (0-based index i-1) is s_i with degree i.  Cached: callers
+    must not mutate.
+    """
+    segre = tuple({generator_mono(i): 1} for i in range(cutoff))
+    return _inverse_series(segre, cutoff)
+
+
+@lru_cache(maxsize=None)
+def relative_ring(n: int, base_cutoff: int) -> RingSpec:
+    """The cohomology ring of P(V) with formal Segre generators s_1..s_cutoff;
+    at cutoff 0 the ``RingSpec.absolute(n)`` instance, so its basis is built once."""
+    if not base_cutoff:
+        return RingSpec.absolute(n)
+    generators = tuple((f"s{i}", i) for i in range(1, base_cutoff + 1))
+    chern = _chern_from_segre(base_cutoff)
+    top = min(n + 1, base_cutoff)
+    rule = [(n + 1 - j, mono, -c) for j in range(1, top + 1) for mono, c in chern[j].items()]
+    return RingSpec.relative(n, generators, base_cutoff, rule)
+
+
 @dataclass(frozen=True)
 class CIModel:
-    """A complete intersection of type ``degrees`` in P^n (m = 0 is P^n)."""
+    """A complete intersection of type ``degrees`` in P^n, or in a P^n-bundle over a
+    formal base cut at the keyword-only ``base_cutoff`` (m = 0 is the ambient)."""
 
     n: int
-    degrees: tuple[int, ...]
+    degrees: tuple[int, ...] = ()
+    base_cutoff: int = field(default=0, kw_only=True)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer(self.n, "ambient dimension"))
+        n = _integer(self.n, "ambient dimension")
+        cutoff = _integer(self.base_cutoff, "base cutoff")
+        if n < 1:
+            raise ValueError("ambient dimension must be >= 1")
+        if cutoff < 0:
+            raise ValueError("base cutoff must be >= 0")
+        if n is not self.n or cutoff is not self.base_cutoff:  # skipped for ints: a cheap build
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "base_cutoff", cutoff)
         object.__setattr__(self, "degrees", _degree_tuple(self.degrees))
 
     @property
@@ -101,24 +164,63 @@ class CIModel:
 
     @cached_property
     def spec(self) -> RingSpec:
-        return RingSpec.absolute(self.n)
+        return relative_ring(self.n, self.base_cutoff)
+
+    @property
+    def is_linear_cy(self) -> bool:
+        return self.degrees == (1,) * (self.n + 1)
+
+    def segre_class(self, k: int) -> CohClass:
+        """s_k as a ring element; s_0 = 1 and out-of-range indices vanish."""
+        spec = self.spec
+        if k < 0 or k > self.base_cutoff:
+            return CohClass.zero(spec)
+        if k == 0:
+            return CohClass.one(spec)
+        return CohClass.generator(spec, k - 1)
+
+    def chern_class(self, j: int) -> CohClass:
+        spec = self.spec
+        if j < 0 or j > self.base_cutoff:
+            return CohClass.zero(spec)
+        chern = _chern_from_segre(self.base_cutoff)[j]
+        return CohClass(spec, {(0, mono): c for mono, c in chern.items()})
 
     def correlator_weight(self, d: int) -> int:
         """Total (h,t)-degree of the degree-d correlator terms."""
         return self.m + d * (self.total_degree - self.n - 1)
 
     def __str__(self) -> str:
+        space = f"P^{self.n}"
+        if self.base_cutoff:
+            space += f"-bundle (base cutoff {self.base_cutoff})"
         if not self.degrees:
-            return f"P^{self.n}"
-        return f"({','.join(map(str, self.degrees))}) in P^{self.n}"
+            return space
+        return f"({','.join(map(str, self.degrees))}) in {space}"
 
 
 def classify(n: int, degrees: tuple[int, ...] | list[int] = ()) -> CIModel:
-    """Build a model and classify it by the total degree versus n."""
-    model = CIModel(n=n, degrees=degrees)
-    if model.n < 1:
-        raise ValueError("ambient dimension must be >= 1")
-    return model
+    """Build a model in P^n; its ``classification`` compares the total degree with n."""
+    return CIModel(n, degrees)
+
+
+def _require_absolute(model: CIModel) -> None:
+    """ClassificationError for a bundle model: the correlator formulas are for P^n."""
+    if model.base_cutoff:
+        raise ClassificationError(f"correlators need base cutoff 0, not a bundle model: {model}")
+
+
+@lru_cache(maxsize=None)
+def _euler_sigma(n: int, base_cutoff: int) -> tuple[CohClass, ...]:
+    """sigma_1..sigma_cutoff, with sigma(u) = 1 / sum_{j<=n+1} c_j*u^j, as classes
+    of the bundle's ring: the ``sigma`` of ``inverse_euler_factor``, () on P^n.
+
+    These are the Segre classes only when base_cutoff <= n + 1; above that,
+    c_j for j > n + 1 is left out of the Euler class, so they differ.
+    """
+    spec = relative_ring(n, base_cutoff)
+    sigma = _inverse_series(_chern_from_segre(base_cutoff)[1 : n + 2], base_cutoff)
+    return tuple(CohClass(spec, {(0, mono): c for mono, c in s.items()}) for s in sigma[1:])
 
 
 def degree_vectors(n: int) -> list[tuple[int, ...]]:
@@ -285,38 +387,35 @@ def _chain_below(cached, model, d: int):
     return cached(model, d - 1)
 
 
-def _inverse_euler_class(cached, model, sigma: tuple[CohClass, ...], d: int) -> LaurentPoly:
-    """1 / prod_{k=1}^d sum_j c_j * (h + k*t)^{n+1-j} on ``model``'s ring, where
-    ``cached(model, e)`` is this inverse at degree e, cached: the cached degree-(d-1)
-    inverse times ``inverse_euler_factor`` at k = d, one ring product."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    if d == 0:
-        return LaurentPoly.one(model.spec)
-    factor = inverse_euler_factor(model.spec, sigma, d)
-    if d == 1:
-        return factor
-    return _chain_below(cached, model, d) * factor
+@lru_cache(maxsize=None)
+def _section_free(n: int, base_cutoff: int) -> CIModel:
+    """P^n, or the P^n-bundle with this cutoff, built once: the model whose phi is
+    the inverse Euler class of every model over it."""
+    return CIModel(n, base_cutoff=base_cutoff)
 
 
 @lru_cache(maxsize=None)
 def phi(model: CIModel, d: int) -> LaurentPoly:
-    """The degree-d hypergeometric Laurent polynomial of the model.
+    """The degree-d hypergeometric Laurent polynomial of the model: its numerator
+    over the Euler class, expanded in c(V) on a bundle.
 
     For d = 0 the products are empty apart from the k = 0 factors, leaving
     (prod l_i) * h^m, the class of the complete intersection itself.  The
-    denominator's inverse is P^n's own cached phi, built degree by degree:
-    phi(P^n, d) is phi(P^n, d - 1) times ``inverse_euler_factor`` at k = d.
+    denominator's inverse is the cached phi of the section-free model (same n
+    and cutoff), built degree by degree: phi(ambient, d - 1) times
+    ``inverse_euler_factor`` at k = d, one ring product.
     """
-    if model.spec.is_relative:
-        raise ValueError(f"phi ignores the bundle's Chern classes; use relative_phi for {model}")
     if d < 0:
         raise ValueError("degree must be >= 0")
+    if model.degrees:
+        numerator = phi_numerator(model.spec, model.degrees, d)
+        if d == 0:
+            return numerator
+        return numerator * phi(_section_free(model.n, model.base_cutoff), d)
     if d == 0:
-        return phi_numerator(model.spec, model.degrees, d)
-    if not model.degrees:
-        return _inverse_euler_class(phi, model, (), d)
-    return phi_numerator(model.spec, model.degrees, d) * phi(CIModel(model.n, ()), d)
+        return LaurentPoly.one(model.spec)
+    factor = inverse_euler_factor(model.spec, _euler_sigma(model.n, model.base_cutoff), d)
+    return factor if d == 1 else _chain_below(phi, model, d) * factor
 
 
 @lru_cache(maxsize=None)
@@ -337,6 +436,7 @@ def pn_one_point(n: int, d: int) -> LaurentPoly:
 
 def fano_ge2_correlator(model: CIModel, d: int) -> LaurentPoly:
     """Degree-d correlator for Fano models of index two or more: phi_d."""
+    _require_absolute(model)
     if model.classification is not Classification.FANO_INDEX_GE2:
         raise ClassificationError(
             f"not Fano of index >= 2: l_1+...+l_m >= n for {model}"
@@ -352,6 +452,7 @@ def fano_index1_correlator(model: CIModel, d: int) -> LaurentPoly:
     phi_{d-r}'s numerators, shifted by t^{-r} and times (-prod l_i!)^r, over its
     denominator times r!, and the terms are added in one pass with one reduction.
     """
+    _require_absolute(model)
     if model.classification is not Classification.FANO_INDEX_ONE:
         raise ClassificationError(f"not Fano of index one: l_1+...+l_m != n for {model}")
     if d < 0:

@@ -112,6 +112,8 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
     degree d - d_1).  The tooth forms depend only on (e, d_1), so each is
     built once, and one chain recursion per start d_1 serves every degree.
     """
+    if order > mirror.order:
+        raise ValueError(f"mirror data reach q^{mirror.order}, below the requested order {order}")
     spec = model.spec
     values = {d: phi(model, d) for d in range(order + 1)}
     for d1 in range(order):

@@ -24,6 +24,7 @@ from gwone.calabi_yau import (
 )
 from gwone.correlators import ClassificationError, classify, one_point_invariant, phi
 from gwone.laurent import LaurentPoly
+from gwone.relative import RelativeModel
 from gwone.rings import CohClass
 
 QUINTIC = classify(4, (5,))
@@ -598,3 +599,62 @@ def test_the_term_table_holds_one_model_and_is_emptied(monkeypatch):
         calabi_yau._lambdas_and_correlators(QUINTIC, 4)
     assert calabi_yau._table.terms == {} and calabi_yau._table.model is None
     assert calabi_yau._table.forms == {} and calabi_yau._table.combs is None
+
+
+def _table_is_empty():
+    table = calabi_yau._table
+    return (table.model, table.forms, table.terms, table.combs) == (None, {}, {}, None)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda: solve_lambdas_up_to(QUINTIC, 6), lambda: cy_correlator(QUINTIC, 5)],
+    ids=["solve_lambdas_up_to", "cy_correlator"],
+)
+def test_a_function_that_solves_its_own_table_empties_the_term_table(solve, monkeypatch):
+    # before: the solve left 119 quintic comb terms held, the correlator 57
+    calabi_yau._table.clear()
+    solve()
+    assert _table_is_empty()
+    # also when a degree fails, after lower degrees filled the table
+    solve_one = calabi_yau.solve_lambda
+
+    def failing(model, d, lambdas):
+        if d == 3:
+            assert calabi_yau._table.terms
+            raise LambdaShapeError("stop")
+        return solve_one(model, d, lambdas)
+
+    monkeypatch.setattr(calabi_yau, "solve_lambda", failing)
+    with pytest.raises(LambdaShapeError, match="stop"):
+        solve()
+    assert _table_is_empty()
+
+
+BUNDLE_CALABI_YAU = RelativeModel(n=4, base_cutoff=2, degrees=(5,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: correlator(BUNDLE_CALABI_YAU, 1),
+        lambda: correlator(BUNDLE_CALABI_YAU, 0),
+        lambda: correlator(RelativeModel(n=4, base_cutoff=1, degrees=(2,)), 1),
+        lambda: cy_correlator(BUNDLE_CALABI_YAU, 1),
+        lambda: solve_lambda(BUNDLE_CALABI_YAU, 1, {}),
+        lambda: solve_lambdas_up_to(BUNDLE_CALABI_YAU, 1),
+        lambda: lambda_readoff(BUNDLE_CALABI_YAU, 1, {}),
+        lambda: threefold_report(BUNDLE_CALABI_YAU, 1),
+    ],
+    ids=["correlator", "correlator-d0", "correlator-fano", "cy_correlator", "solve_lambda",
+         "solve_lambdas_up_to", "lambda_readoff", "threefold_report"],
+)
+def test_the_absolute_pipelines_reject_a_bundle_model_before_any_solve(call, monkeypatch):
+    # before the models were merged: AttributeError; after, the comb solve would
+    # run on the bundle ring, where the lambda shape check fails
+    def no_solve(*args):
+        raise AssertionError("a comb sum started")
+
+    monkeypatch.setattr(calabi_yau, "_partial_comb_sum", no_solve)
+    with pytest.raises(ClassificationError, match="base cutoff 0"):
+        call()

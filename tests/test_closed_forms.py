@@ -95,7 +95,7 @@ from strategies import CANONICAL_SPECS, SPECS, coh_classes, fractions
 FORM_SPECS = [*CANONICAL_SPECS, *(RingSpec.absolute(n) for n in (1, 3, 5, 6))]
 
 # The shared specs and random projective bundles, n <= 4 and base cutoff <= 8.
-bundles = st.builds(RelativeModel, st.integers(1, 4), st.integers(0, 8), st.just(()))
+bundles = st.builds(RelativeModel, n=st.integers(1, 4), base_cutoff=st.integers(0, 8))
 spec_or_bundle = st.one_of(st.sampled_from(SPECS), bundles.map(lambda bundle: bundle.spec))
 # k = 0 (h alone), both signs and a larger |k|
 ks = st.sampled_from([0, 1, -1, 2, -2, 5])
@@ -241,7 +241,7 @@ def schubert_inputs(draw, top: int):
 @given(bundles, st.data())
 def test_schubert_leading_matches_evaluate_times_the_inverse_euler_class(bundle, data):
     sigma = data.draw(schubert_inputs(bundle.n + 2), label="sigma")
-    model = RelativeModel(bundle.n, bundle.base_cutoff, (1,) * data.draw(st.integers(0, 2)))
+    model = replace(bundle, degrees=(1,) * data.draw(st.integers(0, 2)))
     expected = sigma.evaluate(bundle.spec) * relative_phi(bundle, 1)
     assert relative_schubert_leading(model, sigma) == expected
 
@@ -301,7 +301,7 @@ def test_negative_power_of_h_alone_is_rejected(spec):
 @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 4))
 def test_section_free_relative_phi_inverts_the_euler_class(n, cutoff, d):
     # the chained closed-form factors, against the expanded Euler class itself
-    bundle = RelativeModel(n, cutoff, ())
+    bundle = RelativeModel(n=n, base_cutoff=cutoff)
     assert relative_phi(bundle, d) * relative_euler(bundle, d) == LaurentPoly.one(bundle.spec)
 
 

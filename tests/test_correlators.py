@@ -44,6 +44,27 @@ def test_classify_validates_input():
         classify(3, (0,))
 
 
+def test_the_model_constructor_rejects_p0():
+    # before: CIModel(0, ()) built "P^0" while classify(0) raised
+    for build in (lambda: CIModel(0, ()), lambda: CIModel(0), lambda: classify(0)):
+        with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
+            build()
+    with pytest.raises(ValueError, match="base cutoff must be >= 0"):
+        CIModel(2, base_cutoff=-1)
+
+
+@pytest.mark.parametrize(
+    "correlator_of, degrees",
+    [(fano_ge2_correlator, (2,)), (fano_index1_correlator, (4,))],
+    ids=["index-ge2", "index-one"],
+)
+def test_the_fano_correlators_reject_a_bundle_model(correlator_of, degrees):
+    bundle = CIModel(4, degrees, base_cutoff=2)
+    with pytest.raises(ClassificationError, match="base cutoff 0"):
+        correlator_of(bundle, 1)
+    assert correlator_of(CIModel(4, degrees), 1) == correlator(classify(4, degrees), 1)
+
+
 def test_a_model_from_a_list_of_degrees_is_the_model_from_the_tuple():
     from_list, from_tuple = CIModel(3, [1]), CIModel(3, (1,))
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)

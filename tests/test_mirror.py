@@ -225,9 +225,10 @@ def test_mirror_verifier_runs_one_chain_recursion_per_start(monkeypatch):
     assert calls == 140
 
 
-def test_solving_first_costs_no_more_products_than_the_verifier_alone(monkeypatch):
-    # The verifier's correlators take their comb terms from the table the
-    # solve left, as the verifier's own solve-and-sum pipeline does.
+def test_verifying_a_solved_table_costs_no_more_products_than_the_verifier_alone(monkeypatch):
+    # The solve empties the comb-term table when it returns, so the verifier
+    # given its table builds each comb term once, degree by degree, as the
+    # verifier's own solve-and-sum pipeline does.
     model = classify(5, (3, 3))
     assert verify_mirror_identity(model, 7).holds  # phi and the other caches warm
     calls = []
@@ -240,11 +241,19 @@ def test_solving_first_costs_no_more_products_than_the_verifier_alone(monkeypatc
     monkeypatch.setattr(rings, "_convolve", counting)
     assert verify_mirror_identity(model, 7).holds
     alone = len(calls)
-    del calls[:]
     lambdas = solve_lambdas_up_to(model, 7)
+    assert calabi_yau._table.terms == {}
+    del calls[:]
     assert verify_mirror_identity(model, 7, lambdas).holds
     assert len(calls) <= alone
     calabi_yau._table.clear()
+
+
+def test_mirror_comb_correlator_names_both_orders_when_the_data_are_short():
+    # before: a bare KeyError: 3
+    data = mirror_coefficients(solve_lambdas_up_to(QUINTIC, 2), 2)
+    with pytest.raises(ValueError, match=r"mirror data reach q\^2, below the requested order 3"):
+        mirror_comb_correlator(QUINTIC, 3, data)
 
 
 def test_mirror_identity_quintic_low_order():

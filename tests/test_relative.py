@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import gwone
 from gwone import correlators, relative
 from gwone.correlators import classify, phi, phi_numerator, pn_one_point
 from gwone.laurent import LaurentPoly
@@ -85,27 +86,42 @@ def test_relative_phi_trivial_bundle_matches_absolute():
         assert phi(model, d) == relative_phi(model, d)
 
 
-def test_phi_rejects_a_bundle_model():
-    # phi would divide by P^n's Euler class: its t^-3 coefficient would read
-    # -2*h^2 where the bundle's is h*s1 - 2*h^2.
+def test_phi_of_a_bundle_model_divides_by_the_bundle_euler_class():
+    # P^n's Euler class would give a t^-3 coefficient of -2*h^2; the bundle's
+    # gives h*s1 - 2*h^2, and phi and relative_phi are one function of the model
     model = RelativeModel(n=2, base_cutoff=3, degrees=(1,))
-    with pytest.raises(ValueError, match="relative_phi"):
-        phi(model, 1)
     spec = model.spec
     h, s1 = CohClass.h_power(spec, 1), model.segre_class(1)
-    assert relative_phi(model, 1).coefficient(-3) == h * s1 - h * h * 2
+    assert phi(model, 1).coefficient(-3) == h * s1 - h * h * 2
+    for d in range(4):
+        assert phi(model, d) == relative_phi(model, d)
+
+
+def test_a_bundle_model_is_a_ci_model_with_a_keyword_only_cutoff():
+    assert gwone.RelativeModel is gwone.CIModel is RelativeModel
+    assert RelativeModel(n=3, base_cutoff=0, degrees=(2,)) == classify(3, (2,))
+    # P^n is the bundle over a point: its ring is the one absolute instance
+    for n in range(1, 5):
+        assert relative_ring(n, 0) is RingSpec.absolute(n)
+        assert RelativeModel(n=n, base_cutoff=0).spec is RingSpec.absolute(n)
+    # a positional cutoff would be read as the degrees, so it fails loudly
+    with pytest.raises(TypeError):
+        RelativeModel(2, 3, (1, 1))
+    with pytest.raises(TypeError):
+        RelativeModel(2, 3)
+    assert str(RelativeModel(n=2, base_cutoff=3, degrees=(1, 1))) == "(1,1) in P^2-bundle (base cutoff 3)"
 
 
 def test_a_bundle_model_from_a_list_of_degrees_is_the_model_from_the_tuple():
-    from_list = RelativeModel(2, 3, [1, 1])
-    from_tuple = RelativeModel(2, 3, (1, 1))
+    from_list = RelativeModel(n=2, base_cutoff=3, degrees=[1, 1])
+    from_tuple = RelativeModel(n=2, base_cutoff=3, degrees=(1, 1))
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
     assert from_list.degrees == (1, 1)
     assert relative_phi(from_list, 1) == relative_phi(from_tuple, 1)
     with pytest.raises(ValueError, match="all degrees must be >= 1"):
-        RelativeModel(2, 3, [1, 0])
+        RelativeModel(n=2, base_cutoff=3, degrees=[1, 0])
     with pytest.raises(ValueError, match=r"degree 1\.5 is not an integer"):
-        RelativeModel(2, 3, [1, 1.5])
+        RelativeModel(n=2, base_cutoff=3, degrees=[1, 1.5])
 
 
 @pytest.mark.parametrize(
@@ -169,7 +185,7 @@ def test_linear_cy_pipeline_inverts_each_euler_class_once(monkeypatch):
 
 
 def test_section_free_phi_rejects_a_negative_degree():
-    for model in (RelativeModel(2, 3, ()), linear_cy_model(2, 3)):
+    for model in (RelativeModel(n=2, base_cutoff=3), linear_cy_model(2, 3)):
         with pytest.raises(ValueError, match="degree must be >= 0"):
             relative_phi(model, -1)
 
@@ -177,7 +193,7 @@ def test_section_free_phi_rejects_a_negative_degree():
 def test_section_free_phi_chain_is_not_one_recursion_per_degree():
     # cold caches: the chain from degree d - 1 must not recurse d levels deep
     relative_phi.cache_clear()
-    bundle = RelativeModel(1, 1, ())
+    bundle = RelativeModel(n=1, base_cutoff=1)
     top = relative_phi(bundle, 2000)
     assert top.t_max() == -4000
     assert top.coefficient(-4000) == CohClass.scalar(bundle.spec, Fraction(1, factorial(2000) ** 2))
@@ -262,7 +278,7 @@ def test_porteous_lines_match_the_reference_on_a_grid(n):
 def test_porteous_on_a_p1_bundle_is_c2_to_the_m(cutoff):
     # the fiber is the only line: the locus is the zero locus of m sections of V^*,
     # c_2(V)^m, not the formula's s_2^2 - s_1*s_3, which needs c_3 = 0 at m = 2
-    one, two = RelativeModel(1, cutoff, (1,)), RelativeModel(1, cutoff, (1, 1))
+    one, two = RelativeModel(n=1, base_cutoff=cutoff, degrees=(1,)), RelativeModel(n=1, base_cutoff=cutoff, degrees=(1, 1))
     c2 = two.chern_class(2)
     assert str(c2) == "-s2 + s1^2"
     assert porteous_expected(one) == porteous_lines(one) == c2
@@ -372,11 +388,11 @@ def test_linear_cy_pushforward_validates_arguments():
 @pytest.mark.parametrize("bad", [2.5, 3.0, "3", Fraction(3)])
 def test_bundle_dimensions_that_are_not_integers_are_rejected(bad):
     # before: the model was built and relative_phi failed later with an unrelated TypeError
-    with pytest.raises(ValueError, match=re.escape(f"fiber dimension {bad!r} is not an integer")):
-        RelativeModel(bad, 3, ())
+    with pytest.raises(ValueError, match=re.escape(f"ambient dimension {bad!r} is not an integer")):
+        RelativeModel(n=bad, base_cutoff=3)
     with pytest.raises(ValueError, match=re.escape(f"base cutoff {bad!r} is not an integer")):
-        RelativeModel(2, bad, ())
-    coerced = RelativeModel(True, False, ())
+        RelativeModel(n=2, base_cutoff=bad)
+    coerced = RelativeModel(n=True, base_cutoff=False)
     assert (type(coerced.n), type(coerced.base_cutoff)) == (int, int)
 
 
