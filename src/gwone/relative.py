@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .correlators import CIModel, _chain_below, _euler_sigma, euler_class, linear_power_sum
-from .correlators import phi, relative_ring
+from .correlators import phi, relative_ring  # relative_ring is public here too
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec
 from .series import QSeries

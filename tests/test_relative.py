@@ -109,7 +109,8 @@ def test_a_bundle_model_is_a_ci_model_with_a_keyword_only_cutoff():
         RelativeModel(2, 3, (1, 1))
     with pytest.raises(TypeError):
         RelativeModel(2, 3)
-    assert str(RelativeModel(n=2, base_cutoff=3, degrees=(1, 1))) == "(1,1) in P^2-bundle (base cutoff 3)"
+    bundle = RelativeModel(n=2, base_cutoff=3, degrees=(1, 1))
+    assert str(bundle) == "(1,1) in P^2-bundle (base cutoff 3)"
 
 
 def test_a_bundle_model_from_a_list_of_degrees_is_the_model_from_the_tuple():
@@ -278,7 +279,8 @@ def test_porteous_lines_match_the_reference_on_a_grid(n):
 def test_porteous_on_a_p1_bundle_is_c2_to_the_m(cutoff):
     # the fiber is the only line: the locus is the zero locus of m sections of V^*,
     # c_2(V)^m, not the formula's s_2^2 - s_1*s_3, which needs c_3 = 0 at m = 2
-    one, two = RelativeModel(n=1, base_cutoff=cutoff, degrees=(1,)), RelativeModel(n=1, base_cutoff=cutoff, degrees=(1, 1))
+    one = RelativeModel(n=1, base_cutoff=cutoff, degrees=(1,))
+    two = RelativeModel(n=1, base_cutoff=cutoff, degrees=(1, 1))
     c2 = two.chern_class(2)
     assert str(c2) == "-s2 + s1^2"
     assert porteous_expected(one) == porteous_lines(one) == c2
