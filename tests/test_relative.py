@@ -194,6 +194,7 @@ def test_section_free_phi_rejects_a_negative_degree():
 def test_section_free_phi_chain_is_not_one_recursion_per_degree():
     # cold caches: the chain from degree d - 1 must not recurse d levels deep
     relative_phi.cache_clear()
+    phi.cache_clear()  # relative_phi is phi, whose cache holds the chain
     bundle = RelativeModel(n=1, base_cutoff=1)
     top = relative_phi(bundle, 2000)
     assert top.t_max() == -4000
