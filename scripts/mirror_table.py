@@ -6,7 +6,6 @@ Exits 1 when the identity fails."""
 import argparse
 import sys
 
-from gwone.calabi_yau import solve_lambdas_up_to
 from gwone.correlators import classify
 from gwone.mirror import verify_mirror_identity
 
@@ -28,12 +27,11 @@ def main() -> int:
 
     n, degrees = MODELS[args.model]
     model = classify(n, degrees)
-    lambdas = solve_lambdas_up_to(model, args.max_d)
-    report = verify_mirror_identity(model, args.max_d, lambdas)
+    report = verify_mirror_identity(model, args.max_d)
 
     print(f"model: {model}")
     for e in range(1, args.max_d + 1):
-        lam = lambdas[e]
+        lam = report.lambdas[e]
         print(
             f"e = {e}:  lambda = {lam}   "
             f"a_e = {report.mirror.a[e]}   b_e = {report.mirror.b[e]}"

@@ -19,8 +19,12 @@ h^{n + base_cutoff}, beyond which every power of h vanishes by degree: the
 numerator's factors from Stirling numbers of the first kind, convolved as
 int polynomials in h into one form (``phi_numerator``), and the powers of
 ``euler_class`` from binomial coefficients.  The inverse Euler class is
-never found by inverting a Laurent polynomial: each degree-k factor's
-inverse is sum_l sigma_l * (h + k*t)^{-(n+1)-l}, built in one pass
+never found by inverting a Laurent polynomial.  On P^n it is the form
+prod_k (h + k*t)^{-(n+1)}, kept as an int coefficient list per degree and
+chained from the degree below by one product of int polynomials in h, so
+phi_d and every Fano correlator are one form, built with no ring product.
+On a bundle each degree-k factor's inverse is
+sum_l sigma_l * (h + k*t)^{-(n+1)-l}, built in one pass
 (``linear_power_sum``), and the degree-d inverse is the cached degree-(d-1)
 one times that factor, one ring product per degree.
 """
@@ -32,10 +36,11 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
+from typing import Sequence
 
-from .laurent import LaurentPoly
-from .rings import CohClass, Mono, NotInvertibleError, Numerators, RingSpec, _lowest, _sum
+from .laurent import LaurentPoly, _linear_power_list
+from .rings import CohClass, Mono, NotInvertibleError, Numerators, RingSpec, _lowest
 from .rings import generator_mono, mono_mul
 
 # A base polynomial with int coefficients: stripped monomial -> coefficient.
@@ -65,6 +70,13 @@ def _integer(value: int, what: str) -> int:
 
 def _degree_tuple(degrees: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """``degrees`` as the tuple of ints a model stores; each must be an integer >= 1."""
+    try:
+        degrees = iter(degrees)
+    except TypeError:
+        raise TypeError(
+            f"degrees must be an iterable of integers, not {degrees!r}; "
+            "base_cutoff is keyword-only (CIModel(n, degrees, base_cutoff=m))"
+        ) from None
     degs = tuple(_integer(l, "degree") for l in degrees)
     if degs and min(degs) < 1:
         raise ValueError("all degrees must be >= 1")
@@ -240,7 +252,7 @@ def degree_vectors(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _cut_product(a: list[int], b: list[int], top: int) -> list[int]:
+def _cut_product(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
     """The coefficients of a(h) * b(h) up to h^top, for int coefficient lists."""
     out = [0] * min(len(a) + len(b) - 1, top + 1)
     for i, x in enumerate(a):
@@ -261,18 +273,16 @@ def _stirling_row(D: int, top: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
-    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t), the numerator of phi_d.
+def _numerator_list(degrees: tuple[int, ...], d: int, top: int) -> tuple[int, Sequence[int]]:
+    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t) as (its degree, coefficients of h^0..h^top).
 
     Each factor is built in closed form: prod_{k=0}^{D} (l*h + k*t) is
     sum_j c(D+1, j) * l^j * h^j * t^{D+1-j}, with c the unsigned Stirling
     numbers of the first kind (``_stirling_row``).  The factors' coefficient
-    lists are multiplied as int polynomials in h, cut at h^{n + base_cutoff},
-    and the product is one form: no ring product.
+    lists are multiplied as int polynomials in h, cut at h^top.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    top = spec.n + spec.base_cutoff  # h^j vanishes by degree for j > top
     coeffs, degree = None, 0
     for l in degrees:
         factor = _stirling_row(d * l, top)
@@ -284,7 +294,13 @@ def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPo
             factor = scaled
         coeffs = factor if coeffs is None else _cut_product(coeffs, factor, top)
         degree += d * l + 1
-    return LaurentPoly.one(spec) if coeffs is None else LaurentPoly._form(spec, degree, coeffs)
+    return degree, [1] if coeffs is None else coeffs
+
+
+def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
+    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t), the numerator of phi_d: one form
+    (``_numerator_list``, cut at h^{n + base_cutoff}), built with no ring product."""
+    return LaurentPoly._form(spec, *_numerator_list(degrees, d, spec.n + spec.base_cutoff))
 
 
 def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentPoly:
@@ -379,12 +395,43 @@ def inverse_euler_factor(spec: RingSpec, sigma: tuple[CohClass, ...], k: int) ->
 _CHAIN_STEP = 64
 
 
-def _chain_below(cached, model, d: int):
-    """``cached(model, d - 1)`` for a cache ``cached`` whose degree-d value is built
-    from its degree-(d-1) one, after caching every _CHAIN_STEP-th degree below it."""
+def _chain_below(cached, key, d: int):
+    """``cached(key, d - 1)`` for a cache ``cached`` whose degree-d value is built
+    from its degree-(d-1) one, after caching every _CHAIN_STEP-th degree below it;
+    ``key`` is the model, or n for P^n's inverse Euler class."""
     for lower in range(_CHAIN_STEP, d - 1, _CHAIN_STEP):
-        cached(model, lower)
-    return cached(model, d - 1)
+        cached(key, lower)
+    return cached(key, d - 1)
+
+
+@lru_cache(maxsize=None)
+def _pn_inverse_euler(n: int, d: int) -> tuple[int, tuple[int, ...], int]:
+    """prod_{k=1}^d (h + k*t)^{-(n+1)} on P^n, d >= 1, as (its degree, coefficients
+    of h^0..h^n, positive denominator), in lowest terms.  Cached: callers must not
+    mutate.
+
+    The degree-d list is the degree-(d-1) one times ``_linear_power_list`` at
+    k = d, one product of int polynomials cut at h^n, reduced by one gcd.
+    """
+    degree, coeffs, den = -(n + 1), *_linear_power_list(d, -(n + 1), n)
+    if d > 1:
+        low_degree, low, low_den = _chain_below(_pn_inverse_euler, n, d)
+        degree, coeffs, den = degree + low_degree, _cut_product(low, coeffs, n), den * low_den
+    g = gcd(den, *coeffs)
+    return degree, tuple(c // g for c in coeffs), den // g
+
+
+@lru_cache(maxsize=None)
+def _phi_list(model: CIModel, d: int) -> tuple[int, Sequence[int], int]:
+    """phi_d of a model in P^n (base cutoff 0) as (its degree, coefficients of
+    h^0..h^n, positive denominator): the numerator's list times the inverse
+    Euler class's.  Cached: callers must not mutate."""
+    n = model.n
+    degree, coeffs = _numerator_list(model.degrees, d, n)
+    if not d:
+        return degree, coeffs, 1
+    low_degree, inverse, den = _pn_inverse_euler(n, d)
+    return degree + low_degree, _cut_product(coeffs, inverse, n), den
 
 
 @lru_cache(maxsize=None)
@@ -400,13 +447,17 @@ def phi(model: CIModel, d: int) -> LaurentPoly:
     over the Euler class, expanded in c(V) on a bundle.
 
     For d = 0 the products are empty apart from the k = 0 factors, leaving
-    (prod l_i) * h^m, the class of the complete intersection itself.  The
-    denominator's inverse is the cached phi of the section-free model (same n
-    and cutoff), built degree by degree: phi(ambient, d - 1) times
-    ``inverse_euler_factor`` at k = d, one ring product.
+    (prod l_i) * h^m, the class of the complete intersection itself.  On P^n
+    phi_d is one form, built from int coefficient lists (``_phi_list``) with
+    no ring product.  On a bundle the denominator's inverse is the cached phi
+    of the section-free model (same n and cutoff), built degree by degree:
+    phi(ambient, d - 1) times ``inverse_euler_factor`` at k = d, one ring
+    product; there sigma != 1, so it is not a form.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
+    if not model.base_cutoff:
+        return LaurentPoly._form(model.spec, *_phi_list(model, d))
     if model.degrees:
         numerator = phi_numerator(model.spec, model.degrees, d)
         if d == 0:
@@ -448,23 +499,25 @@ def fano_index1_correlator(model: CIModel, d: int) -> LaurentPoly:
     """Degree-d correlator for Fano models of index one.
 
     The value is the finite sum over r of (-prod l_i!)^r phi_{d-r} / (r! t^r);
-    the r = 0 term alone gives the d = 0 convention phi_0.  Each term is
-    phi_{d-r}'s numerators, shifted by t^{-r} and times (-prod l_i!)^r, over its
-    denominator times r!, and the terms are added in one pass with one reduction.
+    the r = 0 term alone gives the d = 0 convention phi_0.  On index one every
+    term is a form of degree m - d, so the sum is one form: phi_{d-r}'s int
+    coefficient list (``_phi_list``) times (-prod l_i!)^r, over its denominator
+    times r!, the lists added over one lcm of those denominators.
     """
     _require_absolute(model)
     if model.classification is not Classification.FANO_INDEX_ONE:
         raise ClassificationError(f"not Fano of index one: l_1+...+l_m != n for {model}")
     if d < 0:
         raise ValueError("degree must be >= 0")
-    sign, stride = -model.factorial_product, model.spec.basis.stride
-
-    def terms():
-        for r in range(d + 1):
-            term, low, scale = phi(model, d - r), r * stride, sign**r
-            yield {c - low: v * scale for c, v in term._num.items()}, term._den * factorial(r)
-
-    return LaurentPoly._new(model.spec, *_sum(terms()))
+    sign = -model.factorial_product
+    forms = [_phi_list(model, d - r) for r in range(d + 1)]
+    den = lcm(*(form_den * factorial(r) for r, (_, _, form_den) in enumerate(forms)))
+    coeffs = [0] * (model.n + 1)
+    for r, (_, form, form_den) in enumerate(forms):
+        scale = sign**r * (den // (form_den * factorial(r)))
+        for j, c in enumerate(form):
+            coeffs[j] += scale * c
+    return LaurentPoly._form(model.spec, forms[0][0], coeffs, den)
 
 
 def one_point_invariant(correlator: LaurentPoly, a: int, b: int) -> Fraction | CohClass:

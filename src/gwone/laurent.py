@@ -34,6 +34,23 @@ from .rings import CohClass, NotInvertibleError, Numerators, RingSpec, Scalar, S
 from .rings import _Value, _join, _lowest, _sum
 
 
+def _linear_power_list(k: int, p: int, last: int) -> tuple[list[int], int]:
+    """(h + k*t)^p as (coefficients of h^0..h^last, positive denominator): the
+    h^j * t^{p-j} coefficient is the j-th entry over the denominator.
+
+    The entries are C(p, j) * k^{p-j}, with C(p, j) = (-1)^j * C(j-p-1, j) for
+    p < 0, which needs k != 0; for p >= 0 they end at j = min(p, last).
+    """
+    if p >= 0:
+        return [comb(p, j) * k ** (p - j) for j in range(min(p, last) + 1)], 1
+    if not k:
+        raise NotInvertibleError(f"h is nilpotent, so (h + 0*t)^{p} is not defined")
+    # k^{p-j} = k^{last-j} / k^{last-p}, over a positive denominator
+    den = k ** (last - p)
+    sign = -1 if den < 0 else 1
+    return [sign * (-1) ** j * comb(j - p - 1, j) * k ** (last - j) for j in range(last + 1)], sign * den
+
+
 class LaurentPoly(_Value):
     """A finite t-Laurent polynomial with truncated-ring coefficients."""
 
@@ -69,22 +86,13 @@ class LaurentPoly(_Value):
 
     @classmethod
     def linear_power(cls, spec: RingSpec, k: int, p: int) -> LaurentPoly:
-        """(h + k*t)^p in closed form: sum_j C(p, j) * k^{p-j} * h^j * t^{p-j}.
+        """(h + k*t)^p in closed form: sum_j C(p, j) * k^{p-j} * h^j * t^{p-j}
+        (``_linear_power_list``).
 
-        For p >= 0 the sum ends at j = p.  For p < 0 it is the inverse power,
-        with C(p, j) = (-1)^j * C(j-p-1, j); it is finite because h^j vanishes
+        For p < 0 it is the inverse power; it is finite because h^j vanishes
         for j > n + base_cutoff, and it needs k != 0.
         """
-        last = spec.n + spec.base_cutoff
-        if p >= 0:
-            return cls._form(spec, p, [comb(p, j) * k ** (p - j) for j in range(min(p, last) + 1)])
-        if not k:
-            raise NotInvertibleError(f"h is nilpotent, so (h + 0*t)^{p} is not defined")
-        # k^{p-j} = k^{last-j} / k^{last-p}, over a positive denominator
-        den = k ** (last - p)
-        sign = -1 if den < 0 else 1
-        coeffs = [sign * (-1) ** j * comb(j - p - 1, j) * k ** (last - j) for j in range(last + 1)]
-        return cls._form(spec, p, coeffs, sign * den)
+        return cls._form(spec, p, *_linear_power_list(k, p, spec.n + spec.base_cutoff))
 
     @classmethod
     def _form(cls, spec: RingSpec, degree: int, coeffs: Iterable[int], den: int = 1) -> LaurentPoly:

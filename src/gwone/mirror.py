@@ -129,12 +129,14 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
 
 @dataclass(frozen=True)
 class MirrorReport:
-    """Outcome of the exact mirror-identity verification."""
+    """Outcome of the exact mirror-identity verification, with the lambda table
+    it was checked for (solved by the verifier unless the caller gave one)."""
 
     holds: bool
     first_failing_degree: int | None
     order: int
     mirror: MirrorData
+    lambdas: Mapping[int, LambdaForm]
 
 
 def verify_mirror_identity(
@@ -174,4 +176,5 @@ def verify_mirror_identity(
         first_failing_degree=failing,
         order=order,
         mirror=mirror,
+        lambdas=lambdas,
     )

@@ -410,7 +410,8 @@ def test_unknown_option_is_reported_with_the_subcommand_usage(capsys, argv, usag
 
 def _failing_mirror_report(model, order, lambdas=None):
     data = MirrorData(a={1: Fraction(-770)}, b={1: Fraction(-120)}, order=1)
-    return MirrorReport(holds=False, first_failing_degree=1, order=1, mirror=data)
+    lambdas = {1: LambdaForm(Fraction(-770), Fraction(-120))}
+    return MirrorReport(holds=False, first_failing_degree=1, order=1, mirror=data, lambdas=lambdas)
 
 
 def test_mirror_failure_exit_code(monkeypatch, capsys):

@@ -442,7 +442,7 @@ INDEX_ONE_MODELS = [
 
 @pytest.mark.parametrize("model", INDEX_ONE_MODELS, ids=str)
 def test_index1_correlator_matches_the_per_term_sum(model):
-    for d in range(5):
+    for d in range(6):
         assert fano_index1_correlator(model, d) == index1_oracle(model, d)
 
 

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from gwone import correlators
+from gwone import correlators, rings
 from gwone.calabi_yau import correlator
 from gwone.correlators import (
     CIModel,
@@ -78,6 +78,13 @@ def test_model_validates_its_degrees():
         CIModel(3, [0])
     with pytest.raises(ValueError, match="all degrees must be >= 1"):
         classify(3, [2, -1])
+
+
+def test_a_positional_cutoff_is_rejected_with_a_message_naming_the_degrees():
+    # before: CIModel(2, 3) raised "'int' object is not iterable"
+    message = "degrees must be an iterable of integers, not 3; base_cutoff is keyword-only"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        CIModel(2, 3)
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, "2", Fraction(2)])
@@ -247,22 +254,28 @@ def test_phi_matches_numerator_over_euler_inverse(n):
     # oracle: every Fano and Calabi-Yau model inverts its own prod_k (h + k*t)^{n+1}
     spec = RingSpec.absolute(n)
     inverses = {}
-    for d in range(1, 4):
+    for d in range(1, 6):
         euler = LaurentPoly.one(spec)
         for k in range(1, d + 1):
             euler = euler * LaurentPoly.linear(spec, 1, k) ** (n + 1)
         inverses[d] = euler.inverse()
     for model in (classify(n, l) for l in degree_vectors(n + 1)):
-        for d in range(4):
+        for d in range(6):
             numerator = phi_numerator(spec, model.degrees, d)
             expected = numerator if d == 0 else numerator * inverses[d]
             assert phi(model, d) == expected, (model, d)
 
 
+def _clear_phi_caches():
+    for cache in (phi, correlators._phi_list, correlators._pn_inverse_euler):
+        cache.cache_clear()
+
+
 def test_fano_phis_invert_each_euler_class_once(monkeypatch):
     # phi_1..phi_3 of all Fano models in P^1..P^6 share one inverse Euler class
-    # per (n, d), each built from one closed-form factor, with no Laurent inverse
-    phi.cache_clear()
+    # per (n, d), each one chain step from the degree below, with no Laurent
+    # inverse and no inverse Euler factor
+    _clear_phi_caches()
     inverses = factors = 0
     inverse, factor = LaurentPoly.inverse, correlators.inverse_euler_factor
 
@@ -282,13 +295,38 @@ def test_fano_phis_invert_each_euler_class_once(monkeypatch):
         for degrees in degree_vectors(n):
             for d in range(1, 4):
                 phi(classify(n, degrees), d)
-    assert (inverses, factors) == (0, 18)
+    steps = correlators._pn_inverse_euler.cache_info().misses
+    assert (inverses, factors, steps) == (0, 0, 18)
+
+
+def test_absolute_phis_and_fano_correlators_make_no_ring_product(monkeypatch):
+    # cold caches: phi on P^n and both Fano correlators are int coefficient lists
+    # until one form is built at the end
+    _clear_phi_caches()
+    calls = []
+    convolve = rings._convolve
+
+    def counting(*args):
+        calls.append(None)
+        return convolve(*args)
+
+    monkeypatch.setattr(rings, "_convolve", counting)
+    for n in range(1, 7):
+        for degrees in degree_vectors(n + 1):
+            model = classify(n, degrees)
+            for d in range(4):
+                phi(model, d)
+                if model.classification is Classification.FANO_INDEX_GE2:
+                    fano_ge2_correlator(model, d)
+                elif model.classification is Classification.FANO_INDEX_ONE:
+                    fano_index1_correlator(model, d)
+    assert calls == []
 
 
 def test_phi_of_pn_chain_is_not_one_recursion_per_degree():
     # cold caches: the degree-d inverse Euler class is chained from degree d - 1,
     # which must not recurse d levels deep
-    phi.cache_clear()
+    _clear_phi_caches()
     p1 = classify(1)
     top = phi(p1, 2000)
     assert top.t_max() == -4000
