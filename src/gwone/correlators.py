@@ -383,10 +383,8 @@ def inverse_euler_factor(spec: RingSpec, sigma: tuple[CohClass, ...], k: int) ->
     so its inverse is sum_i sigma_i * x^{-(n+1)-i} with sigma(u) = 1/c(u).
     ``sigma`` is sigma_1, sigma_2, ... (sigma_0 = 1), empty on P^n; sigma_i has
     base degree i, so callers stop it at base_cutoff.  The sum is built in one
-    pass by ``linear_power_sum``, and on P^n it is ``LaurentPoly.linear_power``.
+    pass by ``linear_power_sum``.
     """
-    if not sigma:
-        return LaurentPoly.linear_power(spec, k, -(spec.n + 1))
     return linear_power_sum(spec, sigma, k, -(spec.n + 1))
 
 
