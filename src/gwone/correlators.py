@@ -405,8 +405,7 @@ def _chain_below(cached, key, d: int):
 @lru_cache(maxsize=None)
 def _pn_inverse_euler(n: int, d: int) -> tuple[int, tuple[int, ...], int]:
     """prod_{k=1}^d (h + k*t)^{-(n+1)} on P^n, d >= 1, as (its degree, coefficients
-    of h^0..h^n, positive denominator), in lowest terms.  Cached: callers must not
-    mutate.
+    of h^0..h^n, positive denominator), in lowest terms.
 
     The degree-d list is the degree-(d-1) one times ``_linear_power_list`` at
     k = d, one product of int polynomials cut at h^n, reduced by one gcd.
