@@ -17,16 +17,16 @@ in c(V); P^n is the bundle over a point, so one model (``CIModel``) and one
 Products of linear forms in phi are built in closed form, cut at
 h^{n + base_cutoff}, beyond which every power of h vanishes by degree: the
 numerator's factors from Stirling numbers of the first kind, convolved as
-int polynomials in h into one form (``phi_numerator``), and the powers of
-``euler_class`` from binomial coefficients.  The inverse Euler class is
-never found by inverting a Laurent polynomial.  On P^n it is the form
-prod_k (h + k*t)^{-(n+1)}, kept as an int coefficient list per degree and
-chained from the degree below by one product of int polynomials in h, so
-phi_d and every Fano correlator are one form, built with no ring product.
-On a bundle each degree-k factor's inverse is
-sum_l sigma_l * (h + k*t)^{-(n+1)-l}, built in one pass
-(``linear_power_sum``), and the degree-d inverse is the cached degree-(d-1)
-one times that factor, one ring product per degree.
+int polynomials in h (``_numerator_list``), and the powers of ``euler_class``
+from binomial coefficients.  The inverse Euler class is never found by
+inverting a Laurent polynomial.  With x = h + k*t, the degree-k Euler factor
+is x^{n+1} * c(1/x), so its inverse is x^{-(n+1)} * f_k, with
+f_k = sum_l sigma_l * x^{-l} and sigma = 1/c.  So phi_d of every model is one
+form, the numerator's int list times that of prod_k x^{-(n+1)}, chained from
+the degree below by one product of int polynomials in h; on a bundle it is
+that form times u_d = prod_{k<=d} f_k (``_unit``), the chain of sigma-factors
+that the linear Calabi-Yau pipeline reads too, one ring product per degree.
+On P^n, sigma = () and u_d = 1, so phi_d is built with no ring product.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _require_absolute(model: CIModel) -> None:
 @lru_cache(maxsize=None)
 def _euler_sigma(n: int, base_cutoff: int) -> tuple[CohClass, ...]:
     """sigma_1..sigma_cutoff, with sigma(u) = 1 / sum_{j<=n+1} c_j*u^j, as classes
-    of the bundle's ring: the ``sigma`` of ``inverse_euler_factor``, () on P^n.
+    of the bundle's ring: the ``sigma`` of the unit factors (``_unit``), () on P^n.
 
     These are the Segre classes only when base_cutoff <= n + 1; above that,
     c_j for j > n + 1 is left out of the Euler class, so they differ.
@@ -295,12 +295,6 @@ def _numerator_list(degrees: tuple[int, ...], d: int, top: int) -> tuple[int, Se
         coeffs = factor if coeffs is None else _cut_product(coeffs, factor, top)
         degree += d * l + 1
     return degree, [1] if coeffs is None else coeffs
-
-
-def phi_numerator(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
-    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t), the numerator of phi_d: one form
-    (``_numerator_list``, cut at h^{n + base_cutoff}), built with no ring product."""
-    return LaurentPoly._form(spec, *_numerator_list(degrees, d, spec.n + spec.base_cutoff))
 
 
 def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentPoly:
@@ -376,18 +370,6 @@ def linear_power_sum(
     return LaurentPoly._new(spec, *_lowest(num, sign * den * sigma_den * basis.tail_den))
 
 
-def inverse_euler_factor(spec: RingSpec, sigma: tuple[CohClass, ...], k: int) -> LaurentPoly:
-    """1 / sum_j c_j * (h + k*t)^{n+1-j}, the inverse of ``euler_class``'s degree-k factor.
-
-    With x = h + k*t that factor is x^{n+1} * c(1/x), c(u) = sum_{j<=n+1} c_j*u^j,
-    so its inverse is sum_i sigma_i * x^{-(n+1)-i} with sigma(u) = 1/c(u).
-    ``sigma`` is sigma_1, sigma_2, ... (sigma_0 = 1), empty on P^n; sigma_i has
-    base degree i, so callers stop it at base_cutoff.  The sum is built in one
-    pass by ``linear_power_sum``.
-    """
-    return linear_power_sum(spec, sigma, k, -(spec.n + 1))
-
-
 # A cold chain caches every _CHAIN_STEP-th degree bottom-up first, so it
 # recurses at most _CHAIN_STEP degrees deep, whatever d is.
 _CHAIN_STEP = 64
@@ -396,46 +378,61 @@ _CHAIN_STEP = 64
 def _chain_below(cached, key, d: int):
     """``cached(key, d - 1)`` for a cache ``cached`` whose degree-d value is built
     from its degree-(d-1) one, after caching every _CHAIN_STEP-th degree below it;
-    ``key`` is the model, or n for P^n's inverse Euler class."""
+    ``key`` is the model, or (n, top) or (n, base_cutoff) for a shared chain."""
     for lower in range(_CHAIN_STEP, d - 1, _CHAIN_STEP):
         cached(key, lower)
     return cached(key, d - 1)
 
 
 @lru_cache(maxsize=None)
-def _pn_inverse_euler(n: int, d: int) -> tuple[int, tuple[int, ...], int]:
-    """prod_{k=1}^d (h + k*t)^{-(n+1)} on P^n, d >= 1, as (its degree, coefficients
-    of h^0..h^n, positive denominator), in lowest terms.
+def _pn_inverse_euler(key: tuple[int, int], d: int) -> tuple[int, tuple[int, ...], int]:
+    """prod_{k=1}^d (h + k*t)^{-(n+1)}, d >= 1, for key = (n, top), as (its degree,
+    coefficients of h^0..h^top, positive denominator), in lowest terms.
 
     The degree-d list is the degree-(d-1) one times ``_linear_power_list`` at
-    k = d, one product of int polynomials cut at h^n, reduced by one gcd.
+    k = d, one product of int polynomials cut at h^top, reduced by one gcd.
     """
-    degree, coeffs, den = -(n + 1), *_linear_power_list(d, -(n + 1), n)
+    n, top = key
+    degree, coeffs, den = -(n + 1), *_linear_power_list(d, -(n + 1), top)
     if d > 1:
-        low_degree, low, low_den = _chain_below(_pn_inverse_euler, n, d)
-        degree, coeffs, den = degree + low_degree, _cut_product(low, coeffs, n), den * low_den
+        low_degree, low, low_den = _chain_below(_pn_inverse_euler, key, d)
+        degree, coeffs, den = degree + low_degree, _cut_product(low, coeffs, top), den * low_den
     g = gcd(den, *coeffs)
     return degree, tuple(c // g for c in coeffs), den // g
 
 
 @lru_cache(maxsize=None)
 def _phi_list(model: CIModel, d: int) -> tuple[int, Sequence[int], int]:
-    """phi_d of a model in P^n (base cutoff 0) as (its degree, coefficients of
-    h^0..h^n, positive denominator): the numerator's list times the inverse
-    Euler class's.  Cached: callers must not mutate."""
+    """The numerator of phi_d times prod_{k<=d} (h + k*t)^{-(n+1)} as (its degree,
+    coefficients of h^0..h^top, positive denominator), top = n + base_cutoff:
+    phi_d itself on P^n.  Cached: callers must not mutate."""
     n = model.n
-    degree, coeffs = _numerator_list(model.degrees, d, n)
+    top = n + model.base_cutoff
+    degree, coeffs = _numerator_list(model.degrees, d, top)
     if not d:
         return degree, coeffs, 1
-    low_degree, inverse, den = _pn_inverse_euler(n, d)
-    return degree + low_degree, _cut_product(coeffs, inverse, n), den
+    low_degree, inverse, den = _pn_inverse_euler((n, top), d)
+    return degree + low_degree, _cut_product(coeffs, inverse, top), den
 
 
 @lru_cache(maxsize=None)
-def _section_free(n: int, base_cutoff: int) -> CIModel:
-    """P^n, or the P^n-bundle with this cutoff, built once: the model whose phi is
-    the inverse Euler class of every model over it."""
-    return CIModel(n, base_cutoff=base_cutoff)
+def _unit(key: tuple[int, int], e: int) -> LaurentPoly:
+    """u_e = prod_{k=1}^e f_k for key = (n, base_cutoff): the inverse Euler class
+    with prod_k (h + k*t)^{-(n+1)} factored off.
+
+    The degree-k Euler factor is x^{n+1} * c(1/x) with x = h + k*t, so its
+    inverse is x^{-(n+1)} * f_k, f_k = 1/c(1/x) = sum_i sigma_i * x^{-i}:
+    ``linear_power_sum`` at p = 0 with the bundle's sigma.  u_0 = 1, and u_e is
+    the cached u_{e-1} times f_e, one ring product per degree, filled
+    bottom-up through ``_chain_below``.  On P^n every f_k is 1.
+    """
+    n, cutoff = key
+    sigma = _euler_sigma(n, cutoff)
+    spec = sigma[0].spec if sigma else RingSpec.absolute(n)  # the ring sigma lives in
+    if e == 0:
+        return LaurentPoly.one(spec)
+    factor = linear_power_sum(spec, sigma, e, 0)
+    return factor if e == 1 else _chain_below(_unit, key, e) * factor
 
 
 @lru_cache(maxsize=None)
@@ -444,26 +441,13 @@ def phi(model: CIModel, d: int) -> LaurentPoly:
     over the Euler class, expanded in c(V) on a bundle.
 
     For d = 0 the products are empty apart from the k = 0 factors, leaving
-    (prod l_i) * h^m, the class of the complete intersection itself.  On P^n
-    phi_d is one form, built from int coefficient lists (``_phi_list``) with
-    no ring product.  On a bundle the denominator's inverse is the cached phi
-    of the section-free model (same n and cutoff), built degree by degree:
-    phi(ambient, d - 1) times ``inverse_euler_factor`` at k = d, one ring
-    product; there sigma != 1, so it is not a form.
+    (prod l_i) * h^m, the class of the complete intersection itself.  phi_d
+    is one form built from int coefficient lists (``_phi_list``), times the
+    unit factor u_d (``_unit``) on a bundle, where sigma != 1: one ring
+    product.  On P^n it is the form alone, built with no ring product.
     """
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    if not model.base_cutoff:
-        return LaurentPoly._form(model.spec, *_phi_list(model, d))
-    if model.degrees:
-        numerator = phi_numerator(model.spec, model.degrees, d)
-        if d == 0:
-            return numerator
-        return numerator * phi(_section_free(model.n, model.base_cutoff), d)
-    if d == 0:
-        return LaurentPoly.one(model.spec)
-    factor = inverse_euler_factor(model.spec, _euler_sigma(model.n, model.base_cutoff), d)
-    return factor if d == 1 else _chain_below(phi, model, d) * factor
+    form = LaurentPoly._form(model.spec, *_phi_list(model, d))
+    return form * _unit((model.n, model.base_cutoff), d) if model.base_cutoff else form
 
 
 @lru_cache(maxsize=None)

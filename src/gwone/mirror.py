@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, TypeVar
 
-from .calabi_yau import LambdaForm, _chain_sums, _lambdas_and_correlators, cy_correlator
+from .calabi_yau import LambdaForm, _chain_sums, _lambdas_and_correlators, _table, cy_correlator
 from .correlators import CIModel, phi
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec
@@ -145,7 +145,9 @@ def verify_mirror_identity(
     """Check Sigma(q) = exp((h/t) f + g) * Phi(q e^{f}) exactly mod q^{order+1}.
 
     Both the series identity and its per-degree comb form are evaluated; a
-    degree fails if either disagrees with the correlator series.
+    degree fails if either disagrees with the correlator series.  The
+    comb-term table is emptied once the correlators are summed, also on an
+    error, whether or not ``lambdas`` is given.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
@@ -153,7 +155,10 @@ def verify_mirror_identity(
     if lambdas is None:
         lambdas, correlators = _lambdas_and_correlators(model, order)
     else:
-        correlators = {d: cy_correlator(model, d, lambdas) for d in range(order + 1)}
+        try:
+            correlators = {d: cy_correlator(model, d, lambdas) for d in range(order + 1)}
+        finally:
+            _table.clear()
     sigma = QSeries(spec, order, correlators)
     phi_series = QSeries(spec, order, {d: phi(model, d) for d in range(order + 1)})
     mirror = mirror_coefficients(lambdas, order)

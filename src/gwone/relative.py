@@ -14,8 +14,8 @@ for lines, and the linear Calabi-Yau pipeline where every lambda is -(1/e)(t + s
 No product of linear forms is multiplied out here either.  For the linear
 Calabi-Yau, phi_e's numerator prod_{k=0}^e (h + k*t)^{n+1} cancels the
 (h + k*t)^{n+1} of each degree-k Euler factor, so phi_e = h^{n+1} * u_e with
-u_e a chain of one ``correlators.linear_power_sum`` factor per degree, and
-the linear-CY pipeline builds no numerator and no inverse Euler class.  The Schubert term
+u_e the chain of unit factors ``correlators._unit`` that ``phi`` multiplies
+by too, and the linear-CY pipeline builds no numerator.  The Schubert term
 is one ``linear_power_sum`` per monomial of the Schubert polynomial.
 """
 
@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .correlators import CIModel, _chain_below, _euler_sigma, euler_class, linear_power_sum
-from .correlators import phi, relative_ring  # relative_ring is public here too
+from .correlators import CIModel, _chain_below, _euler_sigma, _unit, euler_class
+from .correlators import linear_power_sum, phi, relative_ring  # relative_ring is public here too
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec
 from .series import QSeries
@@ -96,7 +96,7 @@ def relative_schubert_leading(
     sigma(h, h+t) / prod_j (h + alpha_j + t).
 
     With 1 / prod_j (h + alpha_j + t) = sum_l sigma_l * (h + t)^{-(n+1)-l}
-    (``inverse_euler_factor`` at k = 1), the term for c * q_1^i * q_2^j is
+    (the bundle's degree-1 ``phi``), the term for c * q_1^i * q_2^j is
     c * sum_l sigma_l * h^i * (h + t)^{j-(n+1)-l}, one ``linear_power_sum``
     with no ring product; ``SchubertInput.evaluate`` times the bundle's
     ``phi`` at degree 1 is the test oracle.  With ``t_exp`` given,
@@ -164,28 +164,6 @@ def linear_cy_lambda(model: CIModel, e: int) -> tuple[Fraction, CohClass]:
     return Fraction(-1, e), model.segre_class(1) * Fraction(-1, e)
 
 
-@lru_cache(maxsize=None)
-def _unit(model: CIModel, e: int) -> LaurentPoly:
-    """u_e = prod_{k=1}^e f_k: phi_e of the linear Calabi-Yau with the class h^{n+1}
-    factored off.
-
-    phi_e's numerator is prod_{k=0}^e (h + k*t)^{n+1}, and its degree-k Euler factor
-    is x^{n+1} * c(1/x) with x = h + k*t.  The numerator's k = 0 factor is h^{n+1},
-    and each k >= 1 factor cancels that x^{n+1}, leaving f_k = 1/c(1/x) =
-    sum_i sigma_i * x^{-i}, ``linear_power_sum`` at p = 0 with the bundle's sigma.
-    So phi_e = h^{n+1} * u_e exactly, and u_0 = 1.  u_e is the cached u_{e-1}
-    times f_e, one ring product per degree, filled bottom-up through
-    ``_chain_below`` as ``_multiplier`` is.  Cached per (model, e).
-    """
-    spec = model.spec
-    if e == 0:
-        return LaurentPoly.one(spec)
-    factor = linear_power_sum(spec, _euler_sigma(model.n, model.base_cutoff), e, 0)
-    if e == 1:
-        return factor
-    return _chain_below(_unit, model, e) * factor
-
-
 def derive_linear_cy_lambdas(
     model: CIModel, max_degree: int
 ) -> list[tuple[Fraction, CohClass]]:
@@ -213,7 +191,8 @@ def derive_linear_cy_lambdas(
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     spec = model.spec
-    u = [_unit(model, e).above(-1) for e in range(max_degree + 1)]
+    key = (model.n, model.base_cutoff)
+    u = [_unit(key, e).above(-1) for e in range(max_degree + 1)]
     exp_coeffs = [LaurentPoly.one(spec)]  # E_0..E_{e-1}
     weighted: list[LaurentPoly] = []  # j*L_j at index j - 1
     out: list[tuple[Fraction, CohClass]] = []
@@ -257,9 +236,10 @@ def _multiplier(model: CIModel, k: int) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def _unit_phi(model: CIModel, e: int) -> LaurentPoly:
     """phi_e of the linear Calabi-Yau as h^{n+1} * u_e (``_unit``): one product by
-    the class h^{n+1}, with no numerator and no inverse Euler class.  Equal to
-    ``phi(model, e)``.  Cached per (model, e)."""
-    return _unit(model, e) * CohClass.h_power(model.spec, model.n + 1)
+    the class h^{n+1}, with no numerator.  Equal to ``phi(model, e)``, which
+    would also build the numerator's form and multiply by it.  Cached per
+    (model, e)."""
+    return _unit((model.n, model.base_cutoff), e) * CohClass.h_power(model.spec, model.n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +260,7 @@ def linear_cy_series(model: CIModel, order: int) -> QSeries:
     in every positive q-degree.  Its coefficients are the model's cached
     ``_series_coefficient``s, shared by every truncation, over phi_e =
     h^{n+1} * u_e from the chain of unit factors (``_unit_phi``), so the
-    series calls neither ``phi`` nor the bundle's inverse Euler class.
+    series does not call ``phi``.
     """
     if not model.is_linear_cy:
         raise ValueError("model is not a linear Calabi-Yau")

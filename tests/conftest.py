@@ -8,7 +8,7 @@ so a slow example says nothing about correctness.
 
 ``--hypothesis-profile=kernel`` is the deeper pass over the ring kernel, the
 comb terms, the closed forms of phi, the one-pass relative forms (the joined
-numerator, ``linear_power_sum`` behind the inverse Euler factors and the
+numerator, ``linear_power_sum`` behind the unit factors and the
 Schubert term, one row of ``linear_power_sum`` against the full sum's row,
 the linear-CY chain of unit factors and phi_e = h^{n+1} * u_e),
 ``LaurentPoly.above`` against the polynomial's items, the linear-CY

@@ -1,6 +1,6 @@
 """The closed-form products of phi against the linear-factor products they replaced.
 
-The oracles below are the former ``correlators.phi_numerator`` and
+The oracles below are the former numerator of phi and
 ``correlators.euler_class``: every linear form is built by
 ``LaurentPoly.linear`` and multiplied in one ring product at a time, and
 each power (h + k*t)^p, ``LaurentPoly.linear_power`` in closed form, is p
@@ -14,18 +14,18 @@ are checked against ``LaurentPoly.inverse`` and against the Euler classes they
 invert.
 
 The one-pass builds of relative mode are checked against the ring-product
-chains they replaced: ``phi_numerator`` against each factor's closed form
-joined by ring products; ``linear_power_sum`` (behind
-``inverse_euler_factor`` and ``relative_schubert_leading``) against the sum
+chains they replaced: the numerator's one form (``_numerator_list``) against
+each factor's closed form joined by ring products; ``linear_power_sum``
+(behind the unit factors and ``relative_schubert_leading``) against the sum
 of ``LaurentPoly.linear_power`` times each sigma_l, and one row of it (the
 ``t_exp`` that ``porteous_lines`` asks for) against the full sum's row, on
-rows inside and outside its support; the linear Calabi-Yau's chain of unit
-factors ``relative._unit`` against prod_{k<=e} (h+kt)^{n+1}, one
+rows inside and outside its support; each inverse Euler factor, as
+(h + k*t)^{-(n+1)} times its unit factor, against that sum; the chain of unit
+factors ``correlators._unit`` against prod_{k<=e} (h+kt)^{n+1}, one
 ``linear_power`` product per degree, times the bundle's phi, and h^{n+1}
-times each unit against ``relative_phi``, the numerator times the bundle's
-inverse Euler class, for every n <= 4, cutoff <= 7 and degree <= 7; and the
-Schubert term against ``SchubertInput.evaluate`` times the bundle's degree-1
-phi.  Each runs over the shared ``strategies.SPECS`` and random bundles with
+times each unit against the linear Calabi-Yau's ``relative_phi`` for every
+n <= 4, cutoff <= 7 and degree <= 7; and the Schubert term against
+``SchubertInput.evaluate`` times the bundle's degree-1 phi.  Each runs over the shared ``strategies.SPECS`` and random bundles with
 n <= 4 and base cutoff <= 8.
 
 The linear-CY recurrences are checked against the series algebra they
@@ -43,7 +43,7 @@ phi_e = h^{n+1} * u_e made once.
 ``fano_index1_correlator``, one pass over the cached phi's numerators, is
 checked against the per-term route it replaced (``shift_t``, a ``Fraction``
 scalar product per term, ``LaurentPoly.sum``) on every index-one model with
-n <= 6 and d <= 4, and the cached Stirling rows behind ``phi_numerator``
+n <= 6 and d <= 4, and the cached Stirling rows behind ``_numerator_list``
 against prod_{k=0}^{D} (x + k) built one linear factor at a time, requested
 in random order from a cold cache.
 """
@@ -59,24 +59,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gwone import relative
+from gwone import correlators, relative
 from gwone.correlators import (
+    _numerator_list,
     _stirling_row,
+    _unit,
     classify,
     degree_vectors,
     euler_class,
     fano_index1_correlator,
-    inverse_euler_factor,
     linear_power_sum,
     phi,
-    phi_numerator,
 )
 from gwone.laurent import LaurentPoly
 from gwone.relative import (
     RelativeModel,
     SchubertInput,
     _euler_sigma,
-    _unit,
     derive_linear_cy_lambdas,
     linear_cy_model,
     linear_cy_pushforward,
@@ -125,8 +124,13 @@ def euler_oracle(spec: RingSpec, chern, d: int) -> LaurentPoly:
     return out
 
 
+def numerator_form(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
+    """The numerator of phi as the one form phi builds it from, cut at h^{n + cutoff}."""
+    return LaurentPoly._form(spec, *_numerator_list(degrees, d, spec.n + spec.base_cutoff))
+
+
 def per_factor_numerator_oracle(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
-    """The former ``phi_numerator``: each factor prod_{k=0}^{d*l} (l*h + k*t) one
+    """The former numerator of phi: each factor prod_{k=0}^{d*l} (l*h + k*t) one
     form from its Stirling row, the factors joined by ring products."""
     top = spec.n + spec.base_cutoff
     out = LaurentPoly.one(spec)
@@ -163,7 +167,7 @@ def unit_factors_oracle(model: RelativeModel, order: int) -> list[LaurentPoly]:
 @given(spec_or_bundle, st.lists(st.integers(1, 4), max_size=3), st.integers(0, 3))
 def test_numerator_matches_its_factors_joined_by_ring_products(spec, degrees, d):
     degrees = tuple(degrees)
-    assert phi_numerator(spec, degrees, d) == per_factor_numerator_oracle(spec, degrees, d)
+    assert numerator_form(spec, degrees, d) == per_factor_numerator_oracle(spec, degrees, d)
 
 
 @given(spec_or_bundle, ks, st.integers(-6, 6), st.data())
@@ -201,32 +205,34 @@ def test_one_row_of_linear_power_sum_is_the_full_sums_row(spec, k, p, data):
 
 @given(bundles, ks)
 def test_inverse_euler_factor_matches_linear_powers_times_sigma(bundle, k):
-    spec, sigma = bundle.spec, _euler_sigma(bundle.n, bundle.base_cutoff)
+    # the factoring phi relies on: sum_l sigma_l * x^{-(n+1)-l} = x^{-(n+1)} * f_k,
+    # with f_k = sum_l sigma_l * x^{-l} the unit factor and x = h + k*t
+    spec, sigma, top = bundle.spec, _euler_sigma(bundle.n, bundle.base_cutoff), bundle.n + 1
     if not k:
         with pytest.raises(NotInvertibleError, match="nilpotent"):
-            inverse_euler_factor(spec, sigma, k)
+            LaurentPoly.linear_power(spec, k, -top)
         return
-    expected = linear_power_sum_oracle(spec, sigma, k, -(bundle.n + 1))
-    assert inverse_euler_factor(spec, sigma, k) == expected
+    expected = linear_power_sum_oracle(spec, sigma, k, -top)
+    assert LaurentPoly.linear_power(spec, k, -top) * linear_power_sum(spec, sigma, k, 0) == expected
 
 
 @given(bundles, st.integers(0, 5))
 def test_unit_factors_match_the_linear_power_products(bundle, order):
     # the whole chain of unit factors, every row, from cold caches
-    relative._unit.cache_clear()
-    model = linear_cy_model(bundle.n, bundle.base_cutoff)
-    assert [_unit(model, e) for e in range(order + 1)] == unit_factors_oracle(bundle, order)
+    correlators._unit.cache_clear()
+    key = (bundle.n, bundle.base_cutoff)
+    assert [_unit(key, e) for e in range(order + 1)] == unit_factors_oracle(bundle, order)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_h_power_times_the_unit_is_the_linear_cy_phi(n):
-    # phi_e = h^{n+1} * u_e, against the numerator times the bundle's inverse Euler
-    # class, for every cutoff 0..7 and degree 0..7
+    # phi_e = h^{n+1} * u_e, against phi's numerator form times the inverse of
+    # prod_k (h + k*t)^{n+1} times u_e, for every cutoff 0..7 and degree 0..7
     for cutoff in range(8):
         model = linear_cy_model(n, cutoff)
         top = CohClass.h_power(model.spec, n + 1)
         for e in range(8):
-            assert _unit(model, e) * top == relative_phi(model, e), (cutoff, e)
+            assert _unit((n, cutoff), e) * top == relative_phi(model, e), (cutoff, e)
 
 
 @st.composite
@@ -250,13 +256,13 @@ def test_schubert_leading_matches_evaluate_times_the_inverse_euler_class(bundle,
 def test_numerator_factor_matches_linear_products(spec, l, data):
     # one factor prod_{k=0}^{D} (l*h + k*t) for D = d*l in 0..24
     d = data.draw(st.integers(0, 24 // l), label="d")
-    assert phi_numerator(spec, (l,), d) == numerator_oracle(spec, (l,), d)
+    assert numerator_form(spec, (l,), d) == numerator_oracle(spec, (l,), d)
 
 
 @given(st.sampled_from(FORM_SPECS), st.lists(st.integers(1, 6), max_size=3), st.integers(0, 3))
 def test_numerator_matches_linear_products(spec, degrees, d):
     degrees = tuple(degrees)
-    assert phi_numerator(spec, degrees, d) == numerator_oracle(spec, degrees, d)
+    assert numerator_form(spec, degrees, d) == numerator_oracle(spec, degrees, d)
 
 
 @given(st.sampled_from(FORM_SPECS), st.data(), st.integers(0, 4))
@@ -308,7 +314,7 @@ def test_section_free_relative_phi_inverts_the_euler_class(n, cutoff, d):
 @pytest.mark.parametrize("spec", FORM_SPECS, ids=str)
 def test_negative_degree_is_rejected(spec):
     with pytest.raises(ValueError, match="degree must be >= 0"):
-        phi_numerator(spec, (1, 2), -1)
+        numerator_form(spec, (1, 2), -1)
     with pytest.raises(ValueError, match="degree must be >= 0"):
         euler_class(spec, (), -1)
 
@@ -371,7 +377,7 @@ def clear_series_caches() -> None:
     relative._series_coefficient.cache_clear()
     relative._multiplier.cache_clear()
     relative._unit_phi.cache_clear()
-    relative._unit.cache_clear()
+    correlators._unit.cache_clear()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

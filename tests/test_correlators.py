@@ -16,11 +16,12 @@ from gwone.correlators import (
     fano_index1_correlator,
     one_point_invariant,
     phi,
-    phi_numerator,
     pn_one_point,
 )
 from gwone.laurent import LaurentPoly
 from gwone.rings import CohClass, RingSpec
+
+from test_closed_forms import numerator_oracle
 
 QUINTIC = classify(4, (5,))
 
@@ -261,42 +262,37 @@ def test_phi_matches_numerator_over_euler_inverse(n):
         inverses[d] = euler.inverse()
     for model in (classify(n, l) for l in degree_vectors(n + 1)):
         for d in range(6):
-            numerator = phi_numerator(spec, model.degrees, d)
+            numerator = numerator_oracle(spec, model.degrees, d)
             expected = numerator if d == 0 else numerator * inverses[d]
             assert phi(model, d) == expected, (model, d)
 
 
 def _clear_phi_caches():
-    for cache in (phi, correlators._phi_list, correlators._pn_inverse_euler):
+    for cache in (phi, correlators._phi_list, correlators._pn_inverse_euler, correlators._unit):
         cache.cache_clear()
 
 
 def test_fano_phis_invert_each_euler_class_once(monkeypatch):
     # phi_1..phi_3 of all Fano models in P^1..P^6 share one inverse Euler class
     # per (n, d), each one chain step from the degree below, with no Laurent
-    # inverse and no inverse Euler factor
+    # inverse and no unit factor
     _clear_phi_caches()
-    inverses = factors = 0
-    inverse, factor = LaurentPoly.inverse, correlators.inverse_euler_factor
+    inverses = 0
+    inverse = LaurentPoly.inverse
 
     def counting_inverse(self):
         nonlocal inverses
         inverses += 1
         return inverse(self)
 
-    def counting_factor(*args):
-        nonlocal factors
-        factors += 1
-        return factor(*args)
-
     monkeypatch.setattr(LaurentPoly, "inverse", counting_inverse)
-    monkeypatch.setattr(correlators, "inverse_euler_factor", counting_factor)
     for n in range(1, 7):
         for degrees in degree_vectors(n):
             for d in range(1, 4):
                 phi(classify(n, degrees), d)
     steps = correlators._pn_inverse_euler.cache_info().misses
-    assert (inverses, factors, steps) == (0, 0, 18)
+    units = correlators._unit.cache_info().misses
+    assert (inverses, units, steps) == (0, 0, 18)
 
 
 def test_absolute_phis_and_fano_correlators_make_no_ring_product(monkeypatch):

@@ -246,7 +246,17 @@ def test_verifying_a_solved_table_costs_no_more_products_than_the_verifier_alone
     del calls[:]
     assert verify_mirror_identity(model, 7, lambdas).holds
     assert len(calls) <= alone
-    calabi_yau._table.clear()
+
+
+def test_verifier_given_a_table_empties_the_comb_terms():
+    # it held 247 terms for (3,3) to q^7; emptied on an error too (lambda_8 missing)
+    model = classify(5, (3, 3))
+    lambdas = solve_lambdas_up_to(model, 7)
+    assert verify_mirror_identity(model, 7, lambdas).holds
+    assert (calabi_yau._table.model, calabi_yau._table.terms) == (None, {})
+    with pytest.raises(ValueError, match="missing lambda for tooth degree 8"):
+        verify_mirror_identity(model, 8, lambdas)
+    assert (calabi_yau._table.model, calabi_yau._table.terms) == (None, {})
 
 
 def test_mirror_comb_correlator_names_both_orders_when_the_data_are_short():

@@ -6,7 +6,7 @@ import pytest
 
 import gwone
 from gwone import correlators, relative
-from gwone.correlators import classify, phi, phi_numerator, pn_one_point
+from gwone.correlators import classify, phi, pn_one_point
 from gwone.laurent import LaurentPoly
 from gwone.relative import (
     RelativeModel,
@@ -26,6 +26,8 @@ from gwone.relative import (
 )
 from gwone.rings import CohClass, RingSpec
 from gwone.series import QSeries
+
+from test_closed_forms import numerator_oracle
 
 
 def harmonic(d):
@@ -135,13 +137,14 @@ def test_a_bundle_model_from_a_list_of_degrees_is_the_model_from_the_tuple():
         RelativeModel(n=2, base_cutoff=3, degrees=()),
         # base_cutoff > n + 1: sigma_4 is not the Segre class s_4
         RelativeModel(n=2, base_cutoff=6, degrees=()),
+        RelativeModel(n=3, base_cutoff=5, degrees=(2, 3)),
     ],
-    ids=["linear-cy", "porteous", "quadric", "trivial-bundle", "section-free", "deep-base"],
+    ids=["linear-cy", "porteous", "quadric", "trivial-bundle", "section-free", "deep-base", "two-three"],
 )
 def test_relative_phi_matches_numerator_over_euler_inverse(model):
     # oracle: each model inverts its own Euler class, with no bundle sharing
     for d in range(7):
-        numerator = phi_numerator(model.spec, model.degrees, d)
+        numerator = numerator_oracle(model.spec, model.degrees, d)
         expected = numerator if d == 0 else numerator * relative_euler(model, d).inverse()
         assert relative_phi(model, d) == expected, d
 
@@ -149,40 +152,53 @@ def test_relative_phi_matches_numerator_over_euler_inverse(model):
 def test_linear_cy_pipeline_inverts_each_euler_class_once(monkeypatch):
     # the bundle's Euler factors E_1..E_4 enter only through the unit factors
     # f_k = (h + k*t)^{n+1} / E_k, each built once in closed form and shared by both
-    # routes: no Laurent inverse, no inverse Euler factor and no relative_phi
+    # routes: no Laurent inverse, no int list of prod_k (h + k*t)^{-(n+1)} and no phi
     model = linear_cy_model(2, 4)
     relative_phi.cache_clear()
     relative_euler.cache_clear()
     relative._series_coefficient.cache_clear()
     relative._multiplier.cache_clear()
     relative._unit_phi.cache_clear()
-    relative._unit.cache_clear()
-    inverses, euler_factors, unit_degrees = 0, 0, []
-    inverse, euler_factor, power_sum = (
-        LaurentPoly.inverse, correlators.inverse_euler_factor, relative.linear_power_sum
-    )
+    phi.cache_clear()
+    correlators._unit.cache_clear()
+    correlators._pn_inverse_euler.cache_clear()
+    inverses, unit_degrees = 0, []
+    inverse, power_sum = LaurentPoly.inverse, correlators.linear_power_sum
 
     def counting_inverse(self):
         nonlocal inverses
         inverses += 1
         return inverse(self)
 
-    def counting_euler_factor(*args):
-        nonlocal euler_factors
-        euler_factors += 1
-        return euler_factor(*args)
-
     def recording_power_sum(spec, sigma, k, p, *rest):
         unit_degrees.append(k)
         return power_sum(spec, sigma, k, p, *rest)
 
     monkeypatch.setattr(LaurentPoly, "inverse", counting_inverse)
-    monkeypatch.setattr(correlators, "inverse_euler_factor", counting_euler_factor)
-    monkeypatch.setattr(relative, "linear_power_sum", recording_power_sum)
+    monkeypatch.setattr(correlators, "linear_power_sum", recording_power_sum)
     derive_linear_cy_lambdas(model, 4)
     linear_cy_series(model, 4)
-    assert (inverses, euler_factors, sorted(unit_degrees)) == (0, 0, [1, 2, 3, 4])
-    assert relative_phi.cache_info().currsize == 0
+    pn_inverse_lists = correlators._pn_inverse_euler.cache_info().currsize
+    assert (inverses, pn_inverse_lists, sorted(unit_degrees)) == (0, 0, [1, 2, 3, 4])
+    assert relative_phi.cache_info().currsize == phi.cache_info().currsize == 0
+
+
+def test_cold_bundle_phi_calls_phi_once(monkeypatch):
+    # phi is one body: a bundle's phi reads its int form and the unit chain, never
+    # the phi of another model or of a lower degree
+    original = correlators.phi
+    for bundle in (RelativeModel(n=3, base_cutoff=5, degrees=(2, 3)), RelativeModel(n=2, base_cutoff=4)):
+        for cache in (original, correlators._phi_list, correlators._pn_inverse_euler, correlators._unit):
+            cache.cache_clear()
+        calls = []
+
+        def counting_phi(model, d):
+            calls.append((model, d))
+            return original(model, d)
+
+        monkeypatch.setattr(correlators, "phi", counting_phi)
+        correlators.phi(bundle, 5)
+        assert calls == [(bundle, 5)]
 
 
 def test_section_free_phi_rejects_a_negative_degree():
@@ -192,9 +208,10 @@ def test_section_free_phi_rejects_a_negative_degree():
 
 
 def test_section_free_phi_chain_is_not_one_recursion_per_degree():
-    # cold caches: the chain from degree d - 1 must not recurse d levels deep
+    # cold caches: the chains from degree d - 1 must not recurse d levels deep
     relative_phi.cache_clear()
-    phi.cache_clear()  # relative_phi is phi, whose cache holds the chain
+    for cache in (phi, correlators._unit, correlators._pn_inverse_euler, correlators._phi_list):
+        cache.cache_clear()
     bundle = RelativeModel(n=1, base_cutoff=1)
     top = relative_phi(bundle, 2000)
     assert top.t_max() == -4000
