@@ -186,17 +186,17 @@ def test_linear_cy_pipeline_inverts_each_euler_class_once(monkeypatch):
 def test_cold_bundle_phi_calls_phi_once(monkeypatch):
     # phi is one body: a bundle's phi reads its int form and the unit chain, never
     # the phi of another model or of a lower degree
-    original = correlators.phi
+    original, calls = correlators.phi, []
+
+    def counting_phi(model, d):
+        calls.append((model, d))
+        return original(model, d)
+
+    monkeypatch.setattr(correlators, "phi", counting_phi)
     for bundle in (RelativeModel(n=3, base_cutoff=5, degrees=(2, 3)), RelativeModel(n=2, base_cutoff=4)):
         for cache in (original, correlators._phi_list, correlators._pn_inverse_euler, correlators._unit):
             cache.cache_clear()
-        calls = []
-
-        def counting_phi(model, d):
-            calls.append((model, d))
-            return original(model, d)
-
-        monkeypatch.setattr(correlators, "phi", counting_phi)
+        calls.clear()
         correlators.phi(bundle, 5)
         assert calls == [(bundle, 5)]
 
