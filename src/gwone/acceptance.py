@@ -8,7 +8,6 @@ zero.  Randomized criteria use a fixed seed so runs are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -41,7 +40,7 @@ from .relative import (
     porteous_expected,
     porteous_lines,
 )
-from .rings import CohClass, RingSpec
+from .rings import CohClass, RingSpec, _Record, _setfield
 from .series import QSeries
 
 DEFAULT_SEED = 20240801
@@ -70,12 +69,18 @@ IMMERSED_COUNTS = {
 CY_MODELS = (classify(4, (5,)), classify(5, (3, 3)), classify(5, (2, 4)))
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(_Record):
+    _fields = ("number", "name", "passed", "detail")
     number: int
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str = "") -> None:
+        _setfield(self, "number", number)
+        _setfield(self, "name", name)
+        _setfield(self, "passed", passed)
+        _setfield(self, "detail", detail)
 
 
 # -- criteria ---------------------------------------------------------------

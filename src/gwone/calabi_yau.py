@@ -28,7 +28,6 @@ that solves its own lambda table empties the table when it returns.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import pairwise
@@ -48,7 +47,7 @@ from .correlators import (
     phi,
 )
 from .laurent import LaurentPoly
-from .rings import CohClass, RingSpec
+from .rings import CohClass, RingSpec, _Record, _setfield
 
 
 V = TypeVar("V")
@@ -58,18 +57,19 @@ class LambdaShapeError(ValueError):
     """An error coefficient did not have the pure-monomial shape required."""
 
 
-@dataclass(frozen=True)
-class Comb:
+class Comb(_Record):
     """Endpoints 0 <= d_1 < ... < d_{r+1} = d of a boundary stratum."""
 
+    _fields = ("endpoints",)
     endpoints: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.endpoints:
+    def __init__(self, endpoints: tuple[int, ...]) -> None:
+        _setfield(self, "endpoints", endpoints)
+        if not endpoints:
             raise ValueError("a comb needs at least one endpoint")
-        if self.endpoints[0] < 0:
+        if endpoints[0] < 0:
             raise ValueError("endpoints must be >= 0")
-        if any(a >= b for a, b in pairwise(self.endpoints)):
+        if any(a >= b for a, b in pairwise(endpoints)):
             raise ValueError("endpoints must be strictly increasing")
 
     @property
@@ -128,16 +128,18 @@ def _chain_sums(order: int, weight: Callable[[int, int], V]) -> dict[int, V]:
     }
 
 
-@dataclass(frozen=True)
-class LambdaForm:
+class LambdaForm(_Record):
     """The linear form alpha*h + beta*t solved at one degree."""
 
+    _fields = ("alpha", "beta")
     alpha: Fraction
     beta: Fraction
-    # (spec, position, count) -> the tooth form; not part of the value.
-    _teeth: dict[tuple[RingSpec, int, int], LaurentPoly] = field(
-        default_factory=dict, init=False, repr=False, hash=False, compare=False
-    )
+
+    def __init__(self, alpha: Fraction, beta: Fraction) -> None:
+        _setfield(self, "alpha", alpha)
+        _setfield(self, "beta", beta)
+        # (spec, position, count) -> the tooth form; not part of the value.
+        _setfield(self, "_teeth", {})
 
     def tooth(self, spec: RingSpec, position: int, count: int) -> LaurentPoly:
         """The form at (h + position*t, t) over count*t, built once per (spec, position, count)."""
@@ -403,27 +405,40 @@ def aspinwall_morrison(physical_counts: Mapping[int, Fraction]) -> dict[int, Fra
     return out
 
 
-@dataclass(frozen=True)
-class CyRow:
+class CyRow(_Record):
     """One degree of the Calabi-Yau pipeline for a threefold model."""
 
+    _fields = ("degree", "lam", "n_d", "m_d")
     degree: int
     lam: LambdaForm
     n_d: Fraction
     m_d: Fraction
+
+    def __init__(self, degree: int, lam: LambdaForm, n_d: Fraction, m_d: Fraction) -> None:
+        _setfield(self, "degree", degree)
+        _setfield(self, "lam", lam)
+        _setfield(self, "n_d", n_d)
+        _setfield(self, "m_d", m_d)
 
     @property
     def physical_count(self) -> Fraction:
         return self.n_d / self.degree
 
 
-@dataclass(frozen=True)
-class QuinticReport:
+class QuinticReport(_Record):
     """Lambda table, invariants and immersed counts for a threefold model."""
 
+    _fields = ("model", "rows", "immersed_counts")
     model: CIModel
     rows: tuple[CyRow, ...]
     immersed_counts: dict[int, Fraction]
+
+    def __init__(
+        self, model: CIModel, rows: tuple[CyRow, ...], immersed_counts: dict[int, Fraction]
+    ) -> None:
+        _setfield(self, "model", model)
+        _setfield(self, "rows", rows)
+        _setfield(self, "immersed_counts", immersed_counts)
 
     def row(self, d: int) -> CyRow:
         if not 1 <= d <= len(self.rows):

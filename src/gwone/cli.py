@@ -10,13 +10,11 @@ its 2^d comb count to stderr.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from math import gcd
 from pathlib import Path
 
-from . import acceptance
 from .calabi_yau import _lambdas_and_correlators, correlator, quintic_report
 from .correlators import CIModel, Classification, classify, one_point_invariant, phi
 from .laurent import LaurentPoly
@@ -206,6 +204,8 @@ def cmd_relative_linear_cy(args) -> tuple[dict, str]:
 
 
 def cmd_selftest(args) -> tuple[dict, str]:
+    from . import acceptance  # here, not at import: only this command runs the criteria
+
     results = acceptance.run_all()
     fields = {
         "results": [
@@ -223,19 +223,20 @@ def cmd_selftest(args) -> tuple[dict, str]:
 # -- parser -----------------------------------------------------------------
 
 
-def _at_least(low: int):
-    """An argparse ``type``: an integer >= low, so out-of-range values exit 2."""
+def _build_parser():
+    import argparse  # here, not at import: importing gwone.cli for its serialisers parses nothing
 
-    def integer(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-        return int(text)
+    def at_least(low: int):
+        """An argparse ``type``: an integer >= low, so out-of-range values exit 2."""
 
-    return integer
+        def integer(text: str) -> int:
+            if int(text) < low:
+                raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+            return int(text)
 
+        return integer
 
-def _build_parser() -> argparse.ArgumentParser:
-    positive, natural = _at_least(1), _at_least(0)
+    positive, natural = at_least(1), at_least(0)
     text_or_json = argparse.ArgumentParser(add_help=False)
     text_or_json.add_argument("--format", choices=("text", "json"), default="text")
     output = argparse.ArgumentParser(add_help=False, parents=[text_or_json])

@@ -33,15 +33,14 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from typing import Sequence
 
 from .laurent import LaurentPoly, _linear_power_list
-from .rings import CohClass, Mono, NotInvertibleError, Numerators, RingSpec, _lowest
-from .rings import generator_mono, mono_mul
+from .rings import CohClass, Mono, NotInvertibleError, Numerators, RingSpec, _lowest, _Record
+from .rings import _setfield, generator_mono, mono_mul
 
 # A base polynomial with int coefficients: stripped monomial -> coefficient.
 IntPoly = dict[Mono, int]
@@ -126,26 +125,37 @@ def relative_ring(n: int, base_cutoff: int) -> RingSpec:
     return RingSpec.relative(n, generators, base_cutoff, rule)
 
 
-@dataclass(frozen=True)
-class CIModel:
+class CIModel(_Record):
     """A complete intersection of type ``degrees`` in P^n, or in a P^n-bundle over a
     formal base cut at the keyword-only ``base_cutoff`` (m = 0 is the ambient)."""
 
+    _fields = ("n", "degrees", "base_cutoff")
     n: int
-    degrees: tuple[int, ...] = ()
-    base_cutoff: int = field(default=0, kw_only=True)
+    degrees: tuple[int, ...]
+    base_cutoff: int
 
-    def __post_init__(self) -> None:
-        n = _integer(self.n, "ambient dimension")
-        cutoff = _integer(self.base_cutoff, "base cutoff")
+    def __init__(self, n: int, degrees: Sequence[int] = (), *, base_cutoff: int = 0) -> None:
+        n = _integer(n, "ambient dimension")
+        base_cutoff = _integer(base_cutoff, "base cutoff")
         if n < 1:
             raise ValueError("ambient dimension must be >= 1")
-        if cutoff < 0:
+        if base_cutoff < 0:
             raise ValueError("base cutoff must be >= 0")
-        if n is not self.n or cutoff is not self.base_cutoff:  # skipped for ints: a cheap build
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "base_cutoff", cutoff)
-        object.__setattr__(self, "degrees", _degree_tuple(self.degrees))
+        _setfield(self, "n", n)
+        _setfield(self, "degrees", _degree_tuple(degrees))
+        _setfield(self, "base_cutoff", base_cutoff)
+
+    # Written out, not the generic _Record methods: a model keys the phi, Euler-class
+    # and series caches, hashed on every lookup.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.degrees, self.base_cutoff) == (
+                other.n, other.degrees, other.base_cutoff
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.degrees, self.base_cutoff))
 
     @property
     def m(self) -> int:

@@ -17,14 +17,13 @@ enumerating the 2^d combs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, TypeVar
 
 from .calabi_yau import LambdaForm, _chain_sums, _lambdas_and_correlators, _table, cy_correlator
 from .correlators import CIModel, phi
 from .laurent import LaurentPoly
-from .rings import CohClass, RingSpec
+from .rings import CohClass, RingSpec, _Record, _setfield
 from .series import QSeries
 
 V = TypeVar("V")
@@ -62,13 +61,18 @@ def double_comb_series(x: Mapping[int, Fraction], y: Mapping[int, Fraction], ord
     return QSeries.from_scalars(RingSpec.absolute(0), order, {0: 1, **_chain_sums(order, weight)})
 
 
-@dataclass(frozen=True)
-class MirrorData:
+class MirrorData(_Record):
     """Mirror-map coefficients a_e, b_e for degrees 1..order."""
 
+    _fields = ("a", "b", "order")
     a: dict[int, Fraction]
     b: dict[int, Fraction]
     order: int
+
+    def __init__(self, a: dict[int, Fraction], b: dict[int, Fraction], order: int) -> None:
+        _setfield(self, "a", a)
+        _setfield(self, "b", b)
+        _setfield(self, "order", order)
 
     def f_series(self, spec: RingSpec) -> QSeries:
         return QSeries.from_scalars(spec, self.order, self.a)
@@ -127,16 +131,30 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
     return QSeries(spec, order, values)
 
 
-@dataclass(frozen=True)
-class MirrorReport:
+class MirrorReport(_Record):
     """Outcome of the exact mirror-identity verification, with the lambda table
     it was checked for (solved by the verifier unless the caller gave one)."""
 
+    _fields = ("holds", "first_failing_degree", "order", "mirror", "lambdas")
     holds: bool
     first_failing_degree: int | None
     order: int
     mirror: MirrorData
     lambdas: Mapping[int, LambdaForm]
+
+    def __init__(
+        self,
+        holds: bool,
+        first_failing_degree: int | None,
+        order: int,
+        mirror: MirrorData,
+        lambdas: Mapping[int, LambdaForm],
+    ) -> None:
+        _setfield(self, "holds", holds)
+        _setfield(self, "first_failing_degree", first_failing_degree)
+        _setfield(self, "order", order)
+        _setfield(self, "mirror", mirror)
+        _setfield(self, "lambdas", lambdas)
 
 
 def verify_mirror_identity(

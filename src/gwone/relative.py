@@ -21,7 +21,6 @@ is one ``linear_power_sum`` per monomial of the Schubert polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -29,7 +28,7 @@ from typing import Mapping
 from .correlators import CIModel, _chain_below, _euler_sigma, _unit, euler_class
 from .correlators import linear_power_sum, phi, relative_ring  # relative_ring is public here too
 from .laurent import LaurentPoly
-from .rings import CohClass, RingSpec
+from .rings import CohClass, RingSpec, _Record, _setfield
 from .series import QSeries
 
 # P^n is the bundle over a point, so a bundle model is a CIModel with a base cutoff.
@@ -57,11 +56,14 @@ def relative_phi(model: CIModel, d: int) -> LaurentPoly:
     return phi(model, d)
 
 
-@dataclass(frozen=True)
-class SchubertInput:
+class SchubertInput(_Record):
     """A symmetric polynomial in two Chern roots q_1, q_2."""
 
+    _fields = ("coefficients",)
     coefficients: tuple[tuple[tuple[int, int], Fraction], ...]
+
+    def __init__(self, coefficients: tuple[tuple[tuple[int, int], Fraction], ...]) -> None:
+        _setfield(self, "coefficients", coefficients)
 
     @classmethod
     def from_monomials(cls, values: Mapping[tuple[int, int], Fraction | int]) -> SchubertInput:

@@ -511,6 +511,15 @@ def test_solving_and_summing_one_degree_at_a_time_equals_two_loops(model):
         assert correlators[d] == cy_correlator(model, d, fresh), f"degree {d}"
 
 
+@pytest.mark.parametrize("model", THREEFOLDS, ids=str)
+def test_immersed_counts_are_integers_to_degree_six(model):
+    # On P^6 and P^7 no table of the counts is pinned, so integrality is the
+    # check that a wrong comb term there can fail.
+    counts = threefold_report(model, 6).immersed_counts
+    assert sorted(counts) == list(range(1, 7))
+    assert all(count.denominator == 1 for count in counts.values()), counts
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_the_correlator_pass_reuses_the_solve_pass_products(monkeypatch, d):
     # The lower degrees solved and summed as the pipeline does, with their

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import re
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -518,3 +519,20 @@ def test_exponential_request_notes_its_comb_count(monkeypatch, capsys, argv, deg
     quiet = run_cli(capsys, *argv, "--format", fmt)
     assert quiet[2] == ""
     assert quiet[:2] == noted[:2]
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_argparse_or_acceptance():
+    # Every gw call and benchmark repetition is a fresh process, so these stay
+    # out of start-up: argparse is imported where the parser is built and the
+    # acceptance suite by `gw selftest`.
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import sys; bare = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import gwone, gwone.cli; print(*sorted(set(sys.modules) - bare))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(src)], capture_output=True, text=True, check=True
+    )
+    added = set(run.stdout.split())
+    assert {"gwone", "gwone.cli", "gwone.calabi_yau"} <= added
+    assert not added & {"dataclasses", "inspect", "argparse", "gwone.acceptance"}

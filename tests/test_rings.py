@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -217,7 +216,7 @@ def test_trailing_zero_exponents_are_not_malformed():
 @given(st.data())
 def test_equal_but_distinct_specs_mix(data):
     spec = data.draw(specs)
-    twin = dataclasses.replace(spec)
+    twin = RingSpec(spec.n, spec.base, spec.base_cutoff, spec.h_rule)
     assert twin == spec and twin is not spec
     terms_a, terms_b = data.draw(raw_terms(spec)), data.draw(raw_terms(spec))
     a, b = CohClass(spec, terms_a), CohClass(spec, terms_b)
