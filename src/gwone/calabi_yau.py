@@ -31,7 +31,7 @@ import threading
 from fractions import Fraction
 from functools import reduce
 from itertools import pairwise
-from math import factorial
+from math import factorial, lcm
 from operator import add
 from typing import Callable, Mapping, TypeVar
 
@@ -142,11 +142,15 @@ class LambdaForm(_Record):
         _setfield(self, "_teeth", {})
 
     def tooth(self, spec: RingSpec, position: int, count: int) -> LaurentPoly:
-        """The form at (h + position*t, t) over count*t, built once per (spec, position, count)."""
+        """The form at (h + position*t, t) over count*t, built once per (spec, position, count):
+        the degree-0 form (a*h/t + a*position + b) / (den*count) for alpha = a/den, beta = b/den."""
         form = self._teeth.get((spec, position, count))
         if form is None:
-            alpha, beta = self.alpha / count, self.beta / count
-            form = LaurentPoly.linear(spec, alpha, alpha * position + beta).shift_t(-1)
+            alpha, beta = self.alpha, self.beta
+            den = lcm(alpha.denominator, beta.denominator)
+            a = alpha.numerator * (den // alpha.denominator)
+            b = beta.numerator * (den // beta.denominator)
+            form = LaurentPoly._form(spec, 0, [a * position + b, a], den * count)
             self._teeth[spec, position, count] = form
         return form
 
@@ -198,18 +202,32 @@ def cy_term(model: CIModel, comb: Comb, lambdas: Mapping[int, LambdaForm]) -> La
     model's comb terms, so each comb costs at most one ring product.  The
     table serves only the form objects that built it: a new model or a
     form object other than the held one for its tooth degree empties it.
+    One pass along the teeth reads each tooth's form once and compares it
+    with the held one by identity, so a held term costs one identity check
+    per tooth and allocates nothing but the pass's ``pairwise`` iterator.
+    The table changes only after every tooth is checked, so a missing
+    lambda raises with the table untouched.
     """
-    forms = {}
-    for delta in comb.deltas:
-        if delta not in lambdas:
-            raise ValueError(f"missing lambda for tooth degree {delta}")
-        forms[delta] = lambdas[delta]
+    ends = comb.endpoints
     held = _table.forms
-    if _table.model is not model or any(held.get(e, form) is not form for e, form in forms.items()):
-        _table.clear()
-        _table.model = model
-    _table.forms.update(forms)
-    return _term(model, comb.endpoints)
+    stale = _table.model is not model
+    new = stale
+    for a, b in pairwise(ends):
+        delta = b - a
+        form = lambdas.get(delta)
+        if form is None:
+            raise ValueError(f"missing lambda for tooth degree {delta}")
+        have = held.get(delta)
+        if have is not form:
+            new = True
+            stale = stale or have is not None
+    if new:
+        if stale:
+            _table.clear()
+            _table.model = model
+        for a, b in pairwise(ends):
+            _table.forms[b - a] = lambdas[b - a]
+    return _term(model, ends)
 
 
 def _require_calabi_yau(model: CIModel) -> None:
@@ -232,7 +250,8 @@ def _partial_comb_sum(
     """Sum of all degree-d comb terms except the simple comb (0, d), in one pass."""
     if _table.combs is None or _table.combs[0] != d:
         _table.combs = (d, enumerate_combs(d))
-    terms = (cy_term(model, c, lambdas) for c in _table.combs[1] if not c.is_simple())
+    simple = (0, d)
+    terms = (cy_term(model, c, lambdas) for c in _table.combs[1] if c.endpoints != simple)
     return LaurentPoly.sum(model.spec, terms)
 
 

@@ -2,6 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import pairwise
 from math import factorial
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +23,12 @@ from gwone.calabi_yau import (
     solve_lambdas_up_to,
     threefold_report,
 )
-from gwone.correlators import ClassificationError, classify, one_point_invariant, phi
+from gwone.correlators import CIModel, ClassificationError, classify, one_point_invariant, phi
 from gwone.laurent import LaurentPoly
 from gwone.relative import RelativeModel
 from gwone.rings import CohClass
+
+from strategies import CANONICAL_SPECS, fractions
 
 QUINTIC = classify(4, (5,))
 
@@ -255,6 +258,81 @@ def test_failed_cy_term_leaves_the_table_intact():
     assert all(calabi_yau._table.terms[ends] is term for ends, term in terms.items())
     for comb in (Comb((0, 1, 3, 4)), Comb((0, 1, 2, 4))):
         assert cy_term(QUINTIC, comb, lambdas) == _definitional_term(QUINTIC, comb, lambdas)
+
+
+def _warm_quintic_table():
+    """The quintic's solved forms and a table warm with two combs' terms."""
+    lambdas = ORACLE_TABLES[QUINTIC][0]
+    calabi_yau._table.clear()
+    for comb in (Comb((0, 1, 3, 4)), Comb((1, 2, 4))):
+        cy_term(QUINTIC, comb, lambdas)
+    return lambdas
+
+
+def test_an_equal_but_new_form_object_empties_the_table():
+    lambdas = _warm_quintic_table()
+    held = dict(calabi_yau._table.terms)
+    comb = Comb((0, 1, 3, 4))
+    # Equal by value at tooth degree 2, but another object than the held one.
+    fresh = {**lambdas, 2: LambdaForm(lambdas[2].alpha, lambdas[2].beta)}
+    assert fresh == lambdas and fresh[2] is not lambdas[2]
+    term = cy_term(QUINTIC, comb, fresh)
+    assert term == _definitional_term(QUINTIC, comb, fresh)
+    assert set(calabi_yau._table.terms) == _prefixes_with_teeth(comb.endpoints)
+    assert all(calabi_yau._table.terms[ends] is not held[ends] for ends in calabi_yau._table.terms)
+    assert calabi_yau._table.forms[2] is fresh[2]
+    assert all(calabi_yau._table.forms[e] is fresh[e] for e in comb.deltas)
+
+
+def test_a_missing_tooth_degree_raises_and_leaves_a_warm_table_as_it_was():
+    lambdas = _warm_quintic_table()
+    forms, terms = dict(calabi_yau._table.forms), dict(calabi_yau._table.terms)
+    # The held forms themselves, but no lambda_2 for the comb's middle tooth.
+    lacking = {e: form for e, form in lambdas.items() if e != 2}
+    with pytest.raises(ValueError, match="missing lambda for tooth degree 2"):
+        cy_term(QUINTIC, Comb((0, 1, 3, 4)), lacking)
+    assert calabi_yau._table.model is QUINTIC
+    assert calabi_yau._table.forms.keys() == forms.keys()
+    assert all(calabi_yau._table.forms[e] is form for e, form in forms.items())
+    assert calabi_yau._table.terms.keys() == terms.keys()
+    assert all(calabi_yau._table.terms[ends] is term for ends, term in terms.items())
+
+
+def test_an_equal_but_distinct_model_object_empties_the_table():
+    lambdas = _warm_quintic_table()
+    twin = CIModel(4, (5,))
+    assert twin == QUINTIC and twin is not QUINTIC
+    comb = Comb((1, 2, 4))
+    term = cy_term(twin, comb, lambdas)
+    assert term == _definitional_term(twin, comb, lambdas)
+    assert calabi_yau._table.model is twin
+    assert set(calabi_yau._table.terms) == _prefixes_with_teeth(comb.endpoints)
+
+
+def test_a_read_only_lambda_table_gives_the_same_terms_cold_and_warm():
+    lambdas = ORACLE_TABLES[QUINTIC][0]
+    proxy = MappingProxyType(lambdas)
+    all_combs = enumerate_combs(4)
+    calabi_yau._table.clear()
+    cold = [cy_term(QUINTIC, comb, proxy) for comb in all_combs]
+    assert calabi_yau._table.model is QUINTIC
+    assert all(calabi_yau._table.forms[e] is lambdas[e] for e in range(1, 5))
+    # Every term is held now, so the second pass builds nothing.
+    warm = [cy_term(QUINTIC, comb, proxy) for comb in all_combs]
+    assert all(w is c for w, c in zip(warm, cold))
+    assert cold == [_definitional_term(QUINTIC, comb, lambdas) for comb in all_combs]
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(CANONICAL_SPECS), fractions, fractions, st.integers(0, 9), st.integers(1, 9)
+)
+def test_a_tooth_is_the_shifted_linear_form_over_its_count(spec, alpha, beta, position, count):
+    # The construction a tooth had before it was one degree-0 form, kept as the oracle.
+    expected = LaurentPoly.linear(
+        spec, alpha / count, (alpha * position + beta) / count
+    ).shift_t(-1)
+    assert LambdaForm(alpha, beta).tooth(spec, position, count) == expected
 
 
 def test_one_point_invariants_are_fractions():
