@@ -8,7 +8,6 @@ mirror-map change of variables.
 """
 
 from .calabi_yau import (
-    Comb,
     CyRow,
     LambdaForm,
     LambdaShapeError,
@@ -70,7 +69,6 @@ __all__ = [
     "Classification",
     "ClassificationError",
     "CohClass",
-    "Comb",
     "CyRow",
     "LambdaForm",
     "LambdaShapeError",

@@ -12,11 +12,11 @@ contribution is phi_0 * lambda_d / t -- must cancel those two "error"
 coefficients of the sum of all other combs.  Solving the two cancellation
 equations degree by degree yields the whole lambda table.
 
-Each degree sums 2^d combs, at most one ring product each: a comb with
-teeth is its prefix (the comb without its last tooth) times one cached
-:meth:`LambdaForm.tooth`, and :func:`cy_term` keeps every comb term it
-builds for the current model, per thread, so each prefix is already held
-from a lower degree.  The terms stream into :meth:`LaurentPoly.sum`, one
+A comb is its tuple of endpoints.  Each degree sums 2^d combs, at most
+one ring product each: a comb with teeth is its prefix (the comb without
+its last tooth) times one :meth:`LambdaForm.tooth`, and :func:`cy_term`
+keeps every comb term and tooth it builds for the current model in one
+table per thread, so each prefix is already held from a lower degree.  The terms stream into :meth:`LaurentPoly.sum`, one
 pass and one reduction per degree.  The solve of lambda_d and the degree-d
 correlator sum the same 2^d - 1 non-simple combs, so a correlator summed
 after its solve multiplies out only its simple comb: :func:`threefold_report`
@@ -57,48 +57,17 @@ class LambdaShapeError(ValueError):
     """An error coefficient did not have the pure-monomial shape required."""
 
 
-class Comb(_Record):
-    """Endpoints 0 <= d_1 < ... < d_{r+1} = d of a boundary stratum."""
-
-    _fields = ("endpoints",)
-    endpoints: tuple[int, ...]
-
-    def __init__(self, endpoints: tuple[int, ...]) -> None:
-        _setfield(self, "endpoints", endpoints)
-        if not endpoints:
-            raise ValueError("a comb needs at least one endpoint")
-        if endpoints[0] < 0:
-            raise ValueError("endpoints must be >= 0")
-        if any(a >= b for a, b in pairwise(endpoints)):
-            raise ValueError("endpoints must be strictly increasing")
-
-    @property
-    def degree(self) -> int:
-        return self.endpoints[-1]
-
-    @property
-    def tooth_count(self) -> int:
-        return len(self.endpoints) - 1
-
-    @property
-    def deltas(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in pairwise(self.endpoints))
-
-    def is_simple(self) -> bool:
-        return self.endpoints == (0, self.degree)
-
-
-def enumerate_combs(d: int) -> list[Comb]:
-    """All 2^d combs of degree d, ordered lexicographically by endpoints: a
+def enumerate_combs(d: int) -> list[tuple[int, ...]]:
+    """The endpoints of all 2^d combs of degree d, in lexicographic order: a
     depth-first walk, where the combs extending a prefix by x < d come first."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    combs: list[Comb] = []
+    combs: list[tuple[int, ...]] = []
 
     def walk(prefix: tuple[int, ...], start: int) -> None:
         for x in range(start, d):
             walk(prefix + (x,), x + 1)
-        combs.append(Comb(prefix + (d,)))
+        combs.append(prefix + (d,))
 
     walk((), 0)
     return combs
@@ -138,21 +107,15 @@ class LambdaForm(_Record):
     def __init__(self, alpha: Fraction, beta: Fraction) -> None:
         _setfield(self, "alpha", alpha)
         _setfield(self, "beta", beta)
-        # (spec, position, count) -> the tooth form; not part of the value.
-        _setfield(self, "_teeth", {})
 
     def tooth(self, spec: RingSpec, position: int, count: int) -> LaurentPoly:
-        """The form at (h + position*t, t) over count*t, built once per (spec, position, count):
-        the degree-0 form (a*h/t + a*position + b) / (den*count) for alpha = a/den, beta = b/den."""
-        form = self._teeth.get((spec, position, count))
-        if form is None:
-            alpha, beta = self.alpha, self.beta
-            den = lcm(alpha.denominator, beta.denominator)
-            a = alpha.numerator * (den // alpha.denominator)
-            b = beta.numerator * (den // beta.denominator)
-            form = LaurentPoly._form(spec, 0, [a * position + b, a], den * count)
-            self._teeth[spec, position, count] = form
-        return form
+        """The form at (h + position*t, t) over count*t: the degree-0 form
+        (a*h/t + a*position + b) / (den*count) for alpha = a/den, beta = b/den."""
+        alpha, beta = self.alpha, self.beta
+        den = lcm(alpha.denominator, beta.denominator)
+        a = alpha.numerator * (den // alpha.denominator)
+        b = beta.numerator * (den // beta.denominator)
+        return LaurentPoly._form(spec, 0, [a * position + b, a], den * count)
 
     def __str__(self) -> str:
         return f"({self.alpha})*h + ({self.beta})*t"
@@ -164,7 +127,9 @@ class _Table(threading.local):
     ``terms`` maps the endpoints of each comb with teeth to its term
     phi_{d_1} * prod_{i<=r} lambda_{Delta_i}(h + d_i t) / (r! t^r), and
     ``forms`` maps each tooth degree to the one form object every held term
-    was built with.  ``combs`` is the last degree's :func:`enumerate_combs`
+    was built with.  ``teeth`` maps (Delta, position, count) to that form's
+    :meth:`LambdaForm.tooth`: the table holds one model, so one spec, and one
+    form per Delta.  ``combs`` is the last degree's :func:`enumerate_combs`
     list, shared by that degree's solve and correlator.  The table holds its
     model and forms, so no other object can take their ids and comparing
     them by identity is safe.
@@ -177,7 +142,8 @@ class _Table(threading.local):
         self.model: CIModel | None = None
         self.forms: dict[int, LambdaForm] = {}
         self.terms: dict[tuple[int, ...], LaurentPoly] = {}
-        self.combs: tuple[int, list[Comb]] | None = None
+        self.teeth: dict[tuple[int, int, int], LaurentPoly] = {}
+        self.combs: tuple[int, list[tuple[int, ...]]] | None = None
 
 
 _table = _Table()
@@ -189,31 +155,41 @@ def _term(model: CIModel, ends: tuple[int, ...]) -> LaurentPoly:
         return phi(model, ends[0])
     term = _table.terms.get(ends)
     if term is None:
-        tooth = _table.forms[ends[-1] - ends[-2]].tooth(model.spec, ends[-2], len(ends) - 1)
+        key = (ends[-1] - ends[-2], ends[-2], len(ends) - 1)
+        tooth = _table.teeth.get(key)
+        if tooth is None:
+            tooth = _table.teeth[key] = _table.forms[key[0]].tooth(model.spec, *key[1:])
         term = _table.terms[ends] = _term(model, ends[:-1]) * tooth
     return term
 
 
-def cy_term(model: CIModel, comb: Comb, lambdas: Mapping[int, LambdaForm]) -> LaurentPoly:
-    """One comb's contribution: phi_{d_1} * prod lambda_{Delta_i}(h+d_i t, t) / (r! t^r).
+def cy_term(
+    model: CIModel, ends: tuple[int, ...], lambdas: Mapping[int, LambdaForm]
+) -> LaurentPoly:
+    """One comb's contribution: phi_{d_1} * prod lambda_{Delta_i}(h+d_i t, t) / (r! t^r),
+    for the comb with endpoints ``ends`` = (d_1, ..., d_{r+1}).
 
-    The term is its prefix's term times one cached :meth:`LambdaForm.tooth`,
+    The term is its prefix's term times one held :meth:`LambdaForm.tooth`,
     and every term built is kept in a per-thread table of the current
     model's comb terms, so each comb costs at most one ring product.  The
     table serves only the form objects that built it: a new model or a
     form object other than the held one for its tooth degree empties it.
-    One pass along the teeth reads each tooth's form once and compares it
-    with the held one by identity, so a held term costs one identity check
-    per tooth and allocates nothing but the pass's ``pairwise`` iterator.
-    The table changes only after every tooth is checked, so a missing
-    lambda raises with the table untouched.
+    One pass along the teeth checks each tooth degree, reads its form once
+    and compares it with the held one by identity, so a held term costs one
+    identity check per tooth and allocates nothing but the pass's
+    ``pairwise`` iterator.  The table changes only after every tooth is
+    checked, so bad endpoints or a missing lambda raise with the table
+    untouched.
     """
-    ends = comb.endpoints
+    if not ends or ends[0] < 0:
+        raise ValueError(f"a comb needs endpoints starting at >= 0, got {ends}")
     held = _table.forms
     stale = _table.model is not model
     new = stale
     for a, b in pairwise(ends):
         delta = b - a
+        if delta < 1:
+            raise ValueError(f"comb endpoints must be strictly increasing, got {ends}")
         form = lambdas.get(delta)
         if form is None:
             raise ValueError(f"missing lambda for tooth degree {delta}")
@@ -251,7 +227,7 @@ def _partial_comb_sum(
     if _table.combs is None or _table.combs[0] != d:
         _table.combs = (d, enumerate_combs(d))
     simple = (0, d)
-    terms = (cy_term(model, c, lambdas) for c in _table.combs[1] if c.endpoints != simple)
+    terms = (cy_term(model, c, lambdas) for c in _table.combs[1] if c != simple)
     return LaurentPoly.sum(model.spec, terms)
 
 
@@ -356,7 +332,7 @@ def cy_correlator(
         return phi(model, 0)
     if lambdas is None:
         return _lambdas_and_correlators(model, d)[1][d]
-    out = _partial_comb_sum(model, d, lambdas) + cy_term(model, Comb((0, d)), lambdas)
+    out = _partial_comb_sum(model, d, lambdas) + cy_term(model, (0, d), lambdas)
     if not out.is_zero() and out.t_max() >= -1:
         raise LambdaShapeError(f"degree-{d} comb sum retains t^{out.t_max()} terms")
     return out

@@ -174,18 +174,6 @@ class RingSpec(_Record):
                     f"it has degree {degree}, not n + 1 = {n + 1}"
                 )
 
-    # Written out, not the generic _Record methods: a spec keys each LambdaForm's
-    # tooth cache, hashed once per comb tooth.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.base, self.base_cutoff, self.h_rule) == (
-                other.n, other.base, other.base_cutoff, other.h_rule
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.base, self.base_cutoff, self.h_rule))
-
     @classmethod
     @lru_cache(maxsize=None)
     def absolute(cls, n: int) -> RingSpec:

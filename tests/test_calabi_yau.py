@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from gwone import calabi_yau, rings
 from gwone.calabi_yau import (
-    Comb,
     LambdaForm,
     LambdaShapeError,
     aspinwall_morrison,
@@ -49,26 +48,30 @@ OLD_TABULATED_LAMBDA_4 = LambdaForm(Fraction(-17351562078125, 6), Fraction(-3905
 CDGP_N5 = Fraction(229305888887625)
 
 
-def _definitional_term(model, comb, lambdas):
+def _deltas(ends):
+    return tuple(b - a for a, b in pairwise(ends))
+
+
+def _definitional_term(model, ends, lambdas):
     """The oracle for cy_term: phi_{d_1} times each form at (h + d_i t, t) from
     left to right, then t^{-r} / r!."""
     spec = model.spec
-    out = phi(model, comb.endpoints[0])
-    for position, nxt in pairwise(comb.endpoints):
+    out = phi(model, ends[0])
+    for position, nxt in pairwise(ends):
         lam = lambdas[nxt - position]
         out = out * LaurentPoly.linear(spec, lam.alpha, lam.alpha * position + lam.beta)
-    r = comb.tooth_count
+    r = len(ends) - 1
     if r:
         out = out.shift_t(-r) * Fraction(1, factorial(r))
     return out
 
 
 def test_enumerate_combs_degree_one():
-    assert [c.endpoints for c in enumerate_combs(1)] == [(0, 1), (1,)]
+    assert enumerate_combs(1) == [(0, 1), (1,)]
 
 
 def test_enumerate_combs_degree_two():
-    assert {c.endpoints for c in enumerate_combs(2)} == {
+    assert set(enumerate_combs(2)) == {
         (2,),
         (0, 2),
         (1, 2),
@@ -83,7 +86,7 @@ def test_comb_count_is_two_to_the_d():
 @pytest.mark.parametrize("d", range(1, 11))
 def test_enumerate_combs_is_strictly_lexicographic(d):
     # The documented order of enumerate_combs: strictly lexicographic by endpoints.
-    ends = [c.endpoints for c in enumerate_combs(d)]
+    ends = enumerate_combs(d)
     assert len(ends) == 2**d
     assert all(a < b for a, b in pairwise(ends))
     assert all(e[-1] == d for e in ends)
@@ -102,33 +105,43 @@ def test_cy_correlator_is_the_plain_comb_sum(n, degrees):
         assert cy_correlator(model, d, lambdas) == brute, (degrees, d)
 
 
-def test_comb_validation():
-    with pytest.raises(ValueError):
-        Comb((2, 1))
-    with pytest.raises(ValueError):
-        Comb(())
-    comb = Comb((0, 1, 3))
-    assert comb.deltas == (1, 2)
-    assert comb.tooth_count == 2
-    assert not comb.is_simple()
-    assert Comb((0, 3)).is_simple()
+def test_cy_term_rejects_bad_endpoints_and_leaves_the_table_as_it_was():
+    lambdas = _warm_quintic_table()
+    table = calabi_yau._table
+    held = table.model, dict(table.forms), dict(table.terms), dict(table.teeth)
+    twin = CIModel(4, (5,))
+    # Another model object and new form objects would empty the table, so
+    # each call must raise before it gets that far.
+    for model, forms in ((QUINTIC, lambdas), (twin, _fresh_forms(lambdas))):
+        for ends, message in (
+            ((), "starting at >= 0"),
+            ((-1, 2), "starting at >= 0"),
+            ((2, 1), "strictly increasing"),
+            ((0, 0, 1), "strictly increasing"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                cy_term(model, ends, forms)
+            assert table.model is held[0]
+            for now, before in zip((table.forms, table.terms, table.teeth), held[1:]):
+                assert now.keys() == before.keys()
+                assert all(now[key] is value for key, value in before.items())
 
 
 def test_cy_term_toothless_comb_is_phi():
-    assert cy_term(QUINTIC, Comb((3,)), {}) == phi(QUINTIC, 3)
+    assert cy_term(QUINTIC, (3,), {}) == phi(QUINTIC, 3)
 
 
 def test_cy_term_simple_comb():
     lam = QUINTIC_LAMBDAS[2]
-    term = cy_term(QUINTIC, Comb((0, 2)), {2: lam})
+    term = cy_term(QUINTIC, (0, 2), {2: lam})
     assert term == phi(QUINTIC, 0) * lam.tooth(QUINTIC.spec, 0, 1)
-    assert term == _definitional_term(QUINTIC, Comb((0, 2)), {2: lam})
+    assert term == _definitional_term(QUINTIC, (0, 2), {2: lam})
 
 
 def test_cy_term_two_teeth_explicit_product():
     spec = QUINTIC.spec
     lam = {1: QUINTIC_LAMBDAS[1]}
-    term = cy_term(QUINTIC, Comb((0, 1, 2)), lam)
+    term = cy_term(QUINTIC, (0, 1, 2), lam)
     first = LaurentPoly(
         spec,
         {0: CohClass.h_power(spec, 1) * -770, 1: CohClass.scalar(spec, -120)},
@@ -141,27 +154,59 @@ def test_cy_term_two_teeth_explicit_product():
     assert term == expected
 
 
-def test_tooth_forms_are_built_once_per_spec_position_and_count():
+def test_tooth_forms_leave_the_lambda_value_alone():
     spec = QUINTIC.spec
     alpha, beta = Fraction(-3470312415625, 6), Fraction(-78111025000)
     lam = LambdaForm(alpha, beta)
     fresh = LambdaForm(alpha, beta)
-    form = lam.tooth(spec, 3, 2)
-    assert lam.tooth(spec, 3, 2) is form
     for position in range(5):
         for count in range(1, 5):
             expected = LaurentPoly.linear(
                 spec, alpha / count, (alpha * position + beta) / count
             ).shift_t(-1)
             assert lam.tooth(spec, position, count) == expected
-    assert lam.tooth(classify(5, (3, 3)).spec, 3, 2) != form
-    # The cache is not part of the value: a form with cached teeth equals,
-    # hashes and prints as one without.
+    assert lam.tooth(classify(5, (3, 3)).spec, 3, 2) != lam.tooth(spec, 3, 2)
+    # A form that built teeth equals, hashes and prints as one that did not.
     assert lam == fresh and hash(lam) == hash(fresh)
     assert repr(lam) == repr(fresh) == f"LambdaForm(alpha={alpha!r}, beta={beta!r})"
     assert str(lam) == str(fresh)
     assert {1: lam} == {1: fresh}
     assert lam != LambdaForm(alpha, beta + 1)
+
+
+def test_the_table_builds_each_tooth_once_while_its_forms_are_held(monkeypatch):
+    spec = QUINTIC.spec
+    solved, perturbed = ORACLE_TABLES[QUINTIC][0], ORACLE_TABLES[QUINTIC][1]
+    built = []
+    tooth = LambdaForm.tooth
+
+    def counting(self, spec, position, count):
+        built.append((self, position, count))
+        return tooth(self, spec, position, count)
+
+    monkeypatch.setattr(LambdaForm, "tooth", counting)
+    table = calabi_yau._table
+    table.clear()
+    # (0, 2, 3) and (1, 2, 3) end in the same tooth: Delta 1 at position 2,
+    # the second tooth of each.
+    cy_term(QUINTIC, (0, 2, 3), solved)
+    shared = table.teeth[1, 2, 2]
+    cy_term(QUINTIC, (1, 2, 3), solved)
+    assert set(table.teeth) == {(2, 0, 1), (1, 2, 2), (1, 1, 1)}
+    assert table.teeth[1, 2, 2] is shared and len(built) == 3
+    # A term is built before its prefix's term, so its tooth comes first.
+    assert built == [(solved[1], 2, 2), (solved[2], 0, 1), (solved[1], 1, 1)]
+    assert shared == tooth(solved[1], spec, 2, 2)
+    # A replaced form empties the teeth with the terms.
+    cy_term(QUINTIC, (0, 2, 3), perturbed)
+    assert set(table.teeth) == {(2, 0, 1), (1, 2, 2)}
+    assert table.teeth[1, 2, 2] == tooth(perturbed[1], spec, 2, 2) != shared
+    # So does a new model, whose teeth are built on its own spec.
+    other = ORACLE_MODELS[1]
+    lambdas = ORACLE_TABLES[other][0]
+    cy_term(other, (1, 4), lambdas)
+    assert table.teeth == {(3, 1, 1): tooth(lambdas[3], other.spec, 1, 1)}
+    assert cy_term(other, (1, 4), lambdas) == _definitional_term(other, (1, 4), lambdas)
 
 
 ORACLE_DEGREE = 5
@@ -181,7 +226,7 @@ def _oracle_tables(model):
 ORACLE_TABLES = {model: _oracle_tables(model) for model in ORACLE_MODELS}
 
 combs = st.integers(1, ORACLE_DEGREE).flatmap(
-    lambda d: st.sets(st.integers(0, d - 1)).map(lambda s: Comb((*sorted(s), d)))
+    lambda d: st.sets(st.integers(0, d - 1)).map(lambda s: (*sorted(s), d))
 )
 term_calls = st.tuples(
     st.sampled_from(ORACLE_MODELS), st.integers(0, ORACLE_DEGREE), combs
@@ -203,19 +248,19 @@ def test_cy_term_equals_the_definitional_product_in_any_order(calls):
         held_model, held_forms = calabi_yau._table.model, dict(calabi_yau._table.forms)
         held_ends = set(calabi_yau._table.terms)
         changed = held_model is not model or any(
-            held_forms.get(e, lambdas[e]) is not lambdas[e] for e in comb.deltas
+            held_forms.get(e, lambdas[e]) is not lambdas[e] for e in _deltas(comb)
         )
         assert cy_term(model, comb, lambdas) == _definitional_term(model, comb, lambdas)
         # A changed model or form empties the table; otherwise it only grows.
         ends = set(calabi_yau._table.terms)
-        assert ends == _prefixes_with_teeth(comb.endpoints) | (set() if changed else held_ends)
+        assert ends == _prefixes_with_teeth(comb) | (set() if changed else held_ends)
         assert calabi_yau._table.model is model
-        assert all(calabi_yau._table.forms[e] is lambdas[e] for e in comb.deltas)
+        assert all(calabi_yau._table.forms[e] is lambdas[e] for e in _deltas(comb))
 
 
 def test_threads_keep_their_own_tables():
     quintic, other = ORACLE_MODELS
-    comb = Comb((0, 1, 3))
+    comb = (0, 1, 3)
     solved, perturbed = ORACLE_TABLES[quintic][0], ORACLE_TABLES[quintic][2]
     calabi_yau._table.clear()
     cy_term(quintic, comb, solved)
@@ -223,15 +268,15 @@ def test_threads_keep_their_own_tables():
 
     def in_thread():
         table = calabi_yau._table
-        fresh = table.model, dict(table.forms), dict(table.terms)
-        cy_term(other, Comb((0, 2)), ORACLE_TABLES[other][0])
+        fresh = table.model, dict(table.forms), dict(table.terms), dict(table.teeth)
+        cy_term(other, (0, 2), ORACLE_TABLES[other][0])
         return fresh, table.model, set(table.terms)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         fresh, thread_model, thread_ends = pool.submit(in_thread).result()
     # A new thread starts with its own empty table and does not see or
     # replace this one's.
-    assert fresh == (None, {}, {})
+    assert fresh == (None, {}, {}, {})
     assert thread_model is other and thread_ends == {(0, 2)}
     assert calabi_yau._table.model is quintic
     assert calabi_yau._table.forms == my_forms and calabi_yau._table.terms == my_terms
@@ -244,19 +289,19 @@ def test_threads_keep_their_own_tables():
 def test_failed_cy_term_leaves_the_table_intact():
     lambdas = ORACLE_TABLES[QUINTIC][0]
     calabi_yau._table.clear()
-    cy_term(QUINTIC, Comb((0, 1, 3, 4)), lambdas)
+    cy_term(QUINTIC, (0, 1, 3, 4), lambdas)
     forms, terms = dict(calabi_yau._table.forms), dict(calabi_yau._table.terms)
     # The comb has no lambda for its tooth of degree 3, and its lambda_1 is
     # another object than the held one: the missing lambda raises before
     # the changed form could empty the table.
     with pytest.raises(ValueError, match="missing lambda for tooth degree 3"):
-        cy_term(QUINTIC, Comb((0, 1, 4)), {1: LambdaForm(lambdas[1].alpha, lambdas[1].beta)})
+        cy_term(QUINTIC, (0, 1, 4), {1: LambdaForm(lambdas[1].alpha, lambdas[1].beta)})
     assert calabi_yau._table.model is QUINTIC
     assert calabi_yau._table.forms == forms
     assert all(calabi_yau._table.forms[e] is form for e, form in forms.items())
     assert calabi_yau._table.terms == terms
     assert all(calabi_yau._table.terms[ends] is term for ends, term in terms.items())
-    for comb in (Comb((0, 1, 3, 4)), Comb((0, 1, 2, 4))):
+    for comb in ((0, 1, 3, 4), (0, 1, 2, 4)):
         assert cy_term(QUINTIC, comb, lambdas) == _definitional_term(QUINTIC, comb, lambdas)
 
 
@@ -264,7 +309,7 @@ def _warm_quintic_table():
     """The quintic's solved forms and a table warm with two combs' terms."""
     lambdas = ORACLE_TABLES[QUINTIC][0]
     calabi_yau._table.clear()
-    for comb in (Comb((0, 1, 3, 4)), Comb((1, 2, 4))):
+    for comb in ((0, 1, 3, 4), (1, 2, 4)):
         cy_term(QUINTIC, comb, lambdas)
     return lambdas
 
@@ -272,16 +317,16 @@ def _warm_quintic_table():
 def test_an_equal_but_new_form_object_empties_the_table():
     lambdas = _warm_quintic_table()
     held = dict(calabi_yau._table.terms)
-    comb = Comb((0, 1, 3, 4))
+    comb = (0, 1, 3, 4)
     # Equal by value at tooth degree 2, but another object than the held one.
     fresh = {**lambdas, 2: LambdaForm(lambdas[2].alpha, lambdas[2].beta)}
     assert fresh == lambdas and fresh[2] is not lambdas[2]
     term = cy_term(QUINTIC, comb, fresh)
     assert term == _definitional_term(QUINTIC, comb, fresh)
-    assert set(calabi_yau._table.terms) == _prefixes_with_teeth(comb.endpoints)
+    assert set(calabi_yau._table.terms) == _prefixes_with_teeth(comb)
     assert all(calabi_yau._table.terms[ends] is not held[ends] for ends in calabi_yau._table.terms)
     assert calabi_yau._table.forms[2] is fresh[2]
-    assert all(calabi_yau._table.forms[e] is fresh[e] for e in comb.deltas)
+    assert all(calabi_yau._table.forms[e] is fresh[e] for e in _deltas(comb))
 
 
 def test_a_missing_tooth_degree_raises_and_leaves_a_warm_table_as_it_was():
@@ -290,7 +335,7 @@ def test_a_missing_tooth_degree_raises_and_leaves_a_warm_table_as_it_was():
     # The held forms themselves, but no lambda_2 for the comb's middle tooth.
     lacking = {e: form for e, form in lambdas.items() if e != 2}
     with pytest.raises(ValueError, match="missing lambda for tooth degree 2"):
-        cy_term(QUINTIC, Comb((0, 1, 3, 4)), lacking)
+        cy_term(QUINTIC, (0, 1, 3, 4), lacking)
     assert calabi_yau._table.model is QUINTIC
     assert calabi_yau._table.forms.keys() == forms.keys()
     assert all(calabi_yau._table.forms[e] is form for e, form in forms.items())
@@ -302,11 +347,11 @@ def test_an_equal_but_distinct_model_object_empties_the_table():
     lambdas = _warm_quintic_table()
     twin = CIModel(4, (5,))
     assert twin == QUINTIC and twin is not QUINTIC
-    comb = Comb((1, 2, 4))
+    comb = (1, 2, 4)
     term = cy_term(twin, comb, lambdas)
     assert term == _definitional_term(twin, comb, lambdas)
     assert calabi_yau._table.model is twin
-    assert set(calabi_yau._table.terms) == _prefixes_with_teeth(comb.endpoints)
+    assert set(calabi_yau._table.terms) == _prefixes_with_teeth(comb)
 
 
 def test_a_read_only_lambda_table_gives_the_same_terms_cold_and_warm():
@@ -346,7 +391,7 @@ def test_one_point_invariants_are_fractions():
 
 def test_cy_term_missing_lambda():
     with pytest.raises(ValueError):
-        cy_term(QUINTIC, Comb((0, 2)), {1: QUINTIC_LAMBDAS[1]})
+        cy_term(QUINTIC, (0, 2), {1: QUINTIC_LAMBDAS[1]})
 
 
 def test_solve_lambda_quintic_table():
@@ -380,7 +425,7 @@ def test_error_coefficients_have_monomial_shape():
     lambdas = solve_lambdas_up_to(model, 1)
     partial = LaurentPoly.zero(model.spec)
     for comb in enumerate_combs(2):
-        if comb.is_simple():
+        if comb == (0, 2):
             continue
         partial = partial + cy_term(model, comb, lambdas)
     assert partial.coefficient(-1).is_homogeneous(model.m + 1)
@@ -578,7 +623,7 @@ def test_solving_and_summing_one_degree_at_a_time_equals_two_loops(model):
     # A stale table entry for (model, 1) built from another lambda_1 must not
     # be taken for the solved one.
     wrong = {1: LambdaForm(Fraction(1), Fraction(2))}
-    cy_term(model, Comb((0, 1)), wrong)
+    cy_term(model, (0, 1), wrong)
     lambdas, correlators = calabi_yau._lambdas_and_correlators(model, max_degree)
     # The former route: the whole table first, then one correlator per degree.
     table = solve_lambdas_up_to(model, max_degree)
@@ -640,7 +685,7 @@ def test_the_term_table_holds_one_model_and_is_emptied(monkeypatch):
         out = term(model, comb, lambdas)
         table = calabi_yau._table
         assert table.model is model
-        assert all(ends[-1] <= comb.degree and len(ends) > 1 for ends in table.terms)
+        assert all(ends[-1] <= comb[-1] and len(ends) > 1 for ends in table.terms)
         seen.append(len(table.terms))
         return out
 
@@ -651,6 +696,7 @@ def test_the_term_table_holds_one_model_and_is_emptied(monkeypatch):
         calabi_yau._lambdas_and_correlators(model, 5)
         assert calabi_yau._table.terms == {} and calabi_yau._table.model is None
         assert calabi_yau._table.forms == {} and calabi_yau._table.combs is None
+        assert calabi_yau._table.teeth == {}
     # The table ends up with every comb with teeth of every degree, once.
     assert max(seen) == sum(2**d - 1 for d in range(1, 6))
     monkeypatch.undo()
@@ -658,21 +704,21 @@ def test_the_term_table_holds_one_model_and_is_emptied(monkeypatch):
     # Terms of every degree stay while the model and the forms do.
     solved, perturbed = ORACLE_TABLES[QUINTIC][0], ORACLE_TABLES[QUINTIC][2]
     calabi_yau._table.clear()
-    for comb in (Comb((0, 1, 3)), Comb((1, 4))):
+    for comb in ((0, 1, 3), (1, 4)):
         cy_term(QUINTIC, comb, solved)
     assert set(calabi_yau._table.terms) == {(0, 1), (0, 1, 3), (1, 4)}
     # A changed form empties the table, and then every form of the comb is
     # held: lambda_1 is the held object, lambda_2 is not.
     mixed = {1: solved[1], 2: perturbed[2]}
-    comb = Comb((0, 1, 3))
+    comb = (0, 1, 3)
     assert cy_term(QUINTIC, comb, mixed) == _definitional_term(QUINTIC, comb, mixed)
     assert set(calabi_yau._table.terms) == {(0, 1), (0, 1, 3)}
     assert calabi_yau._table.forms == {1: solved[1], 2: perturbed[2]}
     assert calabi_yau._table.forms[1] is solved[1] and calabi_yau._table.forms[2] is perturbed[2]
     held = calabi_yau._table.terms[(0, 1)]
-    assert cy_term(QUINTIC, Comb((0, 1)), solved) is held
+    assert cy_term(QUINTIC, (0, 1), solved) is held
     # A new model empties it too.
-    cy_term(other, Comb((1, 4)), ORACLE_TABLES[other][0])
+    cy_term(other, (1, 4), ORACLE_TABLES[other][0])
     assert set(calabi_yau._table.terms) == {(1, 4)} and calabi_yau._table.model is other
 
     # The pipeline empties the table also when a degree fails.
@@ -690,7 +736,9 @@ def test_the_term_table_holds_one_model_and_is_emptied(monkeypatch):
 
 def _table_is_empty():
     table = calabi_yau._table
-    return (table.model, table.forms, table.terms, table.combs) == (None, {}, {}, None)
+    return (table.model, table.forms, table.terms, table.teeth, table.combs) == (
+        None, {}, {}, {}, None
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,12 @@
 """The immutable records: value equality within one class, hashing, repr and
-closed fields, for each of the ten record types."""
+closed fields, for each of the nine record types."""
 
 from fractions import Fraction
 
 import pytest
 
 from gwone.acceptance import CriterionResult
-from gwone.calabi_yau import Comb, CyRow, LambdaForm, QuinticReport
+from gwone.calabi_yau import CyRow, LambdaForm, QuinticReport
 from gwone.correlators import CIModel
 from gwone.mirror import MirrorData, MirrorReport
 from gwone.relative import SchubertInput
@@ -38,8 +38,7 @@ RECORDS = [
         ("n", "degrees", "base_cutoff"),
         lambda model: model.spec,
     ),
-    (lambda: Comb((0, 1, 3)), ("endpoints",), None),
-    (_lam, ("alpha", "beta"), lambda lam: lam.tooth(RingSpec.absolute(4), 1, 2)),
+    (_lam, ("alpha", "beta"), None),
     (_row, ("degree", "lam", "n_d", "m_d"), None),
     (
         lambda: QuinticReport(CIModel(4, (5,)), (_row(),), {1: Fraction(2875)}),
@@ -95,7 +94,6 @@ def test_a_record_is_an_immutable_value_of_its_own_class(build, fields, warm):
 def test_a_model_repr_names_every_field():
     # `gw cy` and `gw mirror` print it on their first line.
     assert repr(CIModel(4, (5,))) == "CIModel(n=4, degrees=(5,), base_cutoff=0)"
-    assert repr(Comb((0, 2))) == "Comb(endpoints=(0, 2))"
 
 
 def test_a_record_keeps_its_defaults():
