@@ -16,8 +16,9 @@ A comb is its tuple of endpoints.  Each degree sums 2^d combs, at most
 one ring product each: a comb with teeth is its prefix (the comb without
 its last tooth) times one :meth:`LambdaForm.tooth`, and :func:`cy_term`
 keeps every comb term and tooth it builds for the current model in one
-table per thread, so each prefix is already held from a lower degree.  The terms stream into :meth:`LaurentPoly.sum`, one
-pass and one reduction per degree.  The solve of lambda_d and the degree-d
+table per thread, so each prefix is already held from a lower degree.
+The terms stream into :meth:`LaurentPoly.sum`, one pass and one
+reduction per degree.  The solve of lambda_d and the degree-d
 correlator sum the same 2^d - 1 non-simple combs, so a correlator summed
 after its solve multiplies out only its simple comb: :func:`threefold_report`
 and the other full pipelines solve and sum one degree at a time.  One
