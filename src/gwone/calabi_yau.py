@@ -13,8 +13,10 @@ coefficients of the sum of all other combs.  Solving the two cancellation
 equations degree by degree yields the whole lambda table.
 
 A comb is its tuple of endpoints.  Each degree sums 2^d combs, at most
-one ring product each: a comb with teeth is its prefix (the comb without
-its last tooth) times one :meth:`LambdaForm.tooth`, and :func:`cy_term`
+one tooth product each: a comb with teeth is its prefix (the comb without
+its last tooth) times one tooth lambda_Delta(h + p*t, t) / (r*t), one O(n)
+pass over the prefix's int numerators, c'_j = (alpha*p + beta)*c_j +
+alpha*c_{j-1} (``_times_tooth``), with no ring product.  :func:`cy_term`
 keeps every comb term and tooth it builds for the current model in one
 table per thread, so each prefix is already held from a lower degree.
 The terms stream into :meth:`LaurentPoly.sum`, one pass and one
@@ -48,7 +50,7 @@ from .correlators import (
     phi,
 )
 from .laurent import LaurentPoly
-from .rings import CohClass, RingSpec, _Record, _setfield
+from .rings import CohClass, RingSpec, _Record, _lowest, _setfield
 
 
 V = TypeVar("V")
@@ -109,14 +111,20 @@ class LambdaForm(_Record):
         _setfield(self, "alpha", alpha)
         _setfield(self, "beta", beta)
 
-    def tooth(self, spec: RingSpec, position: int, count: int) -> LaurentPoly:
-        """The form at (h + position*t, t) over count*t: the degree-0 form
-        (a*h/t + a*position + b) / (den*count) for alpha = a/den, beta = b/den."""
+    def _tooth_ints(self, position: int, count: int) -> tuple[int, int, int]:
+        """The form at (h + position*t, t) over count*t, the degree-0 form
+        (a*h/t + a*position + b) / (den*count) for alpha = a/den, beta = b/den,
+        as its ints (a*position + b, a, den*count)."""
         alpha, beta = self.alpha, self.beta
         den = lcm(alpha.denominator, beta.denominator)
         a = alpha.numerator * (den // alpha.denominator)
         b = beta.numerator * (den // beta.denominator)
-        return LaurentPoly._form(spec, 0, [a * position + b, a], den * count)
+        return a * position + b, a, den * count
+
+    def tooth(self, spec: RingSpec, position: int, count: int) -> LaurentPoly:
+        """The form at (h + position*t, t) over count*t (``_tooth_ints``) as a polynomial."""
+        const, a, den = self._tooth_ints(position, count)
+        return LaurentPoly._form(spec, 0, [const, a], den)
 
     def __str__(self) -> str:
         return f"({self.alpha})*h + ({self.beta})*t"
@@ -129,8 +137,8 @@ class _Table(threading.local):
     phi_{d_1} * prod_{i<=r} lambda_{Delta_i}(h + d_i t) / (r! t^r), and
     ``forms`` maps each tooth degree to the one form object every held term
     was built with.  ``teeth`` maps (Delta, position, count) to that form's
-    :meth:`LambdaForm.tooth`: the table holds one model, so one spec, and one
-    form per Delta.  ``combs`` is the last degree's :func:`enumerate_combs`
+    tooth as its ints (``LambdaForm._tooth_ints``): the table holds one form
+    per Delta.  ``combs`` is the last degree's :func:`enumerate_combs`
     list, shared by that degree's solve and correlator.  The table holds its
     model and forms, so no other object can take their ids and comparing
     them by identity is safe.
@@ -143,11 +151,35 @@ class _Table(threading.local):
         self.model: CIModel | None = None
         self.forms: dict[int, LambdaForm] = {}
         self.terms: dict[tuple[int, ...], LaurentPoly] = {}
-        self.teeth: dict[tuple[int, int, int], LaurentPoly] = {}
+        self.teeth: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         self.combs: tuple[int, list[tuple[int, ...]]] | None = None
 
 
 _table = _Table()
+
+
+def _times_tooth(prefix: LaurentPoly, tooth: tuple[int, int, int]) -> LaurentPoly:
+    """``prefix`` times the tooth (a*h/t + const) / den, given as its ints
+    (const, a, den), in one pass over the prefix's numerators and one gcd.
+
+    Comb terms live in an absolute ring (:func:`cy_term` holds no bundle
+    model), where t^e * h^k has key e*stride + k, so h/t moves key c to
+    c - stride + 1, and h^n * h/t = 0.  A comb term is a form of one t-degree,
+    at most n + 1 terms, so the pass makes O(n) int products.
+    """
+    const, a, den = tooth
+    spec = prefix.spec
+    stride, n = spec.basis.stride, spec.n
+    shift = stride - 1
+    out: dict[int, int] = {}
+    for c, v in prefix._num.items():
+        if const:
+            out[c] = out.get(c, 0) + const * v
+        if a and c % stride < n:
+            out[c - shift] = out.get(c - shift, 0) + a * v
+    if 0 in out.values():
+        out = {c: v for c, v in out.items() if v}
+    return LaurentPoly._new(spec, *_lowest(out, prefix._den * den))
 
 
 def _term(model: CIModel, ends: tuple[int, ...]) -> LaurentPoly:
@@ -159,8 +191,8 @@ def _term(model: CIModel, ends: tuple[int, ...]) -> LaurentPoly:
         key = (ends[-1] - ends[-2], ends[-2], len(ends) - 1)
         tooth = _table.teeth.get(key)
         if tooth is None:
-            tooth = _table.teeth[key] = _table.forms[key[0]].tooth(model.spec, *key[1:])
-        term = _table.terms[ends] = _term(model, ends[:-1]) * tooth
+            tooth = _table.teeth[key] = _table.forms[key[0]]._tooth_ints(*key[1:])
+        term = _table.terms[ends] = _times_tooth(_term(model, ends[:-1]), tooth)
     return term
 
 
@@ -170,18 +202,20 @@ def cy_term(
     """One comb's contribution: phi_{d_1} * prod lambda_{Delta_i}(h+d_i t, t) / (r! t^r),
     for the comb with endpoints ``ends`` = (d_1, ..., d_{r+1}).
 
-    The term is its prefix's term times one held :meth:`LambdaForm.tooth`,
+    The term is its prefix's term times one held tooth (``_times_tooth``),
     and every term built is kept in a per-thread table of the current
-    model's comb terms, so each comb costs at most one ring product.  The
+    model's comb terms, so each comb costs at most one tooth product.  The
     table serves only the form objects that built it: a new model or a
     form object other than the held one for its tooth degree empties it.
     One pass along the teeth checks each tooth degree, reads its form once
     and compares it with the held one by identity, so a held term costs one
     identity check per tooth and allocates nothing but the pass's
     ``pairwise`` iterator.  The table changes only after every tooth is
-    checked, so bad endpoints or a missing lambda raise with the table
-    untouched.
+    checked, so bad endpoints, a missing lambda or a bundle model raise with
+    the table untouched; endpoints that are not a tuple raise TypeError first.
     """
+    if not isinstance(ends, tuple):
+        raise TypeError(f"comb endpoints must be a tuple, got {ends!r}")
     if not ends or ends[0] < 0:
         raise ValueError(f"a comb needs endpoints starting at >= 0, got {ends}")
     held = _table.forms
@@ -200,6 +234,7 @@ def cy_term(
             stale = stale or have is not None
     if new:
         if stale:
+            _require_absolute(model)
             _table.clear()
             _table.model = model
         for a, b in pairwise(ends):
@@ -324,7 +359,7 @@ def solve_lambdas_up_to(model: CIModel, max_degree: int) -> dict[int, LambdaForm
 def cy_correlator(
     model: CIModel, d: int, lambdas: Mapping[int, LambdaForm] | None = None
 ) -> LaurentPoly:
-    """The degree-d Calabi-Yau correlator: 2^d combs, at most one ring product each.
+    """The degree-d Calabi-Yau correlator: 2^d combs, at most one tooth product each.
     Without ``lambdas``, it is solved and summed by ``_lambdas_and_correlators``."""
     _require_calabi_yau(model)
     if d < 0:

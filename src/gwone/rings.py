@@ -493,7 +493,9 @@ def _power_sum(one, x, coefficients):
     Every x summed here is nilpotent (h and the base classes in a truncated
     ring, q modulo q^{order+1}).  ``one`` and ``x`` share a type (``_Value``
     or ``QSeries``); a zero coefficient is skipped, and one equal to 1 costs
-    no product.
+    no product.  Its callers are the geometric series of both inverses
+    (``_Value._inverse_from``), ``QSeries.log`` and ``QSeries.substitute``;
+    ``QSeries.exp`` is its own O(order^2) recurrence.
     """
     total = None
     power = one

@@ -3,15 +3,15 @@
 Coefficients are :class:`~gwone.laurent.LaurentPoly` values, given as one
 map q-degree -> coefficient, and every operation is exact modulo
 q^{order+1}; a product adds each q-degree in one pass (``LaurentPoly.sum``).
-Exponential, logarithm and the substitution q -> q*e^{f(q)} are each one
-power sum (``rings._power_sum``) in a series without constant term, whose
-powers vanish past q^order.
+The exponential is its coefficient recurrence, O(order^2) coefficient
+products.  Logarithm and the substitution q -> q*e^{f(q)} are each one power
+sum (``rings._power_sum``) in a series without constant term, whose powers
+vanish past q^order; the substitution's e^{f(q)} is the recurrence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Mapping
 
 from .laurent import LaurentPoly
@@ -121,11 +121,27 @@ class QSeries:
     # -- transcendental-but-finite operations ------------------------------
 
     def exp(self) -> QSeries:
-        """exp(f) as the finite Taylor sum; f must have zero constant term."""
+        """exp(f) by its recurrence; f must have zero constant term.
+
+        E = exp(f) solves q E' = (q f') E, so E_0 = 1 and
+        E_d = (1/d) * sum_{j=1}^{d} j*f_j * E_{d-j}: at most
+        order*(order+1)/2 coefficient products, where the Taylor sum's powers
+        of f take O(order^3).  A zero f_j or E_{d-j} costs no product, nor
+        does E_0.
+        """
         if not self.coefficient(0).is_zero():
             raise ValueError("exp requires a zero constant term")
-        one = QSeries.one(self.spec, self.order)
-        return _power_sum(one, self, [Fraction(1, factorial(k)) for k in range(self.order + 1)])[0]
+        spec = self.spec
+        weighted = [(j, f * j) for j, f in enumerate(self._coeffs) if j and not f.is_zero()]
+        out = [LaurentPoly.one(spec)]
+        for d in range(1, self.order + 1):
+            terms = (
+                jf if j == d else jf * out[d - j]
+                for j, jf in weighted
+                if j <= d and not out[d - j].is_zero()
+            )
+            out.append(LaurentPoly.sum(spec, terms) * Fraction(1, d))
+        return QSeries(spec, self.order, dict(enumerate(out)))
 
     def log(self) -> QSeries:
         """log(f) as the finite Taylor sum; f must have constant term 1."""

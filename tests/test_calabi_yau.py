@@ -1,7 +1,7 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import pairwise
-from math import factorial
+from math import factorial, gcd
 from types import MappingProxyType
 
 import pytest
@@ -25,7 +25,7 @@ from gwone.calabi_yau import (
 from gwone.correlators import CIModel, ClassificationError, classify, one_point_invariant, phi
 from gwone.laurent import LaurentPoly
 from gwone.relative import RelativeModel
-from gwone.rings import CohClass
+from gwone.rings import CohClass, RingSpec
 
 from strategies import CANONICAL_SPECS, fractions
 
@@ -108,23 +108,80 @@ def test_cy_correlator_is_the_plain_comb_sum(n, degrees):
 def test_cy_term_rejects_bad_endpoints_and_leaves_the_table_as_it_was():
     lambdas = _warm_quintic_table()
     table = calabi_yau._table
-    held = table.model, dict(table.forms), dict(table.terms), dict(table.teeth)
+    stores = table.forms, table.terms, table.teeth
+    held = table.model, *(dict(store) for store in stores)
+
+    def assert_held():
+        assert table.model is held[0]
+        for store, now, before in zip(stores, (table.forms, table.terms, table.teeth), held[1:]):
+            assert now is store and now.keys() == before.keys()
+            assert all(now[key] is value for key, value in before.items())
+
     twin = CIModel(4, (5,))
     # Another model object and new form objects would empty the table, so
-    # each call must raise before it gets that far.
+    # each call must raise before it gets that far.  Endpoints given as a
+    # list once passed the checks and changed the table before the term
+    # lookup raised "unhashable type"; degree 3 has no held form.
     for model, forms in ((QUINTIC, lambdas), (twin, _fresh_forms(lambdas))):
-        for ends, message in (
-            ((), "starting at >= 0"),
-            ((-1, 2), "starting at >= 0"),
-            ((2, 1), "strictly increasing"),
-            ((0, 0, 1), "strictly increasing"),
+        for ends, error, message in (
+            ((), ValueError, "starting at >= 0"),
+            ((-1, 2), ValueError, "starting at >= 0"),
+            ((2, 1), ValueError, "strictly increasing"),
+            ((0, 0, 1), ValueError, "strictly increasing"),
+            ([0, 2], TypeError, "must be a tuple"),
+            ([0, 3], TypeError, "must be a tuple"),
+            (range(3), TypeError, "must be a tuple"),
         ):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(error, match=message):
                 cy_term(model, ends, forms)
-            assert table.model is held[0]
-            for now, before in zip((table.forms, table.terms, table.teeth), held[1:]):
-                assert now.keys() == before.keys()
-                assert all(now[key] is value for key, value in before.items())
+            assert_held()
+    # The tooth product is for P^n, so a bundle model raises before it empties the table.
+    for ends in ((0, 1, 2), (2,)):
+        with pytest.raises(ClassificationError, match="base cutoff 0"):
+            cy_term(BUNDLE_CALABI_YAU, ends, lambdas)
+        assert_held()
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(-4, 4),
+    st.data(),
+    st.sampled_from(["free", "top", "geometric"]),
+    st.one_of(st.just(Fraction(0)), fractions),
+    fractions,
+    st.integers(0, 9),
+    st.integers(1, 9),
+)
+def test_the_tooth_product_equals_the_ring_product(
+    n, degree, data, shape, alpha, beta, position, count
+):
+    # The ring product with the tooth as a polynomial, the route comb terms
+    # took before their one int pass, is the oracle.
+    spec = RingSpec.absolute(n)
+    form = LambdaForm(alpha, beta)
+    const, a, _ = form._tooth_ints(position, count)
+    coeffs = data.draw(st.lists(st.integers(-60, 60), min_size=n + 1, max_size=n + 1))
+    if shape == "top":
+        # c * h^n * t^(degree - n): only the const part survives the cut at h^n,
+        # so a tooth with a*position + b = 0 cancels the product to zero.
+        coeffs = [0] * n + [coeffs[-1] or 1]
+        if data.draw(st.booleans()):
+            form = LambdaForm(alpha, -alpha * position)
+            const, a, _ = form._tooth_ints(position, count)
+    elif shape == "geometric" and const:
+        # c_j = (-a)^j * const^(n-j): every coefficient but the first cancels.
+        coeffs = [(-a) ** j * const ** (n - j) for j in range(n + 1)]
+    prefix = LaurentPoly._form(spec, degree, coeffs, data.draw(st.integers(1, 40)))
+    tooth = form.tooth(spec, position, count)
+    product = calabi_yau._times_tooth(prefix, form._tooth_ints(position, count))
+    assert product == prefix * tooth
+    assert 0 not in product._num.values()
+    assert product._den > 0 and gcd(product._den, *product._num.values()) == 1
+    if shape == "top" and not const:
+        assert product.is_zero() and product._den == 1
+    if shape == "geometric" and const and a:
+        assert set(product._num) == {degree * spec.basis.stride}
 
 
 def test_cy_term_toothless_comb_is_phi():
@@ -175,16 +232,15 @@ def test_tooth_forms_leave_the_lambda_value_alone():
 
 
 def test_the_table_builds_each_tooth_once_while_its_forms_are_held(monkeypatch):
-    spec = QUINTIC.spec
     solved, perturbed = ORACLE_TABLES[QUINTIC][0], ORACLE_TABLES[QUINTIC][1]
     built = []
-    tooth = LambdaForm.tooth
+    tooth = LambdaForm._tooth_ints
 
-    def counting(self, spec, position, count):
+    def counting(self, position, count):
         built.append((self, position, count))
-        return tooth(self, spec, position, count)
+        return tooth(self, position, count)
 
-    monkeypatch.setattr(LambdaForm, "tooth", counting)
+    monkeypatch.setattr(LambdaForm, "_tooth_ints", counting)
     table = calabi_yau._table
     table.clear()
     # (0, 2, 3) and (1, 2, 3) end in the same tooth: Delta 1 at position 2,
@@ -196,16 +252,16 @@ def test_the_table_builds_each_tooth_once_while_its_forms_are_held(monkeypatch):
     assert table.teeth[1, 2, 2] is shared and len(built) == 3
     # A term is built before its prefix's term, so its tooth comes first.
     assert built == [(solved[1], 2, 2), (solved[2], 0, 1), (solved[1], 1, 1)]
-    assert shared == tooth(solved[1], spec, 2, 2)
+    assert shared == tooth(solved[1], 2, 2)
     # A replaced form empties the teeth with the terms.
     cy_term(QUINTIC, (0, 2, 3), perturbed)
     assert set(table.teeth) == {(2, 0, 1), (1, 2, 2)}
-    assert table.teeth[1, 2, 2] == tooth(perturbed[1], spec, 2, 2) != shared
-    # So does a new model, whose teeth are built on its own spec.
+    assert table.teeth[1, 2, 2] == tooth(perturbed[1], 2, 2) != shared
+    # So does a new model, with its own forms.
     other = ORACLE_MODELS[1]
     lambdas = ORACLE_TABLES[other][0]
     cy_term(other, (1, 4), lambdas)
-    assert table.teeth == {(3, 1, 1): tooth(lambdas[3], other.spec, 1, 1)}
+    assert table.teeth == {(3, 1, 1): tooth(lambdas[3], 1, 1)}
     assert cy_term(other, (1, 4), lambdas) == _definitional_term(other, (1, 4), lambdas)
 
 
@@ -653,22 +709,27 @@ def test_the_correlator_pass_reuses_the_solve_pass_products(monkeypatch, d):
         lambdas[e] = solve_lambda(QUINTIC, e, lambdas)
         cy_correlator(QUINTIC, e, lambdas)
     phi(QUINTIC, d)
-    calls = []
-    convolve = rings._convolve
+    teeth, convolves = [], []
+    times_tooth, convolve = calabi_yau._times_tooth, rings._convolve
 
-    def counting(*args):
-        calls.append(None)
+    def counting_teeth(*args):
+        teeth.append(None)
+        return times_tooth(*args)
+
+    def counting_convolves(*args):
+        convolves.append(None)
         return convolve(*args)
 
-    monkeypatch.setattr(rings, "_convolve", counting)
+    monkeypatch.setattr(calabi_yau, "_times_tooth", counting_teeth)
+    monkeypatch.setattr(rings, "_convolve", counting_convolves)
     lambdas[d] = solve_lambda(QUINTIC, d, lambdas)
-    # One product per comb with teeth other than (0, d), each on its held
-    # prefix, and the two read-off integrals.
-    assert len(calls) == 2**d - 2 + 2
-    solve_pass = len(calls)
+    # One tooth product per comb with teeth other than (0, d), each on its
+    # held prefix, and two ring products for the read-off integrals.
+    assert (len(teeth), len(convolves)) == (2**d - 2, 2)
+    # Only the simple comb (0, d), phi_0 times one tooth, is multiplied out,
+    # and no comb term is a ring product.
     corr = cy_correlator(QUINTIC, d, lambdas)
-    # Only the simple comb (0, d), phi_0 times one tooth, is multiplied out.
-    assert len(calls) == solve_pass + 1
+    assert (len(teeth), len(convolves)) == (2**d - 2 + 1, 2)
     monkeypatch.undo()
     assert corr == cy_correlator(QUINTIC, d, _fresh_forms(lambdas))
     # Forms that differ from the held ones are multiplied out again.

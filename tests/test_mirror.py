@@ -3,7 +3,7 @@ from itertools import combinations, pairwise
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from gwone import calabi_yau, mirror as mirror_module, rings
 from gwone.calabi_yau import enumerate_combs, solve_lambdas_up_to
@@ -98,7 +98,6 @@ def test_double_comb_series_with_zero_y_is_one():
     assert double_comb_series(x, y, 4) == QSeries.one(SCALARS, 4)
 
 
-@settings(max_examples=25)
 @given(small_maps, small_maps, small_maps, fractions, fractions)
 def test_log_of_double_comb_series_is_linear_in_y(x, y1, y2, c1, c2):
     order = 4
@@ -140,7 +139,6 @@ def _brute_force_double_comb(x, y, d):
 oracle_maps = st.fixed_dictionaries({e: fractions for e in range(1, 8)})
 
 
-@settings(max_examples=25)
 @given(oracle_maps, oracle_maps, st.integers(1, 7))
 def test_chain_sums_match_brute_force(x, y, order):
     expected = {d: _brute_force_transform(x, y, d) for d in range(1, order + 1)}
@@ -168,7 +166,6 @@ def test_chain_recursion_evaluates_each_weight_once():
     assert transformed[10] == _brute_force_transform(dict(x), dict(y), 10)
 
 
-@settings(max_examples=25)
 @given(small_maps, small_maps)
 def test_transform_exponentiates_to_double_comb_series(x, y):
     order = 4

@@ -10,8 +10,6 @@ sum keeps t^0 or t^-1 terms).  Without a fault every check passes, so a
 failing check points at the fault.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from gwone import acceptance, calabi_yau
@@ -32,14 +30,14 @@ THREEFOLDS = (
 
 
 def _tooth_fault(monkeypatch):
-    """Every tooth at position 1 scaled by 3/2."""
-    tooth = LambdaForm.tooth
+    """Every tooth at position 1 scaled by 3/2, in the ints the comb terms are built from."""
+    tooth_ints = LambdaForm._tooth_ints
 
-    def scaled(self, spec, position, count):
-        form = tooth(self, spec, position, count)
-        return form * Fraction(3, 2) if position == 1 else form
+    def scaled(self, position, count):
+        const, a, den = tooth_ints(self, position, count)
+        return (3 * const, 3 * a, 2 * den) if position == 1 else (const, a, den)
 
-    monkeypatch.setattr(LambdaForm, "tooth", scaled)
+    monkeypatch.setattr(LambdaForm, "_tooth_ints", scaled)
 
 
 def _lambda_fault(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwone import rings
 from gwone.laurent import LaurentPoly
 from gwone.relative import relative_ring
 from gwone.rings import CohClass, RingSpec, SpecMismatchError, _power_sum
@@ -215,6 +216,27 @@ def test_product_matches_the_pairwise_oracle(spec, data):
 def test_exp_matches_the_taylor_oracle(spec, data):
     f = data.draw(q_series(spec, zero_constant=True))
     assert f.exp() == taylor_exp(f)
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_exp_makes_at_most_order_times_order_plus_one_over_two_products(order, monkeypatch):
+    # The Taylor sum of the powers of f took O(order^3) products, 56 at order 7.
+    spec = RingSpec.absolute(4)
+    f = QSeries(spec, order, {
+        j: LaurentPoly.linear(spec, j, Fraction(1, j)).shift_t(-1) for j in range(1, order + 1)
+    })
+    products = []
+    convolve = rings._convolve
+
+    def counting(*args):
+        products.append(None)
+        return convolve(*args)
+
+    monkeypatch.setattr(rings, "_convolve", counting)
+    exp = f.exp()
+    assert len(products) <= order * (order + 1) // 2
+    monkeypatch.undo()
+    assert exp == taylor_exp(f)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
