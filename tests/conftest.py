@@ -17,11 +17,12 @@ per-model cached linear-CY series coefficients (against the phi series times
 the multiplier series, one ``QSeries`` product, requested in random order
 from cold caches), the one-pass index-one Fano correlator, the cached
 Stirling rows, the mixed-radix monomial product table, the q-series product
-against the slot-dict pairwise oracle, the comb terms' int tooth product
-against the ring product, the mirror chain sums and ``double_comb_series``
-(through the q-series ``exp`` and ``log``) and the zero-skipping class JSON
-against their oracles: 1000 examples per property test and no per-example
-deadline.
+against the slot-dict pairwise oracle, the q-series ``exp`` homomorphism
+and multiplicative substitution, the comb terms' int tooth product against
+the ring product, the mirror chain sums and ``double_comb_series`` (through
+``exp`` and ``log``) and the zero-skipping class JSON against their oracles:
+1000 examples per property test and no per-example deadline.  A property
+with its own ``max_examples`` keeps that count under every profile.
 """
 
 from hypothesis import settings
