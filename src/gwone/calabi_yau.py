@@ -19,9 +19,13 @@ pass over the prefix's int numerators, c'_j = (alpha*p + beta)*c_j +
 alpha*c_{j-1} (``_times_tooth``), with no ring product.  :func:`cy_term`
 keeps every comb term and tooth it builds for the current model in one
 table per thread, so each prefix is already held from a lower degree.
-The terms stream into :meth:`LaurentPoly.sum`, one pass and one
-reduction per degree.  The solve of lambda_d and the degree-d
-correlator sum the same 2^d - 1 non-simple combs, so a correlator summed
+The table serves one form object per tooth degree; a degree's sum checks
+the given lambdas against it once per tooth degree (``_hold``), not once
+per tooth, and then asks :func:`cy_term` for each comb with the table's
+own forms, which it serves with no check.  The terms stream into
+:meth:`LaurentPoly.sum`, one pass and one reduction per degree.  The
+solve of lambda_d and the degree-d correlator sum the same 2^d - 1
+non-simple combs, so a correlator summed
 after its solve multiplies out only its simple comb: :func:`threefold_report`
 and the other full pipelines solve and sum one degree at a time.  One
 model's terms of every degree built are held per thread, and every function
@@ -36,7 +40,7 @@ from functools import reduce
 from itertools import pairwise
 from math import factorial, lcm
 from operator import add
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .correlators import (
     CIModel,
@@ -196,35 +200,19 @@ def _term(model: CIModel, ends: tuple[int, ...]) -> LaurentPoly:
     return term
 
 
-def cy_term(
-    model: CIModel, ends: tuple[int, ...], lambdas: Mapping[int, LambdaForm]
-) -> LaurentPoly:
-    """One comb's contribution: phi_{d_1} * prod lambda_{Delta_i}(h+d_i t, t) / (r! t^r),
-    for the comb with endpoints ``ends`` = (d_1, ..., d_{r+1}).
+def _hold(model: CIModel, lambdas: Mapping[int, LambdaForm], degrees: Iterable[int]) -> None:
+    """Make the table serve ``model`` with the forms ``lambdas`` gives for ``degrees``.
 
-    The term is its prefix's term times one held tooth (``_times_tooth``),
-    and every term built is kept in a per-thread table of the current
-    model's comb terms, so each comb costs at most one tooth product.  The
-    table serves only the form objects that built it: a new model or a
-    form object other than the held one for its tooth degree empties it.
-    One pass along the teeth checks each tooth degree, reads its form once
-    and compares it with the held one by identity, so a held term costs one
-    identity check per tooth and allocates nothing but the pass's
-    ``pairwise`` iterator.  The table changes only after every tooth is
-    checked, so bad endpoints, a missing lambda or a bundle model raise with
-    the table untouched; endpoints that are not a tuple raise TypeError first.
+    Each degree's form is read once and compared with the held one by
+    identity.  A new model or a form object other than the held one for its
+    degree empties the table; a degree with no held form only adds its form.
+    The table changes only after every degree is checked, so a missing
+    lambda or a bundle model raises with the table untouched.
     """
-    if not isinstance(ends, tuple):
-        raise TypeError(f"comb endpoints must be a tuple, got {ends!r}")
-    if not ends or ends[0] < 0:
-        raise ValueError(f"a comb needs endpoints starting at >= 0, got {ends}")
     held = _table.forms
     stale = _table.model is not model
     new = stale
-    for a, b in pairwise(ends):
-        delta = b - a
-        if delta < 1:
-            raise ValueError(f"comb endpoints must be strictly increasing, got {ends}")
+    for delta in degrees:
         form = lambdas.get(delta)
         if form is None:
             raise ValueError(f"missing lambda for tooth degree {delta}")
@@ -237,8 +225,37 @@ def cy_term(
             _require_absolute(model)
             _table.clear()
             _table.model = model
-        for a, b in pairwise(ends):
-            _table.forms[b - a] = lambdas[b - a]
+        for delta in degrees:
+            _table.forms[delta] = lambdas[delta]
+
+
+def cy_term(
+    model: CIModel, ends: tuple[int, ...], lambdas: Mapping[int, LambdaForm]
+) -> LaurentPoly:
+    """One comb's contribution: phi_{d_1} * prod lambda_{Delta_i}(h+d_i t, t) / (r! t^r),
+    for the comb with endpoints ``ends`` = (d_1, ..., d_{r+1}).
+
+    The term is its prefix's term times one held tooth (``_times_tooth``),
+    and every term built is kept in a per-thread table of the current
+    model's comb terms, so each comb costs at most one tooth product.  The
+    table serves only the form objects that built it: a new model or a
+    form object other than the held one for its tooth degree empties it
+    (``_hold``).  Bad endpoints, a missing lambda or a bundle model raise
+    with the table untouched; endpoints that are not a tuple raise
+    TypeError first.  Given the table's own forms and model, as
+    :func:`_partial_comb_sum` passes them once it has held every tooth
+    degree of its sum, it checks nothing.
+    """
+    if lambdas is _table.forms and model is _table.model:
+        return _term(model, ends)
+    if not isinstance(ends, tuple):
+        raise TypeError(f"comb endpoints must be a tuple, got {ends!r}")
+    if not ends or ends[0] < 0:
+        raise ValueError(f"a comb needs endpoints starting at >= 0, got {ends}")
+    deltas = tuple(b - a for a, b in pairwise(ends))
+    if deltas and min(deltas) < 1:
+        raise ValueError(f"comb endpoints must be strictly increasing, got {ends}")
+    _hold(model, lambdas, deltas)
     return _term(model, ends)
 
 
@@ -259,11 +276,14 @@ def _require_calabi_yau(model: CIModel) -> None:
 def _partial_comb_sum(
     model: CIModel, d: int, lambdas: Mapping[int, LambdaForm]
 ) -> LaurentPoly:
-    """Sum of all degree-d comb terms except the simple comb (0, d), in one pass."""
+    """Sum of all degree-d comb terms except the simple comb (0, d), in one pass.
+    Every tooth degree 1..d-1 is held once, before the first term, so each
+    ``cy_term`` call gets the table's own forms and checks nothing."""
+    _hold(model, lambdas, range(1, d))
     if _table.combs is None or _table.combs[0] != d:
         _table.combs = (d, enumerate_combs(d))
-    simple = (0, d)
-    terms = (cy_term(model, c, lambdas) for c in _table.combs[1] if c != simple)
+    forms, simple = _table.forms, (0, d)
+    terms = (cy_term(model, c, forms) for c in _table.combs[1] if c != simple)
     return LaurentPoly.sum(model.spec, terms)
 
 

@@ -11,17 +11,27 @@ with f = sum a_e q^e and g = sum b_e q^e.  This module implements the
 transform, the double-comb generating function behind it (whose logarithm
 is linear in the y-variables), and an exact verifier for the identity.
 Every chain sum comes from one forward recursion over the chain's last
-endpoint (``calabi_yau._chain_sums``), polynomial in the degree, not from
-enumerating the 2^d combs.
+endpoint, polynomial in the degree, not from enumerating the 2^d combs:
+the transforms run ``calabi_yau._chain_sums``, and the verifier's comb form
+runs one recursion per first endpoint on int coefficient lists, one O(n)
+pass per tooth product and no ring product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, gcd, lcm
 from typing import Mapping, TypeVar
 
-from .calabi_yau import LambdaForm, _chain_sums, _lambdas_and_correlators, _table, cy_correlator
-from .correlators import CIModel, phi
+from .calabi_yau import (
+    LambdaForm,
+    _chain_sums,
+    _lambdas_and_correlators,
+    _require_calabi_yau,
+    _table,
+    cy_correlator,
+)
+from .correlators import CIModel, _phi_list, phi
 from .laurent import LaurentPoly
 from .rings import CohClass, RingSpec, _Record, _setfield
 from .series import QSeries
@@ -106,6 +116,23 @@ def mirror_coefficients(
     )
 
 
+def _tooth_pass(coeffs: list[int], const: int, a: int) -> list[int]:
+    """The form with h^j-coefficients ``coeffs`` times the tooth a*h/t + const:
+    c'_j = const*c_j + a*c_{j-1}, cut at the list's top power of h."""
+    return [const * coeffs[0]] + [const * c + a * low for c, low in zip(coeffs[1:], coeffs)]
+
+
+_Form = tuple[list[int], int]  # int coefficients of h^0..h^n over a positive denominator
+
+
+def _add_form(total: _Form, coeffs: list[int], den: int) -> _Form:
+    """total + coeffs/den for two int coefficient lists with positive denominators."""
+    sums, sum_den = total
+    common = lcm(sum_den, den)
+    x, y = common // sum_den, common // den
+    return [s * x + c * y for s, c in zip(sums, coeffs)], common
+
+
 def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QSeries:
     """The comb sums with (a, b) in place of the lambdas, to q^order.
 
@@ -113,22 +140,47 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
     first endpoint; this is the per-degree form of the mirror identity.  The
     combs that start at d_1 are the chains of degree d - d_1, so the q^d
     coefficient is phi_d + sum over d_1 < d of phi_{d_1} * (chain sum of
-    degree d - d_1).  The tooth forms depend only on (e, d_1), so each is
-    built once, and one chain recursion per start d_1 serves every degree.
+    degree d - d_1), one chain recursion per start d_1 serving every degree.
+
+    Every phi_d of a Calabi-Yau model is a form of t-degree m, and each
+    tooth is one of degree 0, the ints (a*d_1 + b, a, den) of the form
+    a*h + b*t at (h + d_1*t, t) over t (``LambdaForm._tooth_ints``), so the
+    recursion runs on int coefficient lists of h^0..h^n: the seed row is
+    phi_{d_1} (``correlators._phi_list``), each tooth product is one O(n)
+    pass (``_tooth_pass``), each row entry is reduced by one gcd, and 1/r!
+    is applied as the row is added into its q-degree.  One
+    ``LaurentPoly._form`` per q-degree builds the result, with no ring
+    product.  A bundle or non-Calabi-Yau model raises
+    :class:`ClassificationError` before any work.
     """
+    _require_calabi_yau(model)
     if order > mirror.order:
         raise ValueError(f"mirror data reach q^{mirror.order}, below the requested order {order}")
-    spec = model.spec
-    values = {d: phi(model, d) for d in range(order + 1)}
+    top = model.n
+    phis = [_phi_list(model, d) for d in range(order + 1)]
+    degree = phis[0][0]
+    seeds = [(list(coeffs) + [0] * (top + 1 - len(coeffs)), den) for _, coeffs, den in phis]
+    totals = list(seeds)
+    forms = [LambdaForm(mirror.a[e], mirror.b[e]) for e in range(1, order + 1)]
     for d1 in range(order):
-        forms = {
-            e: LaurentPoly.linear(spec, mirror.a[e], mirror.a[e] * d1 + mirror.b[e]).shift_t(-1)
-            for e in range(1, order - d1 + 1)
-        }
-        chains = _chain_sums(order - d1, lambda delta, start: forms[delta])
-        for q, chain in chains.items():
-            values[d1 + q] = values[d1 + q] + phi(model, d1) * chain
-    return QSeries(spec, order, values)
+        teeth = [form._tooth_ints(d1, 1) for form in forms[: order - d1]]
+        ends: list[dict[int, _Form]] = [{0: seeds[d1]}]
+        for q in range(1, order - d1 + 1):
+            row: dict[int, _Form] = {}
+            for p in range(q):
+                const, a, tooth_den = teeth[q - p - 1]
+                for r, (coeffs, den) in ends[p].items():
+                    product = _tooth_pass(coeffs, const, a), den * tooth_den
+                    row[r + 1] = _add_form(row[r + 1], *product) if r + 1 in row else product
+            for r, (coeffs, den) in row.items():
+                g = gcd(den, *coeffs)
+                row[r] = [c // g for c in coeffs], den // g
+                totals[d1 + q] = _add_form(totals[d1 + q], row[r][0], row[r][1] * factorial(r))
+            ends.append(row)
+    spec = model.spec
+    return QSeries(
+        spec, order, {d: LaurentPoly._form(spec, degree, *total) for d, total in enumerate(totals)}
+    )
 
 
 class MirrorReport(_Record):

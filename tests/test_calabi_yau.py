@@ -424,6 +424,52 @@ def test_a_read_only_lambda_table_gives_the_same_terms_cold_and_warm():
     assert cold == [_definitional_term(QUINTIC, comb, lambdas) for comb in all_combs]
 
 
+def test_an_equal_but_new_form_between_two_degrees_empties_the_table_in_the_comb_sum():
+    lambdas = ORACLE_TABLES[QUINTIC][0]
+    table = calabi_yau._table
+    table.clear()
+    lambda_readoff(QUINTIC, 4, lambdas)
+    held = dict(table.terms)
+    # Equal by value at tooth degree 2, but another object than the held one:
+    # the degree-5 sum holds every tooth degree once, before its first term.
+    fresh = {**lambdas, 2: LambdaForm(lambdas[2].alpha, lambdas[2].beta)}
+    partial = calabi_yau._partial_comb_sum(QUINTIC, 5, fresh)
+    assert table.model is QUINTIC
+    assert all(table.forms[e] is fresh[e] for e in range(1, 5))
+    assert held.keys() <= table.terms.keys()
+    assert all(table.terms[ends] is not term for ends, term in held.items())
+    brute = LaurentPoly.zero(QUINTIC.spec)
+    for comb in enumerate_combs(5):
+        if comb != (0, 5):
+            brute = brute + _definitional_term(QUINTIC, comb, lambdas)
+    assert partial == brute
+    assert lambda_readoff(QUINTIC, 5, fresh) == lambdas[5]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lambdas: lambda_readoff(QUINTIC, 4, lambdas),
+        lambda lambdas: cy_correlator(QUINTIC, 4, lambdas),
+    ],
+    ids=["lambda_readoff", "cy_correlator"],
+)
+def test_a_comb_sum_without_a_lambda_raises_and_leaves_a_warm_table_as_it_was(call):
+    lambdas = _warm_quintic_table()
+    table = calabi_yau._table
+    stores = table.forms, table.terms, table.teeth
+    held = table.model, table.combs, *(dict(store) for store in stores)
+    # No lambda_2, and a new lambda_1 object that would empty the table if
+    # it were checked before the missing degree.
+    lacking = {1: LambdaForm(lambdas[1].alpha, lambdas[1].beta), 3: lambdas[3], 4: lambdas[4]}
+    with pytest.raises(ValueError, match="missing lambda for tooth degree 2"):
+        call(lacking)
+    assert table.model is held[0] and table.combs is held[1]
+    for store, now, before in zip(stores, (table.forms, table.terms, table.teeth), held[2:]):
+        assert now is store and now.keys() == before.keys()
+        assert all(now[key] is value for key, value in before.items())
+
+
 @settings(deadline=None)
 @given(
     st.sampled_from(CANONICAL_SPECS), fractions, fractions, st.integers(0, 9), st.integers(1, 9)

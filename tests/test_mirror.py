@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gwone import calabi_yau, mirror as mirror_module, rings
-from gwone.calabi_yau import enumerate_combs, solve_lambdas_up_to
-from gwone.correlators import ClassificationError, classify, phi
+from gwone.calabi_yau import _lambdas_and_correlators, enumerate_combs, solve_lambdas_up_to
+from gwone.correlators import CIModel, ClassificationError, classify, phi
 from gwone.laurent import LaurentPoly
 from gwone.mirror import (
     corollary_transform,
@@ -203,23 +203,68 @@ def test_mirror_comb_correlator_matches_per_comb_sum(n, degrees):
         assert comb_form.coefficient(d) == brute, (degrees, d)
 
 
-def test_mirror_verifier_runs_one_chain_recursion_per_start(monkeypatch):
-    # the two transforms evaluate 2 * 28 weights and the comb form
-    # sum_{N <= 7} N(N+1)/2 = 84, one recursion of length 7 - d_1 per start d_1
-    calls = 0
-    chain_sums = mirror_module._chain_sums
+def test_mirror_verifier_runs_int_tooth_passes_and_no_ring_product_in_the_comb_form(
+    monkeypatch,
+):
+    # The two transforms evaluate 2 * 28 chain weights.  The comb form runs
+    # one recursion per start d_1 on int forms: a chain of length N = 7 - d_1
+    # makes sum_{q <= N} (1 + q(q-1)/2) = (N^3 + 5N)/6 tooth passes, 154 in all.
+    model = classify(5, (3, 3))
+    weights, passes = [], []
+    chain_sums, tooth_pass = mirror_module._chain_sums, mirror_module._tooth_pass
 
     def counting_chain_sums(order, weight):
         def counted(delta, start):
-            nonlocal calls
-            calls += 1
+            weights.append(None)
             return weight(delta, start)
 
         return chain_sums(order, counted)
 
+    def counting_tooth_pass(*args):
+        passes.append(None)
+        return tooth_pass(*args)
+
     monkeypatch.setattr(mirror_module, "_chain_sums", counting_chain_sums)
-    assert verify_mirror_identity(classify(5, (3, 3)), 7).holds
-    assert calls == 140
+    monkeypatch.setattr(mirror_module, "_tooth_pass", counting_tooth_pass)
+    report = verify_mirror_identity(model, 7)
+    assert report.holds
+    assert (len(weights), len(passes)) == (56, 154)
+    # The comb form alone: no ring product, no phi and no chain-sum call.
+    convolves = []
+    convolve = rings._convolve
+
+    def counting_convolve(*args):
+        convolves.append(None)
+        return convolve(*args)
+
+    def refused(*args):
+        raise AssertionError("the comb form called a ring-valued helper")
+
+    monkeypatch.setattr(rings, "_convolve", counting_convolve)
+    monkeypatch.setattr(mirror_module, "phi", refused)
+    monkeypatch.setattr(mirror_module, "_chain_sums", refused)
+    comb_form = mirror_comb_correlator(model, 7, report.mirror)
+    assert convolves == [] and len(passes) == 2 * 154
+    monkeypatch.undo()
+    correlators = _lambdas_and_correlators(model, 7)[1]
+    assert all(comb_form.coefficient(d) == correlators[d] for d in range(8))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [CIModel(4, (5,), base_cutoff=2), classify(4, (4,)), classify(4, (6,))],
+    ids=["bundle", "fano", "general-type"],
+)
+def test_mirror_comb_correlator_rejects_a_model_that_is_not_calabi_yau(model, monkeypatch):
+    # It once ran on a bundle through ring products and returned a series.
+    data = mirror_coefficients(solve_lambdas_up_to(QUINTIC, 2))
+
+    def no_work(*args):
+        raise AssertionError("the comb form started")
+
+    monkeypatch.setattr(mirror_module, "_phi_list", no_work)
+    with pytest.raises(ClassificationError):
+        mirror_comb_correlator(model, 2, data)
 
 
 def test_verifying_a_solved_table_costs_no_more_products_than_the_verifier_alone(monkeypatch):
