@@ -164,7 +164,8 @@ _table = _Table()
 
 def _times_tooth(prefix: LaurentPoly, tooth: tuple[int, int, int]) -> LaurentPoly:
     """``prefix`` times the tooth (a*h/t + const) / den, given as its ints
-    (const, a, den), in one pass over the prefix's numerators and one gcd.
+    (const, a, den): ``laurent._tooth_pass`` on the prefix's dict keys, in one
+    pass and one gcd, kept until the 2^d comb path it serves is deleted.
 
     Comb terms live in an absolute ring (:func:`cy_term` holds no bundle
     model), where t^e * h^k has key e*stride + k, so h/t moves key c to

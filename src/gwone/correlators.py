@@ -15,18 +15,18 @@ in c(V); P^n is the bundle over a point, so one model (``CIModel``) and one
 ``phi`` serve both.  The correlator formulas are for P^n itself.
 
 Products of linear forms in phi are built in closed form, cut at
-h^{n + base_cutoff}, beyond which every power of h vanishes by degree: the
-numerator's factors from Stirling numbers of the first kind, convolved as
-int polynomials in h (``_numerator_list``), and the powers of ``euler_class``
-from binomial coefficients.  The inverse Euler class is never found by
-inverting a Laurent polynomial.  With x = h + k*t, the degree-k Euler factor
-is x^{n+1} * c(1/x), so its inverse is x^{-(n+1)} * f_k, with
-f_k = sum_l sigma_l * x^{-l} and sigma = 1/c.  So phi_d of every model is one
-form, the numerator's int list times that of prod_k x^{-(n+1)}, chained from
-the degree below by one product of int polynomials in h; on a bundle it is
-that form times u_d = prod_{k<=d} f_k (``_unit``), the chain of sigma-factors
-that the linear Calabi-Yau pipeline reads too, one ring product per degree.
-On P^n, sigma = () and u_d = 1, so phi_d is built with no ring product.
+h^{n + base_cutoff}, beyond which every power of h vanishes by degree, as int
+forms, ``laurent``'s ``_Form`` and its helpers: the numerator from Stirling
+numbers of the first kind (``_numerator_list``), and the powers of
+``euler_class`` from binomial coefficients.  No Laurent polynomial is
+inverted.  With x = h + k*t, the degree-k Euler factor is x^{n+1} * c(1/x), so
+its inverse is x^{-(n+1)} * f_k, with f_k = sum_l sigma_l * x^{-l} and
+sigma = 1/c.  So phi_d of every model is one form, the numerator's times that
+of prod_k x^{-(n+1)}, chained from the degree below by one ``_form_product``;
+on a bundle it is that form times u_d = prod_{k<=d} f_k (``_unit``), the chain
+of sigma-factors that the linear Calabi-Yau pipeline reads too, one ring
+product per degree.  On P^n, sigma = () and u_d = 1, so phi_d and the
+index-one sum are forms alone.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ import enum
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 from typing import Sequence
 
-from .laurent import LaurentPoly, _linear_power_list
+from .laurent import LaurentPoly, _Form, _binomial, _form_product, _form_sum, _linear_power_list
+from .laurent import _reduced
 from .rings import CohClass, Mono, NotInvertibleError, Numerators, RingSpec, _lowest, _Record
 from .rings import _setfield, generator_mono, mono_mul
 
@@ -262,16 +263,6 @@ def degree_vectors(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _cut_product(a: Sequence[int], b: Sequence[int], top: int) -> list[int]:
-    """The coefficients of a(h) * b(h) up to h^top, for int coefficient lists."""
-    out = [0] * min(len(a) + len(b) - 1, top + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b[: len(out) - i]):
-                out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=None)
 def _stirling_row(D: int, top: int) -> tuple[int, ...]:
     """c(D+1, j) for j <= top, the unsigned Stirling numbers of the first kind:
@@ -283,17 +274,16 @@ def _stirling_row(D: int, top: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _numerator_list(degrees: tuple[int, ...], d: int, top: int) -> tuple[int, Sequence[int]]:
-    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t) as (its degree, coefficients of h^0..h^top).
+def _numerator_list(degrees: tuple[int, ...], d: int, top: int) -> _Form:
+    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t) as a form with coefficients of h^0..h^top.
 
     Each factor is built in closed form: prod_{k=0}^{D} (l*h + k*t) is
     sum_j c(D+1, j) * l^j * h^j * t^{D+1-j}, with c the unsigned Stirling
-    numbers of the first kind (``_stirling_row``).  The factors' coefficient
-    lists are multiplied as int polynomials in h, cut at h^top.
-    """
+    numbers of the first kind (``_stirling_row``).  The factors are multiplied
+    by ``_form_product``, cut at h^top."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    coeffs, degree = None, 0
+    form = None
     for l in degrees:
         factor = _stirling_row(d * l, top)
         if l != 1:
@@ -302,9 +292,9 @@ def _numerator_list(degrees: tuple[int, ...], d: int, top: int) -> tuple[int, Se
                 scaled.append(c * power)
                 power *= l
             factor = scaled
-        coeffs = factor if coeffs is None else _cut_product(coeffs, factor, top)
-        degree += d * l + 1
-    return degree, [1] if coeffs is None else coeffs
+        factor = d * l + 1, factor, 1
+        form = factor if form is None else _form_product(form, factor, top)
+    return (0, [1], 1) if form is None else form
 
 
 def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentPoly:
@@ -325,11 +315,6 @@ def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentP
                 factor = factor + LaurentPoly.linear_power(spec, k, top - j) * cj
         out = out * factor
     return out
-
-
-def _binomial(q: int, j: int) -> int:
-    """C(q, j) for any int q: (-1)^j * C(j-q-1, j) when q < 0."""
-    return comb(q, j) if q >= 0 else (-1) ** j * comb(j - q - 1, j)
 
 
 def linear_power_sum(
@@ -395,34 +380,27 @@ def _chain_below(cached, key, d: int):
 
 
 @lru_cache(maxsize=None)
-def _pn_inverse_euler(key: tuple[int, int], d: int) -> tuple[int, tuple[int, ...], int]:
-    """prod_{k=1}^d (h + k*t)^{-(n+1)}, d >= 1, for key = (n, top), as (its degree,
-    coefficients of h^0..h^top, positive denominator), in lowest terms.
-
-    The degree-d list is the degree-(d-1) one times ``_linear_power_list`` at
-    k = d, one product of int polynomials cut at h^top, reduced by one gcd.
-    """
+def _pn_inverse_euler(key: tuple[int, int], d: int) -> _Form:
+    """prod_{k=1}^d (h + k*t)^{-(n+1)}, d >= 1, for key = (n, top), as a form cut at
+    h^top in lowest terms, its coefficients a tuple: the degree-(d-1) form times
+    ``_linear_power_list`` at k = d, one ``_form_product`` and one gcd."""
     n, top = key
-    degree, coeffs, den = -(n + 1), *_linear_power_list(d, -(n + 1), top)
+    form = _linear_power_list(d, -(n + 1), top)
     if d > 1:
-        low_degree, low, low_den = _chain_below(_pn_inverse_euler, key, d)
-        degree, coeffs, den = degree + low_degree, _cut_product(low, coeffs, top), den * low_den
-    g = gcd(den, *coeffs)
-    return degree, tuple(c // g for c in coeffs), den // g
+        form = _form_product(_chain_below(_pn_inverse_euler, key, d), form, top)
+    return _reduced(form)
 
 
 @lru_cache(maxsize=None)
-def _phi_list(model: CIModel, d: int) -> tuple[int, Sequence[int], int]:
-    """The numerator of phi_d times prod_{k<=d} (h + k*t)^{-(n+1)} as (its degree,
-    coefficients of h^0..h^top, positive denominator), top = n + base_cutoff:
-    phi_d itself on P^n.  Cached: callers must not mutate."""
-    n = model.n
-    top = n + model.base_cutoff
-    degree, coeffs = _numerator_list(model.degrees, d, top)
-    if not d:
-        return degree, coeffs, 1
-    low_degree, inverse, den = _pn_inverse_euler((n, top), d)
-    return degree + low_degree, _cut_product(coeffs, inverse, top), den
+def _phi_list(model: CIModel, d: int) -> _Form:
+    """The numerator of phi_d times prod_{k<=d} (h + k*t)^{-(n+1)} as a form with
+    coefficients of h^0..h^top, top = n + base_cutoff, its coefficients a tuple:
+    phi_d itself on P^n."""
+    top = model.n + model.base_cutoff
+    form = _numerator_list(model.degrees, d, top)
+    if d:
+        form = _form_product(form, _pn_inverse_euler((model.n, top), d), top)
+    return form[0], tuple(form[1]), form[2]
 
 
 @lru_cache(maxsize=None)
@@ -491,9 +469,8 @@ def fano_index1_correlator(model: CIModel, d: int) -> LaurentPoly:
 
     The value is the finite sum over r of (-prod l_i!)^r phi_{d-r} / (r! t^r);
     the r = 0 term alone gives the d = 0 convention phi_0.  On index one every
-    term is a form of degree m - d, so the sum is one form: phi_{d-r}'s int
-    coefficient list (``_phi_list``) times (-prod l_i!)^r, over its denominator
-    times r!, the lists added over one lcm of those denominators.
+    term is a form of degree m - d, so the sum is one ``_form_sum`` of the
+    cached phi_{d-r} forms (``_phi_list``) with weights (-prod l_i!)^r over r!.
     """
     _require_absolute(model)
     if model.classification is not Classification.FANO_INDEX_ONE:
@@ -501,14 +478,8 @@ def fano_index1_correlator(model: CIModel, d: int) -> LaurentPoly:
     if d < 0:
         raise ValueError("degree must be >= 0")
     sign = -model.factorial_product
-    forms = [_phi_list(model, d - r) for r in range(d + 1)]
-    den = lcm(*(form_den * factorial(r) for r, (_, _, form_den) in enumerate(forms)))
-    coeffs = [0] * (model.n + 1)
-    for r, (_, form, form_den) in enumerate(forms):
-        scale = sign**r * (den // (form_den * factorial(r)))
-        for j, c in enumerate(form):
-            coeffs[j] += scale * c
-    return LaurentPoly._form(model.spec, forms[0][0], coeffs, den)
+    terms = [(sign**r, _phi_list(model, d - r), factorial(r)) for r in range(d + 1)]
+    return LaurentPoly._form(model.spec, *_form_sum(model.m - d, terms))
 
 
 def one_point_invariant(correlator: LaurentPoly, a: int, b: int) -> Fraction | CohClass:

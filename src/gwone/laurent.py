@@ -27,28 +27,76 @@ polynomial (``coefficient``, ``items``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from typing import Iterable, Iterator, Mapping
+from math import comb, gcd, lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import CohClass, NotInvertibleError, Numerators, RingSpec, Scalar, SpecMismatchError
 from .rings import _Value, _join, _lowest, _sum
 
 
-def _linear_power_list(k: int, p: int, last: int) -> tuple[list[int], int]:
-    """(h + k*t)^p as (coefficients of h^0..h^last, positive denominator): the
-    h^j * t^{p-j} coefficient is the j-th entry over the denominator.
+# A form sum_j coeffs[j] * h^j * t^{degree-j} / den as (degree, int coefficients of
+# h^0..h^top, positive denominator); ``LaurentPoly._form`` builds its polynomial.
+_Form = tuple[int, Sequence[int], int]
 
-    The entries are C(p, j) * k^{p-j}, with C(p, j) = (-1)^j * C(j-p-1, j) for
-    p < 0, which needs k != 0; for p >= 0 they end at j = min(p, last).
-    """
-    if p >= 0:
-        return [comb(p, j) * k ** (p - j) for j in range(min(p, last) + 1)], 1
-    if not k:
+
+def _binomial(q: int, j: int) -> int:
+    """C(q, j) for any int q: (-1)^j * C(j-q-1, j) when q < 0."""
+    return comb(q, j) if q >= 0 else (-1) ** j * comb(j - q - 1, j)
+
+
+def _linear_power_list(k: int, p: int, last: int) -> _Form:
+    """(h + k*t)^p as a form with coefficients of h^0..h^last: C(p, j) * k^{p-j}
+    for h^j * t^{p-j} (``_binomial``).  A negative p needs k != 0; for p >= 0
+    the entries end at j = min(p, last)."""
+    if p < 0 and not k:
         raise NotInvertibleError(f"h is nilpotent, so (h + 0*t)^{p} is not defined")
-    # k^{p-j} = k^{last-j} / k^{last-p}, over a positive denominator
-    den = k ** (last - p)
+    last = min(p, last) if p >= 0 else last
+    big = max(last - p, 0)  # k^{p-j} = k^{p-j+big} / k^big, over a positive denominator
+    den = k**big
     sign = -1 if den < 0 else 1
-    return [sign * (-1) ** j * comb(j - p - 1, j) * k ** (last - j) for j in range(last + 1)], sign * den
+    return p, [sign * _binomial(p, j) * k ** (p - j + big) for j in range(last + 1)], sign * den
+
+
+def _form_product(a: _Form, b: _Form, top: int) -> _Form:
+    """a * b cut at h^top: the degrees add, the denominators multiply and the
+    coefficient lists are multiplied as int polynomials in h up to h^top."""
+    a_coeffs, b_coeffs = a[1], b[1]
+    out = [0] * min(len(a_coeffs) + len(b_coeffs) - 1, top + 1)
+    for i, x in enumerate(a_coeffs):
+        if x:
+            for j, y in enumerate(b_coeffs[: len(out) - i]):
+                out[i + j] += x * y
+    return a[0] + b[0], out, a[2] * b[2]
+
+
+def _tooth_pass(form: _Form, tooth: tuple[int, int, int]) -> _Form:
+    """``form`` times the degree-0 tooth (a*h/t + const) / den, given as its ints
+    (const, a, den) (``LambdaForm._tooth_ints``): c'_j = const*c_j + a*c_{j-1},
+    cut at the list's top power of h, in one O(len) pass."""
+    degree, coeffs, den = form
+    const, a, tooth_den = tooth
+    out = [const * coeffs[0]] + [const * c + a * low for c, low in zip(coeffs[1:], coeffs)]
+    return degree, out, den * tooth_den
+
+
+def _form_sum(degree: int, terms: Sequence[tuple[int, _Form, int]]) -> _Form:
+    """sum_i w_i * f_i / s_i for terms (w_i, f_i, s_i), int w_i and s_i > 0, as one
+    unreduced form of t-degree ``degree`` over the lcm of the den_i * s_i; each f_i's
+    own degree is not read, and a shorter list counts as padded with zeros."""
+    den = lcm(*[f[2] * s for _, f, s in terms])
+    out = [0] * max([len(f[1]) for _, f, _ in terms])
+    for w, (_, coeffs, f_den), s in terms:
+        scale = w * (den // (f_den * s))
+        for j, c in enumerate(coeffs):
+            out[j] += scale * c
+    return degree, out, den
+
+
+def _reduced(form: _Form) -> _Form:
+    """``form`` in lowest terms, by one gcd, with its coefficients as a tuple."""
+    degree, coeffs, den = form
+    g = gcd(den, *coeffs)
+    return degree, tuple([c // g for c in coeffs]), den // g
 
 
 class LaurentPoly(_Value):
@@ -92,7 +140,7 @@ class LaurentPoly(_Value):
         For p < 0 it is the inverse power; it is finite because h^j vanishes
         for j > n + base_cutoff, and it needs k != 0.
         """
-        return cls._form(spec, p, *_linear_power_list(k, p, spec.n + spec.base_cutoff))
+        return cls._form(spec, *_linear_power_list(k, p, spec.n + spec.base_cutoff))
 
     @classmethod
     def _form(cls, spec: RingSpec, degree: int, coeffs: Iterable[int], den: int = 1) -> LaurentPoly:

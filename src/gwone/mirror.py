@@ -13,14 +13,14 @@ is linear in the y-variables), and an exact verifier for the identity.
 Every chain sum comes from one forward recursion over the chain's last
 endpoint, polynomial in the degree, not from enumerating the 2^d combs:
 the transforms run ``calabi_yau._chain_sums``, and the verifier's comb form
-runs one recursion per first endpoint on int coefficient lists, one O(n)
-pass per tooth product and no ring product.
+runs one recursion per first endpoint on the int forms of ``laurent``, one
+O(n) tooth pass per tooth product and no ring product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial
 from typing import Mapping, TypeVar
 
 from .calabi_yau import (
@@ -32,7 +32,7 @@ from .calabi_yau import (
     cy_correlator,
 )
 from .correlators import CIModel, _phi_list, phi
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _form_sum, _reduced, _tooth_pass
 from .rings import CohClass, RingSpec, _Record, _setfield
 from .series import QSeries
 
@@ -116,23 +116,6 @@ def mirror_coefficients(
     )
 
 
-def _tooth_pass(coeffs: list[int], const: int, a: int) -> list[int]:
-    """The form with h^j-coefficients ``coeffs`` times the tooth a*h/t + const:
-    c'_j = const*c_j + a*c_{j-1}, cut at the list's top power of h."""
-    return [const * coeffs[0]] + [const * c + a * low for c, low in zip(coeffs[1:], coeffs)]
-
-
-_Form = tuple[list[int], int]  # int coefficients of h^0..h^n over a positive denominator
-
-
-def _add_form(total: _Form, coeffs: list[int], den: int) -> _Form:
-    """total + coeffs/den for two int coefficient lists with positive denominators."""
-    sums, sum_den = total
-    common = lcm(sum_den, den)
-    x, y = common // sum_den, common // den
-    return [s * x + c * y for s, c in zip(sums, coeffs)], common
-
-
 def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QSeries:
     """The comb sums with (a, b) in place of the lambdas, to q^order.
 
@@ -142,45 +125,38 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
     coefficient is phi_d + sum over d_1 < d of phi_{d_1} * (chain sum of
     degree d - d_1), one chain recursion per start d_1 serving every degree.
 
-    Every phi_d of a Calabi-Yau model is a form of t-degree m, and each
-    tooth is one of degree 0, the ints (a*d_1 + b, a, den) of the form
-    a*h + b*t at (h + d_1*t, t) over t (``LambdaForm._tooth_ints``), so the
-    recursion runs on int coefficient lists of h^0..h^n: the seed row is
-    phi_{d_1} (``correlators._phi_list``), each tooth product is one O(n)
-    pass (``_tooth_pass``), each row entry is reduced by one gcd, and 1/r!
-    is applied as the row is added into its q-degree.  One
-    ``LaurentPoly._form`` per q-degree builds the result, with no ring
-    product.  A bundle or non-Calabi-Yau model raises
-    :class:`ClassificationError` before any work.
+    Every phi_d of a Calabi-Yau model is a form of t-degree m with all n + 1
+    coefficients, and each tooth one of degree 0, the ints (a*d_1 + b, a, den)
+    of a*h + b*t at (h + d_1*t, t) over t (``LambdaForm._tooth_ints``).  So the
+    recursion runs on ``laurent``'s forms: the seed row is phi_{d_1}
+    (``correlators._phi_list``), a tooth product one O(n) ``_tooth_pass``, a
+    row entry one ``_form_sum`` of its products reduced by one gcd, and a
+    q-degree one ``_form_sum`` of phi_d and its row entries over r!, built by
+    one ``LaurentPoly._form``, with no ring product.  A bundle or
+    non-Calabi-Yau model raises :class:`ClassificationError` before any work.
     """
     _require_calabi_yau(model)
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     if order > mirror.order:
         raise ValueError(f"mirror data reach q^{mirror.order}, below the requested order {order}")
-    top = model.n
     phis = [_phi_list(model, d) for d in range(order + 1)]
-    degree = phis[0][0]
-    seeds = [(list(coeffs) + [0] * (top + 1 - len(coeffs)), den) for _, coeffs, den in phis]
-    totals = list(seeds)
-    forms = [LambdaForm(mirror.a[e], mirror.b[e]) for e in range(1, order + 1)]
+    totals = [[(1, form, 1)] for form in phis]
+    lambdas = [LambdaForm(mirror.a[e], mirror.b[e]) for e in range(1, order + 1)]
     for d1 in range(order):
-        teeth = [form._tooth_ints(d1, 1) for form in forms[: order - d1]]
-        ends: list[dict[int, _Form]] = [{0: seeds[d1]}]
+        teeth = [lam._tooth_ints(d1, 1) for lam in lambdas[: order - d1]]
+        ends = [{0: phis[d1]}]
         for q in range(1, order - d1 + 1):
-            row: dict[int, _Form] = {}
+            products: dict[int, list] = {}
             for p in range(q):
-                const, a, tooth_den = teeth[q - p - 1]
-                for r, (coeffs, den) in ends[p].items():
-                    product = _tooth_pass(coeffs, const, a), den * tooth_den
-                    row[r + 1] = _add_form(row[r + 1], *product) if r + 1 in row else product
-            for r, (coeffs, den) in row.items():
-                g = gcd(den, *coeffs)
-                row[r] = [c // g for c in coeffs], den // g
-                totals[d1 + q] = _add_form(totals[d1 + q], row[r][0], row[r][1] * factorial(r))
+                tooth = teeth[q - p - 1]
+                for r, form in ends[p].items():
+                    products.setdefault(r + 1, []).append((1, _tooth_pass(form, tooth), 1))
+            row = {r: _reduced(_form_sum(model.m, terms)) for r, terms in products.items()}
+            totals[d1 + q] += [(1, form, factorial(r)) for r, form in row.items()]
             ends.append(row)
-    spec = model.spec
-    return QSeries(
-        spec, order, {d: LaurentPoly._form(spec, degree, *total) for d, total in enumerate(totals)}
-    )
+    sums = {d: LaurentPoly._form(model.spec, *_form_sum(model.m, t)) for d, t in enumerate(totals)}
+    return QSeries(model.spec, order, sums)
 
 
 class MirrorReport(_Record):

@@ -19,7 +19,9 @@ from cold caches), the one-pass index-one Fano correlator, the cached
 Stirling rows, the mixed-radix monomial product table, the q-series product
 against the slot-dict pairwise oracle, the q-series ``exp`` homomorphism
 and multiplicative substitution, the comb terms' int tooth product against
-the ring product, the mirror chain sums and ``double_comb_series`` (through
+the ring product, the int-form helpers of ``laurent`` (the linear power, the
+cut form product, the tooth pass, the weighted sum and the reduction) against
+ring arithmetic, the mirror chain sums and ``double_comb_series`` (through
 ``exp`` and ``log``) and the zero-skipping class JSON against their oracles:
 1000 examples per property test and no per-example deadline.  A property
 with its own ``max_examples`` keeps that count under every profile.

@@ -73,6 +73,14 @@ def laurent_polys(spec: RingSpec, min_exp: int = -2, max_exp: int = 2, max_terms
     ).map(lambda terms: LaurentPoly(spec, terms))
 
 
+@cache
+def int_forms(top: int, full: bool = False):
+    """Int forms (degree, coefficients of h^0..h^k, positive denominator), the
+    format of ``laurent._Form``, with k <= top, or k = top when ``full``."""
+    coeffs = st.lists(st.integers(-60, 60), min_size=top + 1 if full else 1, max_size=top + 1)
+    return st.tuples(st.integers(-3, 3), coeffs, st.integers(1, 40))
+
+
 def strip_scalar(cls: CohClass) -> CohClass:
     return cls - CohClass.scalar(cls.spec, cls.scalar_part)
 

@@ -272,6 +272,17 @@ def _clear_phi_caches():
         cache.cache_clear()
 
 
+def test_cached_phi_and_inverse_euler_forms_hold_tuples():
+    # Both are lru_cache entries, so a list would let a caller change every later phi.
+    _clear_phi_caches()
+    for model in (QUINTIC, classify(3, ()), classify(3, (3,)), CIModel(2, (1,), base_cutoff=2)):
+        for d in range(4):
+            assert type(correlators._phi_list(model, d)[1]) is tuple, (model, d)
+    for key in ((4, 4), (3, 3), (2, 4)):
+        for d in range(1, 4):
+            assert type(correlators._pn_inverse_euler(key, d)[1]) is tuple, (key, d)
+
+
 def test_fano_phis_invert_each_euler_class_once(monkeypatch):
     # phi_1..phi_3 of all Fano models in P^1..P^6 share one inverse Euler class
     # per (n, d), each one chain step from the degree below, with no Laurent

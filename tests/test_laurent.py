@@ -1,14 +1,15 @@
 import copy
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gwone.laurent import LaurentPoly
+from gwone.laurent import LaurentPoly, _form_product, _form_sum, _linear_power_list, _reduced
+from gwone.laurent import _tooth_pass
 from gwone.rings import CohClass, NotInvertibleError, RingSpec, SpecMismatchError
 
 from strategies import (
@@ -18,6 +19,7 @@ from strategies import (
     coh_classes,
     coh_units,
     fractions,
+    int_forms,
     laurent_polys,
     laurent_triples,
     laurent_units,
@@ -313,3 +315,81 @@ def test_sum_rejects_a_summand_from_another_ring():
     p, q = t_power(RingSpec.absolute(2), 1), t_power(RingSpec.absolute(3), 1)
     with pytest.raises(SpecMismatchError):
         LaurentPoly.sum(RingSpec.absolute(2), [p, q])
+
+
+# The int forms behind phi, the index-one sum and the mirror's comb form: each
+# helper's result, built by ``LaurentPoly._form``, against ring arithmetic.
+
+
+def form_oracle(spec, form):
+    """sum_j c_j * h^j * t^{degree-j} / den, each power of h by ring products."""
+    degree, coeffs, den = form
+    h, out = h_class(spec), LaurentPoly.zero(spec)
+    for j, c in enumerate(coeffs):
+        out = out + LaurentPoly.single(spec, degree - j, h**j * Fraction(c, den))
+    return out
+
+
+def top(spec):
+    """The highest power of h a form keeps: every higher one vanishes by degree."""
+    return spec.n + spec.base_cutoff
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=str)
+@given(k=st.integers(-4, 4), p=st.integers(-4, 5))
+def test_linear_power_form_is_the_ring_power(spec, k, p):
+    if p < 0 and not k:
+        with pytest.raises(NotInvertibleError):
+            _linear_power_list(k, p, top(spec))
+        return
+    base = LaurentPoly.linear(spec, 1, k)
+    expected = base**p if p >= 0 else base.inverse() ** -p
+    degree, coeffs, den = form = _linear_power_list(k, p, top(spec))
+    assert LaurentPoly._form(spec, *form) == expected
+    assert degree == p and den > 0 and len(coeffs) <= top(spec) + 1
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=str)
+@given(st.data())
+def test_form_product_is_the_ring_product(spec, data):
+    a, b = data.draw(int_forms(top(spec))), data.draw(int_forms(top(spec)))
+    product = _form_product(a, b, top(spec))
+    assert LaurentPoly._form(spec, *product) == form_oracle(spec, a) * form_oracle(spec, b)
+    assert len(product[1]) == min(len(a[1]) + len(b[1]) - 1, top(spec) + 1)
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=str)
+@given(st.data(), st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12))
+def test_tooth_pass_is_the_ring_product_with_the_tooth(spec, data, const, a, den):
+    # A full list: the pass drops only h^(top+1), which vanishes by degree.
+    form = data.draw(int_forms(top(spec), full=True))
+    tooth = LaurentPoly.linear(spec, Fraction(a, den), Fraction(const, den)).shift_t(-1)
+    product = _tooth_pass(form, (const, a, den))
+    assert LaurentPoly._form(spec, *product) == form_oracle(spec, form) * tooth
+    assert product[0] == form[0] and len(product[1]) == len(form[1])
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=str)
+@given(st.data(), st.integers(-3, 3))
+def test_form_sum_is_the_ring_sum_of_its_weighted_terms(spec, data, degree):
+    # Each term is read at ``degree``: f / t^(deg f - degree), as the index-one sum's
+    # phi_{d-r} / t^r are.
+    term = st.tuples(st.integers(-9, 9), int_forms(top(spec)), st.integers(1, 12))
+    terms = data.draw(st.lists(term, min_size=1, max_size=5))
+    expected = LaurentPoly.zero(spec)
+    for w, f, s in terms:
+        expected = expected + (form_oracle(spec, f) * Fraction(w, s)).shift_t(degree - f[0])
+    total = _form_sum(degree, terms)
+    assert LaurentPoly._form(spec, *total) == expected
+    assert total[0] == degree and total[2] == lcm(*(f[2] * s for _, f, s in terms))
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS, ids=str)
+@given(st.data(), st.integers(1, 30))
+def test_reduced_form_is_the_same_value_in_lowest_terms(spec, data, scale):
+    form = data.draw(int_forms(top(spec)))
+    scaled = form[0], [c * scale for c in form[1]], form[2] * scale
+    degree, coeffs, den = reduced = _reduced(scaled)
+    assert LaurentPoly._form(spec, *reduced) == form_oracle(spec, form)
+    assert degree == form[0] and type(coeffs) is tuple and len(coeffs) == len(form[1])
+    assert den > 0 and gcd(den, *coeffs) == 1

@@ -37,6 +37,10 @@ def test_a_negative_order_is_rejected():
         mirror_coefficients({}, -1)
     with pytest.raises(ValueError, match="truncation order must be >= 0"):
         verify_mirror_identity(QUINTIC, -1)
+    # The comb form reads phi_0's form first, so it checks the order before any work.
+    data = mirror_coefficients(solve_lambdas_up_to(QUINTIC, 2))
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        mirror_comb_correlator(QUINTIC, -1, data)
 
 
 def test_transform_degree_one_is_identity():
