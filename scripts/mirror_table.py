@@ -19,9 +19,16 @@ MODELS = {
 }
 
 
+def natural(text: str) -> int:
+    """An argparse ``type``: an integer >= 0, so a negative degree exits 2."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-d", type=int, default=3)
+    parser.add_argument("--max-d", type=natural, default=3)
     parser.add_argument("--model", choices=sorted(MODELS), default="quintic")
     args = parser.parse_args()
 

@@ -30,17 +30,17 @@ after its solve multiplies out only its simple comb: :func:`threefold_report`
 and the other full pipelines solve and sum one degree at a time.  One
 model's terms of every degree built are held per thread, and every function
 that solves its own lambda table empties the table when it returns.
+Chains, the combs that start at 0, are summed apart from this path: every chain sum of
+``mirror`` is one ``_chain_sums``, O(d^3) tooth passes on ``laurent``'s int forms.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import reduce
 from itertools import pairwise
 from math import factorial, lcm
-from operator import add
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping
 
 from .correlators import (
     CIModel,
@@ -53,11 +53,8 @@ from .correlators import (
     one_point_invariant,
     phi,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _Form, _form_sum, _reduced, _tooth_pass
 from .rings import CohClass, RingSpec, _Record, _lowest, _setfield
-
-
-V = TypeVar("V")
 
 
 class LambdaShapeError(ValueError):
@@ -80,28 +77,31 @@ def enumerate_combs(d: int) -> list[tuple[int, ...]]:
     return combs
 
 
-def _chain_sums(order: int, weight: Callable[[int, int], V]) -> dict[int, V]:
+def _chain_sums(
+    order: int, seed: _Form, tooth: Callable[[int, int], tuple[int, int, int]]
+) -> dict[int, _Form]:
     """For q = 1..order, the sum over chains 0 = d_0 < d_1 < ... < d_r = q of
-    prod_{i=1}^r weight(d_i - d_{i-1}, d_{i-1}) / r!.
+    seed * prod_{i=1}^r tooth(d_i - d_{i-1}, d_{i-1}) / r!, as one unreduced form.
 
-    A chain is a comb that starts at 0.  ends[q][r] sums the r-tooth chains
-    ending at q, extended one tooth at a time, so each weight is evaluated
-    once per (delta, start) and the cost is O(order^3) products, not
-    sum_q q 2^q.  The start-0 tooth's weight leads each product, so only it
-    needs to support multiplication by the later weights and by Fraction.
+    A chain is a comb that starts at 0, and a tooth is the ints (const, a, den)
+    of a degree-0 form (``laurent._tooth_pass``).  ends[q][r] sums the r-tooth
+    chains ending at q, extended one tooth at a time: each tooth is evaluated
+    once per (delta, start), each product is one O(len) tooth pass, and each
+    row entry one ``_form_sum`` reduced by one gcd, so the cost is O(order^3)
+    passes, not sum_q q 2^q.
     """
-    ends: dict[int, dict[int, V]] = {}
+    ends = [{0: seed}]
+    sums = {}
     for q in range(1, order + 1):
-        row = {1: weight(q, 0)}
-        for p in range(1, q):
-            w = weight(q - p, p)
-            for r, value in ends[p].items():
-                row[r + 1] = row[r + 1] + value * w if r + 1 in row else value * w
-        ends[q] = row
-    return {
-        q: reduce(add, (value * Fraction(1, factorial(r)) for r, value in row.items()))
-        for q, row in ends.items()
-    }
+        products: dict[int, list] = {}
+        for p in range(q):
+            ints = tooth(q - p, p)
+            for r, form in ends[p].items():
+                products.setdefault(r + 1, []).append((1, _tooth_pass(form, ints), 1))
+        row = {r: _reduced(_form_sum(seed[0], terms)) for r, terms in products.items()}
+        sums[q] = _form_sum(seed[0], [(1, form, factorial(r)) for r, form in row.items()])
+        ends.append(row)
+    return sums
 
 
 class LambdaForm(_Record):

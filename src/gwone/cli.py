@@ -3,7 +3,7 @@
 Output is deterministic (sorted keys, no timestamps, no environment
 lookups); rationals serialize as "p/q" strings, never floats.  Exit codes:
 0 success, 1 math-domain error (e.g. a general-type model) or a failed check
-(selftest, the mirror identity), 2 usage error.
+(selftest, the mirror identity), 2 usage error or an unwritable ``--out``.
 A Calabi-Yau request above degree 12 first prints one ``note:`` line with
 its 2^d comb count to stderr.
 """
@@ -330,7 +330,11 @@ def main(argv: list[str] | None = None) -> int:
     document = json.dumps({"command": command, **echo, **fields}, indent=2, sort_keys=True)
     out = parsed.get("out")
     if out is not None:
-        out.write_text(document + "\n", encoding="utf-8")
+        try:
+            out.write_text(document + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     print(document if args.format == "json" else text)
     # a document that reports a failed check (selftest's results, mirror's holds) exits 1
     passed = fields.get("holds", True) and all(r["passed"] for r in fields.get("results", ()))

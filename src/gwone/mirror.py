@@ -10,18 +10,15 @@ the two series are then related by
 with f = sum a_e q^e and g = sum b_e q^e.  This module implements the
 transform, the double-comb generating function behind it (whose logarithm
 is linear in the y-variables), and an exact verifier for the identity.
-Every chain sum comes from one forward recursion over the chain's last
-endpoint, polynomial in the degree, not from enumerating the 2^d combs:
-the transforms run ``calabi_yau._chain_sums``, and the verifier's comb form
-runs one recursion per first endpoint on the int forms of ``laurent``, one
-O(n) tooth pass per tooth product and no ring product.
+Every chain sum, in the transforms and in the verifier's comb form, is one
+``calabi_yau._chain_sums`` recursion on the int forms of ``laurent``,
+polynomial in the degree and with no ring product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Mapping, TypeVar
+from typing import Callable, Mapping
 
 from .calabi_yau import (
     LambdaForm,
@@ -32,27 +29,36 @@ from .calabi_yau import (
     cy_correlator,
 )
 from .correlators import CIModel, _phi_list, phi
-from .laurent import LaurentPoly, _form_sum, _reduced, _tooth_pass
+from .laurent import LaurentPoly, _form_sum
 from .rings import CohClass, RingSpec, _Record, _setfield
 from .series import QSeries
 
-V = TypeVar("V")
+
+def _rational_chain_sums(order: int, weight: Callable[[int, int], Fraction]) -> dict[int, Fraction]:
+    """``_chain_sums`` from the form 1, each Fraction weight as the tooth (num, 0, den)."""
+
+    def tooth(delta: int, start: int) -> tuple[int, int, int]:
+        w = weight(delta, start)
+        return w.numerator, 0, w.denominator
+
+    sums = _chain_sums(order, (0, [1], 1), tooth)
+    return {q: Fraction(coeffs[0], den) for q, (_, coeffs, den) in sums.items()}
 
 
 def corollary_transform(
-    x: Mapping[int, Fraction], y: Mapping[int, V], max_degree: int
-) -> dict[int, V]:
+    x: Mapping[int, Fraction], y: Mapping[int, Fraction], max_degree: int
+) -> dict[int, Fraction]:
     """y'_d = sum over chains 0 < d_1 < ... < d_r = d of
     y_{d_1} * prod_{i=2}^r (x_{d_i - d_{i-1}} * d_{i-1}) / r!.
 
-    The y-values may live in any commutative coefficient space that supports
-    addition and multiplication by Fraction.
+    The y-values are rational, and a class-valued y raises :class:`TypeError`:
+    the transform is linear in y, so transform one component at a time.
     """
 
-    def weight(delta: int, start: int):
-        return y[delta] if start == 0 else Fraction(x[delta]) * start
+    def weight(delta: int, start: int) -> Fraction:
+        return Fraction(y[delta]) if start == 0 else Fraction(x[delta]) * start
 
-    return _chain_sums(max_degree, weight)
+    return _rational_chain_sums(max_degree, weight)
 
 
 def double_comb_series(x: Mapping[int, Fraction], y: Mapping[int, Fraction], order: int) -> QSeries:
@@ -68,7 +74,8 @@ def double_comb_series(x: Mapping[int, Fraction], y: Mapping[int, Fraction], ord
     def weight(delta: int, start: int) -> Fraction:
         return Fraction(y[delta]) + Fraction(x[delta]) * start
 
-    return QSeries.from_scalars(RingSpec.absolute(0), order, {0: 1, **_chain_sums(order, weight)})
+    sums = _rational_chain_sums(order, weight)
+    return QSeries.from_scalars(RingSpec.absolute(0), order, {0: 1, **sums})
 
 
 class MirrorData(_Record):
@@ -125,15 +132,12 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
     coefficient is phi_d + sum over d_1 < d of phi_{d_1} * (chain sum of
     degree d - d_1), one chain recursion per start d_1 serving every degree.
 
-    Every phi_d of a Calabi-Yau model is a form of t-degree m with all n + 1
-    coefficients, and each tooth one of degree 0, the ints (a*d_1 + b, a, den)
-    of a*h + b*t at (h + d_1*t, t) over t (``LambdaForm._tooth_ints``).  So the
-    recursion runs on ``laurent``'s forms: the seed row is phi_{d_1}
-    (``correlators._phi_list``), a tooth product one O(n) ``_tooth_pass``, a
-    row entry one ``_form_sum`` of its products reduced by one gcd, and a
-    q-degree one ``_form_sum`` of phi_d and its row entries over r!, built by
-    one ``LaurentPoly._form``, with no ring product.  A bundle or
-    non-Calabi-Yau model raises :class:`ClassificationError` before any work.
+    Every phi_d of a Calabi-Yau model is a form of t-degree m, and each tooth
+    the ints (a*d_1 + b, a, den) of a*h + b*t at (h + d_1*t, t) over t
+    (``LambdaForm._tooth_ints``), so each start is one ``calabi_yau._chain_sums``
+    seeded with phi_{d_1} (``correlators._phi_list``), and each q-degree one
+    ``_form_sum`` built by one ``LaurentPoly._form``, with no ring product.  A
+    bundle or non-Calabi-Yau model raises :class:`ClassificationError` first.
     """
     _require_calabi_yau(model)
     if order < 0:
@@ -145,16 +149,8 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
     lambdas = [LambdaForm(mirror.a[e], mirror.b[e]) for e in range(1, order + 1)]
     for d1 in range(order):
         teeth = [lam._tooth_ints(d1, 1) for lam in lambdas[: order - d1]]
-        ends = [{0: phis[d1]}]
-        for q in range(1, order - d1 + 1):
-            products: dict[int, list] = {}
-            for p in range(q):
-                tooth = teeth[q - p - 1]
-                for r, form in ends[p].items():
-                    products.setdefault(r + 1, []).append((1, _tooth_pass(form, tooth), 1))
-            row = {r: _reduced(_form_sum(model.m, terms)) for r, terms in products.items()}
-            totals[d1 + q] += [(1, form, factorial(r)) for r, form in row.items()]
-            ends.append(row)
+        for q, form in _chain_sums(order - d1, phis[d1], lambda delta, _: teeth[delta - 1]).items():
+            totals[d1 + q].append((1, form, 1))
     sums = {d: LaurentPoly._form(model.spec, *_form_sum(model.m, t)) for d, t in enumerate(totals)}
     return QSeries(model.spec, order, sums)
 
@@ -216,10 +212,7 @@ def verify_mirror_identity(
     comb_form = mirror_comb_correlator(model, order, mirror)
     failing = None
     for d in range(order + 1):
-        if rhs.coefficient(d) != sigma.coefficient(d):
-            failing = d
-            break
-        if comb_form.coefficient(d) != sigma.coefficient(d):
+        if not rhs.coefficient(d) == comb_form.coefficient(d) == sigma.coefficient(d):
             failing = d
             break
     return MirrorReport(

@@ -21,7 +21,9 @@ against the slot-dict pairwise oracle, the q-series ``exp`` homomorphism
 and multiplicative substitution, the comb terms' int tooth product against
 the ring product, the int-form helpers of ``laurent`` (the linear power, the
 cut form product, the tooth pass, the weighted sum and the reduction) against
-ring arithmetic, the mirror chain sums and ``double_comb_series`` (through
+ring arithmetic, the one chain recursion ``calabi_yau._chain_sums`` (random
+seed forms and teeth that depend on their start) against the sum over every
+chain, the mirror chain sums and ``double_comb_series`` (through
 ``exp`` and ``log``) and the zero-skipping class JSON against their oracles:
 1000 examples per property test and no per-example deadline.  A property
 with its own ``max_examples`` keeps that count under every profile.

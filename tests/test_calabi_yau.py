@@ -1,6 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import pairwise
+from itertools import combinations, pairwise
 from math import factorial, gcd
 from types import MappingProxyType
 
@@ -23,7 +23,7 @@ from gwone.calabi_yau import (
     threefold_report,
 )
 from gwone.correlators import CIModel, ClassificationError, classify, one_point_invariant, phi
-from gwone.laurent import LaurentPoly
+from gwone.laurent import LaurentPoly, _tooth_pass
 from gwone.relative import RelativeModel
 from gwone.rings import CohClass, RingSpec
 
@@ -182,6 +182,41 @@ def test_the_tooth_product_equals_the_ring_product(
         assert product.is_zero() and product._den == 1
     if shape == "geometric" and const and a:
         assert set(product._num) == {degree * spec.basis.stride}
+
+
+tooth_ints = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12))
+
+
+@given(st.integers(1, 6), st.data())
+def test_chain_sums_equal_the_brute_force_sum_over_every_chain(order, data):
+    # Oracle: every chain 0 < d_1 < ... < d_r = q by subset enumeration, its
+    # product one _tooth_pass per tooth, summed coefficient by coefficient.
+    # Seeds of every length, and teeth that depend on both delta and start.
+    length = data.draw(st.integers(1, 6))
+    coeffs = data.draw(st.lists(st.integers(-60, 60), min_size=length, max_size=length))
+    seed = (data.draw(st.integers(-3, 3)), coeffs, data.draw(st.integers(1, 40)))
+    pairs = [(q - p, p) for q in range(1, order + 1) for p in range(q)]
+    drawn = data.draw(st.lists(tooth_ints, min_size=len(pairs), max_size=len(pairs)))
+    teeth = dict(zip(pairs, drawn))
+    calls = []
+
+    def tooth(delta, start):
+        calls.append((delta, start))
+        return teeth[delta, start]
+
+    sums = calabi_yau._chain_sums(order, seed, tooth)
+    assert sorted(calls) == sorted(pairs)
+    for q in range(1, order + 1):
+        expected = [Fraction(0)] * length
+        for k in range(q):
+            for inner in combinations(range(1, q), k):
+                form = seed
+                for start, end in pairwise((0,) + inner + (q,)):
+                    form = _tooth_pass(form, teeth[end - start, start])
+                for j, c in enumerate(form[1]):
+                    expected[j] += Fraction(c, form[2] * factorial(k + 1))
+        degree, total, den = sums[q]
+        assert degree == seed[0] and [Fraction(c, den) for c in total] == expected
 
 
 def test_cy_term_toothless_comb_is_phi():

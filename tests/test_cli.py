@@ -237,6 +237,15 @@ def test_out_flag_writes_json_document(tmp_path, capsys):
     assert json.loads(target.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_an_unwritable_out_path_is_one_error_line_and_exit_2(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, "quintic", "--max-d", "1", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "quintic", "--max-d", "3", "--format", "json")
     _, second, _ = run_cli(capsys, "quintic", "--max-d", "3", "--format", "json")
@@ -436,17 +445,32 @@ def test_mirror_failure_exit_code(monkeypatch, capsys):
     assert out.splitlines()[-1] == "mirror identity to q^1: fails at q^1"
 
 
-def test_mirror_table_script_exit_code(monkeypatch, capsys):
+def _mirror_table_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "mirror_table.py"
     spec = importlib.util.spec_from_file_location("mirror_table", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_mirror_table_script_exit_code(monkeypatch, capsys):
+    script = _mirror_table_script()
     monkeypatch.setattr(sys, "argv", ["mirror_table.py", "--max-d", "1"])
     assert script.main() == 0
     assert capsys.readouterr().out.splitlines()[-1] == "mirror identity to q^1: holds"
     monkeypatch.setattr(script, "verify_mirror_identity", _failing_mirror_report)
     assert script.main() == 1
     assert capsys.readouterr().out.splitlines()[-1] == "mirror identity to q^1: FAILS at q^1"
+
+
+def test_mirror_table_script_rejects_a_negative_degree_with_exit_2(monkeypatch, capsys):
+    script = _mirror_table_script()
+    monkeypatch.setattr(sys, "argv", ["mirror_table.py", "--max-d", "-1"])
+    with pytest.raises(SystemExit) as excinfo:
+        script.main()
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be >= 0, got -1" in err and "Traceback" not in err
 
 
 def _readme_cli_lines():

@@ -62,12 +62,13 @@ def test_transform_kills_zero_y():
     assert all(v == 0 for v in corollary_transform(x, y, 4).values())
 
 
-def test_transform_accepts_ring_valued_y():
+def test_transform_rejects_ring_valued_y():
+    # The transform is linear in y, so a class-valued y transforms one component at a time.
     spec = RingSpec.absolute(3)
     x = {1: Fraction(2), 2: Fraction(1)}
     y = {1: CohClass.h_power(spec, 1), 2: CohClass.h_power(spec, 2)}
-    out = corollary_transform(x, y, 2)
-    assert out[2] == CohClass.h_power(spec, 2) + CohClass.h_power(spec, 1)
+    with pytest.raises(TypeError):
+        corollary_transform(x, y, 2)
 
 
 def test_mirror_coefficients_quintic():
@@ -210,30 +211,28 @@ def test_mirror_comb_correlator_matches_per_comb_sum(n, degrees):
 def test_mirror_verifier_runs_int_tooth_passes_and_no_ring_product_in_the_comb_form(
     monkeypatch,
 ):
-    # The two transforms evaluate 2 * 28 chain weights.  The comb form runs
-    # one recursion per start d_1 on int forms: a chain of length N = 7 - d_1
-    # makes sum_{q <= N} (1 + q(q-1)/2) = (N^3 + 5N)/6 tooth passes, 154 in all.
+    # Every chain sum is one calabi_yau._chain_sums call: one per transform and
+    # one per start d_1 of the comb form.  A chain sum to q^N makes
+    # sum_{q <= N} (1 + q(q-1)/2) = (N^3 + 5N)/6 tooth passes: 63 per transform
+    # (N = 7) and 154 over the comb form's N = 7 - d_1.
     model = classify(5, (3, 3))
-    weights, passes = [], []
-    chain_sums, tooth_pass = mirror_module._chain_sums, mirror_module._tooth_pass
+    calls, passes = [], []
+    chain_sums, tooth_pass = mirror_module._chain_sums, calabi_yau._tooth_pass
 
-    def counting_chain_sums(order, weight):
-        def counted(delta, start):
-            weights.append(None)
-            return weight(delta, start)
-
-        return chain_sums(order, counted)
+    def counting_chain_sums(*args):
+        calls.append(None)
+        return chain_sums(*args)
 
     def counting_tooth_pass(*args):
         passes.append(None)
         return tooth_pass(*args)
 
     monkeypatch.setattr(mirror_module, "_chain_sums", counting_chain_sums)
-    monkeypatch.setattr(mirror_module, "_tooth_pass", counting_tooth_pass)
+    monkeypatch.setattr(calabi_yau, "_tooth_pass", counting_tooth_pass)
     report = verify_mirror_identity(model, 7)
     assert report.holds
-    assert (len(weights), len(passes)) == (56, 154)
-    # The comb form alone: no ring product, no phi and no chain-sum call.
+    assert (len(calls), len(passes)) == (9, 2 * 63 + 154)
+    # The comb form alone: no ring product and no phi.
     convolves = []
     convolve = rings._convolve
 
@@ -246,9 +245,8 @@ def test_mirror_verifier_runs_int_tooth_passes_and_no_ring_product_in_the_comb_f
 
     monkeypatch.setattr(rings, "_convolve", counting_convolve)
     monkeypatch.setattr(mirror_module, "phi", refused)
-    monkeypatch.setattr(mirror_module, "_chain_sums", refused)
     comb_form = mirror_comb_correlator(model, 7, report.mirror)
-    assert convolves == [] and len(passes) == 2 * 154
+    assert convolves == [] and len(passes) == 2 * 63 + 2 * 154
     monkeypatch.undo()
     correlators = _lambdas_and_correlators(model, 7)[1]
     assert all(comb_form.coefficient(d) == correlators[d] for d in range(8))
