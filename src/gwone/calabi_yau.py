@@ -30,8 +30,8 @@ after its solve multiplies out only its simple comb: :func:`threefold_report`
 and the other full pipelines solve and sum one degree at a time.  One
 model's terms of every degree built are held per thread, and every function
 that solves its own lambda table empties the table when it returns.
-Chains, the combs that start at 0, are summed apart from this path: every chain sum of
-``mirror`` is one ``_chain_sums``, O(d^3) tooth passes on ``laurent``'s int forms.
+Chains, the combs that start at 0, are summed apart from this path: each chain
+sum of ``mirror`` is one ``_chain_sums``, O(d^3) tooth passes on int forms.
 """
 
 from __future__ import annotations
