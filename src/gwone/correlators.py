@@ -16,17 +16,17 @@ in c(V); P^n is the bundle over a point, so one model (``CIModel``) and one
 
 Products of linear forms in phi are built in closed form, cut at
 h^{n + base_cutoff}, beyond which every power of h vanishes by degree, as int
-forms, ``laurent``'s ``_Form`` and its helpers: the numerator from Stirling
-numbers of the first kind (``_numerator_list``), and the powers of
+forms, ``laurent``'s ``_Form`` and its helpers: each numerator factor from
+Stirling numbers of the first kind (``_numerator_factor``), and the powers of
 ``euler_class`` from binomial coefficients.  No Laurent polynomial is
 inverted.  With x = h + k*t, the degree-k Euler factor is x^{n+1} * c(1/x), so
 its inverse is x^{-(n+1)} * f_k, with f_k = sum_l sigma_l * x^{-l} and
-sigma = 1/c.  So phi_d of every model is one form, the numerator's times that
-of prod_k x^{-(n+1)}, chained from the degree below by one ``_form_product``;
-on a bundle it is that form times u_d = prod_{k<=d} f_k (``_unit``), the chain
-of sigma-factors that the linear Calabi-Yau pipeline reads too, one ring
-product per degree.  On P^n, sigma = () and u_d = 1, so phi_d and the
-index-one sum are forms alone.
+sigma = 1/c.  So phi_d of (l_1..l_m) is one form, that of (l_1..l_{m-1})
+times one numerator factor, down to prod_k x^{-(n+1)} for (), chained from the
+degree below; on a bundle it is that form times u_d = prod_{k<=d} f_k
+(``_unit``), the chain of sigma-factors that the linear Calabi-Yau pipeline
+reads too, one ring product per degree.  On P^n, sigma = () and u_d = 1, so
+phi_d and the index-one sum are forms alone.
 """
 
 from __future__ import annotations
@@ -274,27 +274,11 @@ def _stirling_row(D: int, top: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _numerator_list(degrees: tuple[int, ...], d: int, top: int) -> _Form:
-    """prod_i prod_{k=0}^{d*l_i} (l_i*h + k*t) as a form with coefficients of h^0..h^top.
-
-    Each factor is built in closed form: prod_{k=0}^{D} (l*h + k*t) is
-    sum_j c(D+1, j) * l^j * h^j * t^{D+1-j}, with c the unsigned Stirling
-    numbers of the first kind (``_stirling_row``).  The factors are multiplied
-    by ``_form_product``, cut at h^top."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    form = None
-    for l in degrees:
-        factor = _stirling_row(d * l, top)
-        if l != 1:
-            scaled, power = [], 1
-            for c in factor:
-                scaled.append(c * power)
-                power *= l
-            factor = scaled
-        factor = d * l + 1, factor, 1
-        form = factor if form is None else _form_product(form, factor, top)
-    return (0, [1], 1) if form is None else form
+def _numerator_factor(l: int, d: int, top: int) -> _Form:
+    """prod_{k=0}^{d*l} (l*h + k*t), cut at h^top, as the form of sum_j c(d*l+1, j) *
+    l^j * h^j * t^{d*l+1-j}, c the Stirling numbers of the first kind (``_stirling_row``)."""
+    factor = _stirling_row(d * l, top)
+    return d * l + 1, factor if l == 1 else [c * l**j for j, c in enumerate(factor)], 1
 
 
 def euler_class(spec: RingSpec, chern: tuple[CohClass, ...], d: int) -> LaurentPoly:
@@ -392,15 +376,23 @@ def _pn_inverse_euler(key: tuple[int, int], d: int) -> _Form:
 
 
 @lru_cache(maxsize=None)
+def _phi_form(key: tuple[int, int], degrees: tuple[int, ...], d: int) -> _Form:
+    """phi_d's numerator over prod_{k<=d} (h + k*t)^{n+1} for key = (n, top), cut at
+    h^top, its coefficients a tuple: the cached form of ``degrees[:-1]`` (so shared by
+    every model with that prefix, len(degrees) levels deep) times the last degree's
+    ``_numerator_factor``, one ``_form_product``; for () ``_pn_inverse_euler``, 1 at d = 0."""
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    if degrees:
+        factor = _numerator_factor(degrees[-1], d, key[1])
+        form = _form_product(_phi_form(key, degrees[:-1], d), factor, key[1])
+        return form[0], tuple(form[1]), form[2]
+    return _pn_inverse_euler(key, d) if d else (0, (1,), 1)
+
+
 def _phi_list(model: CIModel, d: int) -> _Form:
-    """The numerator of phi_d times prod_{k<=d} (h + k*t)^{-(n+1)} as a form with
-    coefficients of h^0..h^top, top = n + base_cutoff, its coefficients a tuple:
-    phi_d itself on P^n."""
-    top = model.n + model.base_cutoff
-    form = _numerator_list(model.degrees, d, top)
-    if d:
-        form = _form_product(form, _pn_inverse_euler((model.n, top), d), top)
-    return form[0], tuple(form[1]), form[2]
+    """The model's ``_phi_form`` at top = n + base_cutoff: phi_d itself on P^n."""
+    return _phi_form((model.n, model.n + model.base_cutoff), model.degrees, d)
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +422,7 @@ def phi(model: CIModel, d: int) -> LaurentPoly:
 
     For d = 0 the products are empty apart from the k = 0 factors, leaving
     (prod l_i) * h^m, the class of the complete intersection itself.  phi_d
-    is one form built from int coefficient lists (``_phi_list``), times the
+    is one form built from its degree vector's prefix (``_phi_list``), times the
     unit factor u_d (``_unit``) on a bundle, where sigma != 1: one ring
     product.  On P^n it is the form alone, built with no ring product.
     """

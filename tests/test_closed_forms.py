@@ -14,8 +14,9 @@ are checked against ``LaurentPoly.inverse`` and against the Euler classes they
 invert.
 
 The one-pass builds of relative mode are checked against the ring-product
-chains they replaced: the numerator's one form (``_numerator_list``) against
-each factor's closed form joined by ring products; ``linear_power_sum``
+chains they replaced: the numerator's one form (each degree's
+``_numerator_factor`` joined by ``_form_product``, the step of phi's prefix
+chain) against each factor's closed form joined by ring products; ``linear_power_sum``
 (behind the unit factors and ``relative_schubert_leading``) against the sum
 of ``LaurentPoly.linear_power`` times each sigma_l, and one row of it (the
 ``t_exp`` that ``porteous_lines`` asks for) against the full sum's row, on
@@ -43,15 +44,22 @@ phi_e = h^{n+1} * u_e made once.
 ``fano_index1_correlator``, one pass over the cached phi's numerators, is
 checked against the per-term route it replaced (``shift_t``, a ``Fraction``
 scalar product per term, ``LaurentPoly.sum``) on every index-one model with
-n <= 6 and d <= 4, and the cached Stirling rows behind ``_numerator_list``
+n <= 6 and d <= 4, and the cached Stirling rows behind ``_numerator_factor``
 against prod_{k=0}^{D} (x + k) built one linear factor at a time, requested
 in random order from a cold cache.
+
+phi's chained form (``_phi_form``, each degree vector's form its prefix's
+times one numerator factor) times the unit factor u_d is checked against the
+route it replaced, the numerator oracle times the inverse Euler class: on P^n
+``pn_one_point`` for every degree vector, in every order, with sum <= n + 1,
+n <= 6 and d <= 4, and on random bundles ``euler_class`` inverted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -60,7 +68,8 @@ from hypothesis import strategies as st
 
 from gwone import correlators, relative
 from gwone.correlators import (
-    _numerator_list,
+    _numerator_factor,
+    _phi_form,
     _stirling_row,
     _unit,
     classify,
@@ -69,8 +78,9 @@ from gwone.correlators import (
     fano_index1_correlator,
     linear_power_sum,
     phi,
+    pn_one_point,
 )
-from gwone.laurent import LaurentPoly
+from gwone.laurent import LaurentPoly, _form_product
 from gwone.relative import (
     RelativeModel,
     SchubertInput,
@@ -124,8 +134,13 @@ def euler_oracle(spec: RingSpec, chern, d: int) -> LaurentPoly:
 
 
 def numerator_form(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
-    """The numerator of phi as the one form phi builds it from, cut at h^{n + cutoff}."""
-    return LaurentPoly._form(spec, *_numerator_list(degrees, d, spec.n + spec.base_cutoff))
+    """The numerator of phi from the factor forms phi's chain multiplies in
+    (``_numerator_factor``), joined by ``_form_product`` cut at h^{n + cutoff}."""
+    top = spec.n + spec.base_cutoff
+    form = (0, [1], 1)
+    for l in degrees:
+        form = _form_product(form, _numerator_factor(l, d, top), top)
+    return LaurentPoly._form(spec, *form)
 
 
 def per_factor_numerator_oracle(spec: RingSpec, degrees: tuple[int, ...], d: int) -> LaurentPoly:
@@ -313,10 +328,38 @@ def test_section_free_relative_phi_inverts_the_euler_class(n, cutoff, d):
 
 @pytest.mark.parametrize("spec", FORM_SPECS, ids=str)
 def test_negative_degree_is_rejected(spec):
+    # phi's chain raises before it makes a prefix or inverse Euler entry
+    _phi_form.cache_clear()
+    correlators._pn_inverse_euler.cache_clear()
     with pytest.raises(ValueError, match="degree must be >= 0"):
-        numerator_form(spec, (1, 2), -1)
+        _phi_form((spec.n, spec.n + spec.base_cutoff), (1, 2), -1)
+    entries = _phi_form.cache_info().currsize + correlators._pn_inverse_euler.cache_info().currsize
+    assert entries == 0
     with pytest.raises(ValueError, match="degree must be >= 0"):
         euler_class(spec, (), -1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chained_phi_form_is_the_numerator_over_the_euler_class(n):
+    # cold caches; every degree vector with sum <= n + 1 (Fano and Calabi-Yau), in
+    # every order, so unsorted prefixes such as (2,) of (2, 1) are built too
+    _phi_form.cache_clear()
+    correlators._pn_inverse_euler.cache_clear()
+    spec, key = RingSpec.absolute(n), (n, n)
+    for sorted_degrees in degree_vectors(n + 1):
+        for d in range(5):
+            expected = numerator_oracle(spec, sorted_degrees, d) * pn_one_point(n, d)
+            for degrees in sorted(set(permutations(sorted_degrees))):
+                chained = LaurentPoly._form(spec, *_phi_form(key, degrees, d)) * _unit((n, 0), d)
+                assert chained == expected, (degrees, d)
+
+
+@given(bundles, st.lists(st.integers(1, 3), max_size=3), st.integers(0, 3))
+def test_chained_bundle_phi_form_times_the_unit_inverts_the_euler_class(bundle, degrees, d):
+    n, cutoff, spec = bundle.n, bundle.base_cutoff, bundle.spec
+    chained = LaurentPoly._form(spec, *_phi_form((n, n + cutoff), tuple(degrees), d))
+    expected = numerator_oracle(spec, tuple(degrees), d) * relative_euler(bundle, d).inverse()
+    assert chained * _unit((n, cutoff), d) == expected
 
 
 def test_absolute_ring_is_one_instance_per_n():

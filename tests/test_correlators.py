@@ -268,16 +268,21 @@ def test_phi_matches_numerator_over_euler_inverse(n):
 
 
 def _clear_phi_caches():
-    for cache in (phi, correlators._phi_list, correlators._pn_inverse_euler, correlators._unit):
+    for cache in (phi, correlators._phi_form, correlators._pn_inverse_euler, correlators._unit):
         cache.cache_clear()
 
 
 def test_cached_phi_and_inverse_euler_forms_hold_tuples():
-    # Both are lru_cache entries, so a list would let a caller change every later phi.
+    # All are lru_cache entries, so a list would let a caller change every later phi;
+    # every prefix of a model's degrees has its own entry.
     _clear_phi_caches()
-    for model in (QUINTIC, classify(3, ()), classify(3, (3,)), CIModel(2, (1,), base_cutoff=2)):
+    models = (QUINTIC, classify(3, ()), classify(3, (3,)), classify(6, (2, 1, 2)))
+    for model in (*models, CIModel(2, (1, 2), base_cutoff=2)):
+        key = (model.n, model.n + model.base_cutoff)
         for d in range(4):
             assert type(correlators._phi_list(model, d)[1]) is tuple, (model, d)
+            for prefix in (model.degrees[:m] for m in range(model.m + 1)):
+                assert type(correlators._phi_form(key, prefix, d)[1]) is tuple, (model, prefix, d)
     for key in ((4, 4), (3, 3), (2, 4)):
         for d in range(1, 4):
             assert type(correlators._pn_inverse_euler(key, d)[1]) is tuple, (key, d)
@@ -304,6 +309,28 @@ def test_fano_phis_invert_each_euler_class_once(monkeypatch):
     steps = correlators._pn_inverse_euler.cache_info().misses
     units = correlators._unit.cache_info().misses
     assert (inverses, units, steps) == (0, 0, 18)
+
+
+def test_cold_phi_form_makes_one_product_per_new_prefix(monkeypatch):
+    # (1, 1, 2, 2) at d = 3: the prefixes (1,), (1, 1), (1, 1, 2) and (1, 1, 2, 2) one
+    # product each, on the inverse Euler form of (), whose chain takes 2 steps to d = 3;
+    # then (1, 1, 2, 3) adds one product on the shared prefix (1, 1, 2), and
+    # (1, 1, 2) none
+    _clear_phi_caches()
+    calls = []
+    form_product = correlators._form_product
+
+    def counting(*args):
+        calls.append(None)
+        return form_product(*args)
+
+    monkeypatch.setattr(correlators, "_form_product", counting)
+    counts = []
+    for degrees in ((1, 1, 2, 2), (1, 1, 2, 3), (1, 1, 2)):
+        correlators._phi_list(classify(6, degrees), 3)
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [4 + 2, 1, 0]
 
 
 def test_absolute_phis_and_fano_correlators_make_no_ring_product(monkeypatch):

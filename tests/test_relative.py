@@ -194,7 +194,7 @@ def test_cold_bundle_phi_calls_phi_once(monkeypatch):
 
     monkeypatch.setattr(correlators, "phi", counting_phi)
     for bundle in (RelativeModel(n=3, base_cutoff=5, degrees=(2, 3)), RelativeModel(n=2, base_cutoff=4)):
-        for cache in (original, correlators._phi_list, correlators._pn_inverse_euler, correlators._unit):
+        for cache in (original, correlators._phi_form, correlators._pn_inverse_euler, correlators._unit):
             cache.cache_clear()
         calls.clear()
         correlators.phi(bundle, 5)
@@ -210,7 +210,7 @@ def test_section_free_phi_rejects_a_negative_degree():
 def test_section_free_phi_chain_is_not_one_recursion_per_degree():
     # cold caches: the chains from degree d - 1 must not recurse d levels deep
     relative_phi.cache_clear()
-    for cache in (phi, correlators._unit, correlators._pn_inverse_euler, correlators._phi_list):
+    for cache in (phi, correlators._unit, correlators._pn_inverse_euler, correlators._phi_form):
         cache.cache_clear()
     bundle = RelativeModel(n=1, base_cutoff=1)
     top = relative_phi(bundle, 2000)

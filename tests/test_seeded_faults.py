@@ -1,18 +1,24 @@
 """Seeded faults: checks that can fail.
 
-Each fault is monkeypatched into the comb sum, one at a time, and the
-Calabi-Yau pipeline is run on the five threefolds of
-``scripts/mirror_table.py``.  At least one existing check outside the
+Each fault is monkeypatched into the comb sum or into phi's coefficients, one
+at a time, and the Calabi-Yau pipeline is run from cold phi caches on the five
+threefolds of ``scripts/mirror_table.py``.  At least one existing check outside the
 faulted code must then fail: integrality of the immersed counts N_d to
 d = 6, the quintic pins of the acceptance suite, the mirror identity, or the
 correlator's t-shape check (``cy_correlator`` raises when a degree's comb
 sum keeps t^0 or t^-1 terms).  Without a fault every check passes, so a
 failing check points at the fault.
+
+The phi fault adds 1 to c(D+1, 1) of every Stirling row with D >= 4, the rows
+each numerator factor prod_{k=0}^{D} (l*h + k*t) is built from; one row alone
+would miss models, since (3,3) in P^5 reads only the rows D = 3d.  It breaks
+integrality and the quintic pins, but not the mirror identity: both of its
+sides read the same phi.
 """
 
 import pytest
 
-from gwone import acceptance, calabi_yau
+from gwone import acceptance, calabi_yau, correlators
 from gwone.calabi_yau import LambdaForm, LambdaShapeError, threefold_report
 from gwone.correlators import classify
 from gwone.mirror import verify_mirror_identity
@@ -51,7 +57,22 @@ def _lambda_fault(monkeypatch):
     monkeypatch.setattr(calabi_yau, "solve_lambda", doubled)
 
 
-FAULTS = {"tooth-at-1-times-3/2": _tooth_fault, "lambda-2-doubled": _lambda_fault}
+def _stirling_fault(monkeypatch):
+    """c(D+1, 1) + 1 in every Stirling row with D >= 4, so in phi_d's numerator."""
+    stirling_row = correlators._stirling_row
+
+    def shifted(D, top):
+        row = stirling_row(D, top)
+        return row if D < 4 else (row[0], row[1] + 1, *row[2:])
+
+    monkeypatch.setattr(correlators, "_stirling_row", shifted)
+
+
+FAULTS = {
+    "tooth-at-1-times-3/2": _tooth_fault,
+    "lambda-2-doubled": _lambda_fault,
+    "stirling-c1-plus-1": _stirling_fault,
+}
 
 
 def _integral_counts(model):
@@ -96,11 +117,18 @@ def _failing_checks(model):
     return failing
 
 
+def _clear_tables():
+    calabi_yau._table.clear()
+    correlators.phi.cache_clear()
+    correlators._phi_form.cache_clear()
+
+
 @pytest.fixture(autouse=True)
-def _empty_term_table():
-    calabi_yau._table.clear()
+def _cold_tables():
+    # a faulted phi must neither read nor leave a cached form
+    _clear_tables()
     yield
-    calabi_yau._table.clear()
+    _clear_tables()
 
 
 @pytest.mark.parametrize("model", THREEFOLDS, ids=str)
