@@ -40,7 +40,7 @@ from .relative import (
     porteous_expected,
     porteous_lines,
 )
-from .rings import CohClass, RingSpec, _Record, _setfield
+from .rings import CohClass, RingSpec, _Record
 from .series import QSeries
 
 DEFAULT_SEED = 20240801
@@ -74,13 +74,7 @@ class CriterionResult(_Record):
     number: int
     name: str
     passed: bool
-    detail: str
-
-    def __init__(self, number: int, name: str, passed: bool, detail: str = "") -> None:
-        _setfield(self, "number", number)
-        _setfield(self, "name", name)
-        _setfield(self, "passed", passed)
-        _setfield(self, "detail", detail)
+    detail: str = ""
 
 
 # -- criteria ---------------------------------------------------------------

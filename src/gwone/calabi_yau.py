@@ -54,7 +54,7 @@ from .correlators import (
     phi,
 )
 from .laurent import LaurentPoly, _Form, _form_sum, _reduced, _tooth_pass
-from .rings import CohClass, RingSpec, _Record, _lowest, _setfield
+from .rings import CohClass, RingSpec, _Record, _lowest
 
 
 class LambdaShapeError(ValueError):
@@ -79,9 +79,10 @@ def enumerate_combs(d: int) -> list[tuple[int, ...]]:
 
 def _chain_sums(
     order: int, seed: _Form, tooth: Callable[[int, int], tuple[int, int, int]]
-) -> dict[int, _Form]:
+) -> dict[int, list[tuple[int, _Form, int]]]:
     """For q = 1..order, the sum over chains 0 = d_0 < d_1 < ... < d_r = q of
-    seed * prod_{i=1}^r tooth(d_i - d_{i-1}, d_{i-1}) / r!, as one unreduced form.
+    seed * prod_{i=1}^r tooth(d_i - d_{i-1}, d_{i-1}) / r!, as its ``_form_sum``
+    terms (1, ends[q][r], r!), one per r, left for the caller to sum.
 
     A chain is a comb that starts at 0, and a tooth is the ints (const, a, den)
     of a degree-0 form (``laurent._tooth_pass``).  ends[q][r] sums the r-tooth
@@ -99,7 +100,7 @@ def _chain_sums(
             for r, form in ends[p].items():
                 products.setdefault(r + 1, []).append((1, _tooth_pass(form, ints), 1))
         row = {r: _reduced(_form_sum(seed[0], terms)) for r, terms in products.items()}
-        sums[q] = _form_sum(seed[0], [(1, form, factorial(r)) for r, form in row.items()])
+        sums[q] = [(1, form, factorial(r)) for r, form in row.items()]
         ends.append(row)
     return sums
 
@@ -110,10 +111,6 @@ class LambdaForm(_Record):
     _fields = ("alpha", "beta")
     alpha: Fraction
     beta: Fraction
-
-    def __init__(self, alpha: Fraction, beta: Fraction) -> None:
-        _setfield(self, "alpha", alpha)
-        _setfield(self, "beta", beta)
 
     def _tooth_ints(self, position: int, count: int) -> tuple[int, int, int]:
         """The form at (h + position*t, t) over count*t, the degree-0 form
@@ -466,12 +463,6 @@ class CyRow(_Record):
     n_d: Fraction
     m_d: Fraction
 
-    def __init__(self, degree: int, lam: LambdaForm, n_d: Fraction, m_d: Fraction) -> None:
-        _setfield(self, "degree", degree)
-        _setfield(self, "lam", lam)
-        _setfield(self, "n_d", n_d)
-        _setfield(self, "m_d", m_d)
-
     @property
     def physical_count(self) -> Fraction:
         return self.n_d / self.degree
@@ -484,13 +475,6 @@ class QuinticReport(_Record):
     model: CIModel
     rows: tuple[CyRow, ...]
     immersed_counts: dict[int, Fraction]
-
-    def __init__(
-        self, model: CIModel, rows: tuple[CyRow, ...], immersed_counts: dict[int, Fraction]
-    ) -> None:
-        _setfield(self, "model", model)
-        _setfield(self, "rows", rows)
-        _setfield(self, "immersed_counts", immersed_counts)
 
     def row(self, d: int) -> CyRow:
         if not 1 <= d <= len(self.rows):

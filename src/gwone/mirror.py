@@ -30,18 +30,21 @@ from .calabi_yau import (
 )
 from .correlators import CIModel, _phi_list, phi
 from .laurent import LaurentPoly, _form_sum
-from .rings import CohClass, RingSpec, _Record, _setfield
+from .rings import CohClass, RingSpec, _Record
 from .series import QSeries
 
 
 def _rational_chain_sums(order: int, weight: Callable[[int, int], Fraction]) -> dict[int, Fraction]:
-    """``_chain_sums`` from the form 1, each Fraction weight as the tooth (num, 0, den)."""
+    """``_chain_sums`` from the form 1, each Fraction weight as the tooth (num, 0, den),
+    and each q's row terms summed by one ``_form_sum``; a negative order raises ValueError."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
 
     def tooth(delta: int, start: int) -> tuple[int, int, int]:
         w = weight(delta, start)
         return w.numerator, 0, w.denominator
 
-    sums = _chain_sums(order, (0, [1], 1), tooth)
+    sums = {q: _form_sum(0, terms) for q, terms in _chain_sums(order, (0, [1], 1), tooth).items()}
     return {q: Fraction(coeffs[0], den) for q, (_, coeffs, den) in sums.items()}
 
 
@@ -85,11 +88,6 @@ class MirrorData(_Record):
     a: dict[int, Fraction]
     b: dict[int, Fraction]
     order: int
-
-    def __init__(self, a: dict[int, Fraction], b: dict[int, Fraction], order: int) -> None:
-        _setfield(self, "a", a)
-        _setfield(self, "b", b)
-        _setfield(self, "order", order)
 
     def f_series(self, spec: RingSpec) -> QSeries:
         return QSeries.from_scalars(spec, self.order, self.a)
@@ -136,7 +134,8 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
     the ints (a*d_1 + b, a, den) of a*h + b*t at (h + d_1*t, t) over t
     (``LambdaForm._tooth_ints``), so each start is one ``calabi_yau._chain_sums``
     seeded with phi_{d_1} (``correlators._phi_list``), and each q-degree one
-    ``_form_sum`` built by one ``LaurentPoly._form``, with no ring product.  A
+    ``_form_sum`` of phi_d and every row term (1, ends[q][r], r!) that ends
+    there, built by one ``LaurentPoly._form``, with no ring product.  A
     bundle or non-Calabi-Yau model raises :class:`ClassificationError` first.
     """
     _require_calabi_yau(model)
@@ -149,8 +148,8 @@ def mirror_comb_correlator(model: CIModel, order: int, mirror: MirrorData) -> QS
     lambdas = [LambdaForm(mirror.a[e], mirror.b[e]) for e in range(1, order + 1)]
     for d1 in range(order):
         teeth = [lam._tooth_ints(d1, 1) for lam in lambdas[: order - d1]]
-        for q, form in _chain_sums(order - d1, phis[d1], lambda delta, _: teeth[delta - 1]).items():
-            totals[d1 + q].append((1, form, 1))
+        for q, row in _chain_sums(order - d1, phis[d1], lambda delta, _: teeth[delta - 1]).items():
+            totals[d1 + q].extend(row)
     sums = {d: LaurentPoly._form(model.spec, *_form_sum(model.m, t)) for d, t in enumerate(totals)}
     return QSeries(model.spec, order, sums)
 
@@ -165,20 +164,6 @@ class MirrorReport(_Record):
     order: int
     mirror: MirrorData
     lambdas: Mapping[int, LambdaForm]
-
-    def __init__(
-        self,
-        holds: bool,
-        first_failing_degree: int | None,
-        order: int,
-        mirror: MirrorData,
-        lambdas: Mapping[int, LambdaForm],
-    ) -> None:
-        _setfield(self, "holds", holds)
-        _setfield(self, "first_failing_degree", first_failing_degree)
-        _setfield(self, "order", order)
-        _setfield(self, "mirror", mirror)
-        _setfield(self, "lambdas", lambdas)
 
 
 def verify_mirror_identity(

@@ -28,7 +28,7 @@ from typing import Mapping
 from .correlators import CIModel, _chain_below, _euler_sigma, _unit, euler_class
 from .correlators import linear_power_sum, phi, relative_ring  # relative_ring is public here too
 from .laurent import LaurentPoly
-from .rings import CohClass, RingSpec, _Record, _setfield
+from .rings import CohClass, RingSpec, _Record
 from .series import QSeries
 
 # P^n is the bundle over a point, so a bundle model is a CIModel with a base cutoff.
@@ -61,9 +61,6 @@ class SchubertInput(_Record):
 
     _fields = ("coefficients",)
     coefficients: tuple[tuple[tuple[int, int], Fraction], ...]
-
-    def __init__(self, coefficients: tuple[tuple[tuple[int, int], Fraction], ...]) -> None:
-        _setfield(self, "coefficients", coefficients)
 
     @classmethod
     def from_monomials(cls, values: Mapping[tuple[int, int], Fraction | int]) -> SchubertInput:

@@ -99,13 +99,32 @@ class _Record:
 
     A record equals a record of the same class with equal ``_fields``, hashes
     as the tuple of its fields, shows as ``Name(field=value, ...)``, and any
-    assignment or deletion raises AttributeError.  Each record writes out its
-    ``__init__``, which stores its fields with ``_setfield``.  Plain methods
-    keep start-up cheap: a dataclass decorator generates them with ``exec`` at
-    import, about 0.6 ms per class, and every ``gw`` call is a fresh process.
+    assignment or deletion raises AttributeError.  The one constructor binds
+    positional values, then keywords, to ``_fields`` in order; a field not
+    given takes the class attribute of its name as its default.  A record
+    that coerces or validates its arguments (``RingSpec``, ``CIModel``) writes
+    its own ``__init__`` and stores its fields with ``_setfield``.  Plain
+    methods keep start-up cheap: a dataclass decorator generates them with
+    ``exec`` at import, about 0.6 ms per class, and every ``gw`` call is a
+    fresh process.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} values, {len(args)} given")
+        given = dict(zip(fields, args))
+        if twice := given.keys() & kwargs:
+            raise TypeError(f"{cls.__name__} got field {', '.join(map(repr, sorted(twice)))} twice")
+        given.update(kwargs)
+        for name in fields:
+            if name not in given and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            _setfield(self, name, given.pop(name) if name in given else getattr(cls, name))
+        if given:
+            raise TypeError(f"{cls.__name__} has no field {', '.join(map(repr, given))}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -215,8 +215,15 @@ def test_chain_sums_equal_the_brute_force_sum_over_every_chain(order, data):
                     form = _tooth_pass(form, teeth[end - start, start])
                 for j, c in enumerate(form[1]):
                     expected[j] += Fraction(c, form[2] * factorial(k + 1))
-        degree, total, den = sums[q]
-        assert degree == seed[0] and [Fraction(c, den) for c in total] == expected
+        # one term (1, ends[q][r], r!) per tooth count r, summed here
+        assert [(w, form[0], s) for w, form, s in sums[q]] == [
+            (1, seed[0], factorial(r)) for r in range(1, q + 1)
+        ]
+        total = [Fraction(0)] * length
+        for _, (_, coeffs, den), s in sums[q]:
+            for j, c in enumerate(coeffs):
+                total[j] += Fraction(c, den * s)
+        assert total == expected
 
 
 def test_cy_term_toothless_comb_is_phi():
@@ -747,6 +754,26 @@ THREEFOLDS = (
     classify(6, (2, 2, 3)),
     classify(7, (2, 2, 2, 2)),
 )
+# N_1, N_2, ... of the four threefolds after the quintic, from Libgober-Teitelbaum
+# 1993 and Hosono-Klemm-Theisen-Yau 1995; the quintic's are the acceptance suite's.
+THREEFOLD_PINS = {
+    THREEFOLDS[1]: (1053, 52812, 6424326, 1139448384, 249787892583),
+    THREEFOLDS[2]: (1280, 92288, 15655168, 3883902528),
+    THREEFOLDS[3]: (720, 22428, 1611504, 168199200),
+    THREEFOLDS[4]: (512, 9728, 416256, 25703936),
+}
+
+
+def pinned_counts(model):
+    """``threefold_report``'s N_d for the degrees the model has pins for."""
+    degrees = range(1, len(THREEFOLD_PINS[model]) + 1)
+    counts = threefold_report(model, degrees[-1]).immersed_counts
+    return tuple(counts[d] for d in degrees)
+
+
+@pytest.mark.parametrize("model", THREEFOLD_PINS, ids=str)
+def test_threefold_counts_match_the_literature(model):
+    assert pinned_counts(model) == THREEFOLD_PINS[model]
 
 
 def _fresh_forms(lambdas):

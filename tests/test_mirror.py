@@ -36,6 +36,10 @@ def test_a_negative_order_is_rejected():
     with pytest.raises(ValueError, match="truncation order must be >= 0"):
         mirror_coefficients({}, -1)
     with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        corollary_transform({}, {}, -1)
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        double_comb_series({}, {}, -1)
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
         verify_mirror_identity(QUINTIC, -1)
     # The comb form reads phi_0's form first, so it checks the order before any work.
     data = mirror_coefficients(solve_lambdas_up_to(QUINTIC, 2))

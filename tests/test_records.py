@@ -1,10 +1,12 @@
 """The immutable records: value equality within one class, hashing, repr and
-closed fields, for each of the nine record types."""
+closed fields, for each of the nine record types, and how the seven plain ones
+bind their constructor's arguments."""
 
 from fractions import Fraction
 
 import pytest
 
+from gwone import rings
 from gwone.acceptance import CriterionResult
 from gwone.calabi_yau import CyRow, LambdaForm, QuinticReport
 from gwone.correlators import CIModel
@@ -100,3 +102,30 @@ def test_a_record_keeps_its_defaults():
     assert RingSpec(3) == RingSpec(3, (), 0, ())
     assert CIModel(3) == CIModel(3, (), base_cutoff=0)
     assert CriterionResult(2, "x", False).detail == ""
+    assert CriterionResult(number=2, name="x", passed=False) == CriterionResult(2, "x", False, "")
+    assert CriterionResult(2, "x", False, detail="y").detail == "y"
+
+
+# The records built by _Record's one constructor: each with its fields in order.
+PLAIN = [(build, fields) for build, fields, _ in RECORDS if type(build()) not in (RingSpec, CIModel)]
+
+
+@pytest.mark.parametrize("build, fields", PLAIN, ids=[type(build()).__name__ for build, _ in PLAIN])
+def test_a_plain_record_binds_positions_and_keywords_alike(build, fields):
+    record = build()
+    cls, values = type(record), record._values()
+    assert cls.__init__ is rings._Record.__init__
+    assert cls(*values) == cls(**dict(zip(fields, values))) == record
+    rest = dict(zip(fields[1:], values[1:]))
+    assert cls(values[0], **rest) == record
+    name = cls.__name__
+    with pytest.raises(TypeError, match=rf"^{name} is missing field '{fields[0]}'$"):
+        cls(**rest)
+    with pytest.raises(TypeError, match=rf"^{name} has no field 'extra'$"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=rf"^{name} got field '{fields[0]}' twice$"):
+        cls(*values, **{fields[0]: values[0]})
+    too_many = rf"^{name} takes {len(fields)} values, {len(fields) + 1} given$"
+    with pytest.raises(TypeError, match=too_many):
+        cls(*values, None)
+

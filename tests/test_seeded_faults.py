@@ -4,7 +4,8 @@ Each fault is monkeypatched into the comb sum or into phi's coefficients, one
 at a time, and the Calabi-Yau pipeline is run from cold phi caches on the five
 threefolds of ``scripts/mirror_table.py``.  At least one existing check outside the
 faulted code must then fail: integrality of the immersed counts N_d to
-d = 6, the quintic pins of the acceptance suite, the mirror identity, or the
+d = 6, the literature pins (the quintic's acceptance criteria, and the N_d of
+the other four from ``tests/test_calabi_yau.py``), the mirror identity, or the
 correlator's t-shape check (``cy_correlator`` raises when a degree's comb
 sum keeps t^0 or t^-1 terms).  Without a fault every check passes, so a
 failing check points at the fault.
@@ -12,27 +13,20 @@ failing check points at the fault.
 The phi fault adds 1 to c(D+1, 1) of every Stirling row with D >= 4, the rows
 each numerator factor prod_{k=0}^{D} (l*h + k*t) is built from; one row alone
 would miss models, since (3,3) in P^5 reads only the rows D = 3d.  It breaks
-integrality and the quintic pins, but not the mirror identity: both of its
-sides read the same phi.
+integrality and the pins on every threefold, but not the mirror identity:
+both of its sides read the same phi.
 """
 
 import pytest
 
 from gwone import acceptance, calabi_yau, correlators
 from gwone.calabi_yau import LambdaForm, LambdaShapeError, threefold_report
-from gwone.correlators import classify
 from gwone.mirror import verify_mirror_identity
 
+from test_calabi_yau import THREEFOLD_PINS, THREEFOLDS, pinned_counts
+
 MAX_D = 6
-QUINTIC = classify(4, (5,))
-# The five threefolds of scripts/mirror_table.py.
-THREEFOLDS = (
-    QUINTIC,
-    classify(5, (3, 3)),
-    classify(5, (2, 4)),
-    classify(6, (2, 2, 3)),
-    classify(7, (2, 2, 2, 2)),
-)
+QUINTIC = THREEFOLDS[0]
 
 
 def _tooth_fault(monkeypatch):
@@ -80,9 +74,10 @@ def _integral_counts(model):
     return all(count.denominator == 1 for count in counts.values())
 
 
-def _quintic_pins(model):
+def _literature_pins(model):
+    """The pinned N_d of the four other threefolds; the quintic's acceptance criteria."""
     if model != QUINTIC:
-        return True
+        return pinned_counts(model) == THREEFOLD_PINS[model]
     for criterion in (acceptance.quintic_counts, acceptance.lambda_table, acceptance.immersed_counts):
         try:
             criterion()
@@ -97,7 +92,7 @@ def _mirror_identity(model):
 
 CHECKS = {
     "integrality to d = 6": _integral_counts,
-    "quintic pins": _quintic_pins,
+    "literature pins": _literature_pins,
     "mirror identity": _mirror_identity,
 }
 
@@ -141,3 +136,9 @@ def test_every_check_passes_without_a_fault(model):
 def test_a_seeded_fault_fails_an_existing_check(model, fault, monkeypatch):
     FAULTS[fault](monkeypatch)
     assert _failing_checks(model), f"{fault} passes every check on {model}"
+
+
+@pytest.mark.parametrize("model", THREEFOLDS, ids=str)
+def test_the_phi_fault_fails_integrality_and_the_pins(model, monkeypatch):
+    _stirling_fault(monkeypatch)
+    assert {"integrality to d = 6", "literature pins"} <= _failing_checks(model)
